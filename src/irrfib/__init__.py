@@ -40,10 +40,12 @@ from .polarization import (AlternatingForm, PolarizationType, kernel_K_L,
                            polarization_type, restrict_form)
 from .torus import (ProductPoint, SpecialAbelianSurface, admissible_pairs,
                     build_reference_surface, character_name,
-                    classification_report, classify_origin_singularity,
-                    classify_origin_singularity_oracle, moduli_type,
-                    parse_character, psi_image, reducible_through_origin,
-                    reference_lattice_a, reference_lattice_b, rf_pair,
+                    classification_report, classification_sweep,
+                    classify_origin_singularity,
+                    classify_origin_singularity_oracle, display_name,
+                    moduli_type, parse_character, psi_image,
+                    reducible_through_origin, reference_lattice_a,
+                    reference_lattice_b, rf_pair,
                     translation_points_for_twist)
 
 __version__ = "0.1.0"

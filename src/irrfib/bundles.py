@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (ContradictsXiao, InvalidRank, InvalidShape,
-                     InvalidTorsionList, NotApplicable)
+                     InvalidTorsionList, IrrfibError, NotApplicable)
 from .lattice import reduce_mod1
 
 
@@ -216,13 +216,14 @@ def ample_part_is_line(d):
     """Whether the degree-1 summand is a line bundle, with its point.
 
     Equivalent to the twisted canonical system at q = p being nonempty; the
-    probe below asserts that equivalence on every call.
+    probe below checks that equivalence on every call.
     """
     ample, _ = _pushforward_parts(d)
     if ample.rank != 1:
         return False, None
     p = ample.det_point
-    assert h0_omega_twisted_minus_fibre(d, elliptic_origin(), p) == 1
+    if h0_omega_twisted_minus_fibre(d, elliptic_origin(), p) != 1:
+        raise IrrfibError("twisted canonical probe disagrees at q = p")
     return True, p
 
 

@@ -11,25 +11,23 @@ import sys
 from fractions import Fraction
 
 from .bundles import (EllipticPoint, ample_part_is_line, elliptic_origin,
-                      generic_point, h0, h1, jump_h1,
-                      pushforward_decomposition, xiao_structure)
+                      generic_point, h0, h1, jump_h1, pushforward_decomposition)
 from .characters import kernel_of_restriction, two_torsion_character_tables
 from .errors import IrrfibError
 from .intersection import (DivisorClass, IntersectionLattice, KernelCurve,
-                           degree_vs_product_polarization,
-                           derive_pen6_pairings, dot, kernel_dot,
+                           degree_vs_product_polarization, dot, kernel_dot,
                            kernel_dot_oracle, nef_violation_certificate,
-                           pen6_fibres, pen6_lattice, serrano_canonical_pen6)
-from .invariants import (NOT_ISOTRIVIAL, genus_bound_rank_one,
-                         isotriviality_obstruction, isotrivial_examples,
-                         nonisotrivial_examples, slope, unbounded_family)
+                           pen6_lattice)
+from .invariants import (genus_bound_rank_one, isotriviality_obstruction,
+                         isotrivial_examples, nonisotrivial_examples, slope,
+                         unbounded_family)
 from .lattice import sublattice_index
 from .polarization import kernel_K_L, phi_two_torsion_data, polarization_type
 from .report import Report, render
-from .torus import (admissible_pairs, build_reference_surface, character_name,
-                    classification_report, classify_origin_singularity,
-                    classify_origin_singularity_oracle, moduli_type,
-                    parse_character, reference_lattice_a, rf_pair)
+from .torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
+                    build_reference_surface, classification_report,
+                    classification_sweep, display_name, parse_character,
+                    reference_lattice_a, rf_pair)
 
 EXAMPLE_IDS = ("pen-1", "pen-4", "pen-5", "pen-6",
                "k26-d2", "k5-3", "k6-4", "family-fn")
@@ -40,9 +38,8 @@ _EXTENDABLE_NAMES = sorted(("trivial", "chiA1", "chiA2", "chiA3", "chiA5",
                             "chiA1*chiA5", "chiA2*chiA5", "chiA3*chiA5"))
 _NEW_NAMES = tuple("eps%d" % i for i in range(1, 9))
 _IMAGE_NAMES = sorted(("trivial", "chiA1", "chiA2*chiA5", "chiA3*chiA5"))
-_VERDICT_COUNTS = {"node": 1, "smooth_point": 12, "none": 50}
-_MODULI_ROWS = {"Ia/none": 8, "Ia/smooth_point": 4, "Ib/node": 1,
-                "Ib/none": 2, "II/none": 40, "II/smooth_point": 8}
+# (Z/m)^4 is enumerated cell by cell, so the oracle's modulus is capped
+MAX_ORACLE_MODULUS = 64
 
 
 class UsageError(Exception):
@@ -54,10 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         sys.exit(64)
-
-
-def _display(chi):
-    return character_name(chi) or ",".join(str(v) for v in chi.values)
 
 
 def _parse_point(text):
@@ -88,8 +81,8 @@ def _parse_int_vector(text, length=None):
 def _parse_named_character(text, lattice):
     try:
         return parse_character(text, lattice)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError("bad character %r: %s" % (text, exc))
 
 
 def cmd_appendix(args):
@@ -108,40 +101,36 @@ def cmd_appendix(args):
               [[str(c) for c in x.coords] for x in kl.elements()])
 
     rep.check("restriction kernel", ["chiB1*chiB4", "trivial"],
-              sorted(_display(c) for c in kernel_of_restriction(e, 2)))
+              sorted(display_name(c) for c in kernel_of_restriction(e, 2)))
 
     extendable, new = two_torsion_character_tables(e)
     expected_new = sorted(_NEW_NAMES)
     if args.corrupt:
         expected_new = expected_new[:-1] + ["eps8-corrupted"]
     rep.check("extendable character table", _EXTENDABLE_NAMES,
-              sorted(_display(c) for c in extendable))
+              sorted(display_name(c) for c in extendable))
     rep.check("new character table", expected_new,
-              sorted(_display(c) for c in new))
+              sorted(display_name(c) for c in new))
 
     kernel2, image2 = phi_two_torsion_data(s.form_A)
     rep.check("two-torsion image", _IMAGE_NAMES,
-              sorted(_display(c) for c in image2))
+              sorted(display_name(c) for c in image2))
     rep.check("two-torsion kernel points", [list(p) for p in _KL_POINTS],
               sorted([str(c) for c in x.coords] for x in kernel2))
 
-    mismatches, counts, rows = [], {}, {}
-    pairs = admissible_pairs(s)
-    for Q, Qhalf in pairs:
-        closed = classify_origin_singularity(s, Q, Qhalf)
-        oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
-        if closed != oracle:
-            mismatches.append({"Qhalf": _display(Qhalf),
-                               "closed": closed, "oracle": oracle})
-        counts[closed] = counts.get(closed, 0) + 1
-        key = "%s/%s" % (moduli_type(Q, Qhalf, frozenset(image2)), closed)
-        rows[key] = rows.get(key, 0) + 1
-    rep.results["admissible_pairs"] = len(pairs)
-    rep.check("admissible pair count", 63, len(pairs))
-    rep.check("classification routes agree", [], mismatches)
-    rep.check("classification verdict counts", _VERDICT_COUNTS, counts)
-    rep.check("classification moduli rows", _MODULI_ROWS, rows)
+    sweep = classification_sweep(s)
+    rep.results["admissible_pairs"] = len(sweep.rows)
+    rep.check("admissible pair count", 63, len(sweep.rows))
+    _sweep_checks(rep, sweep)
     return rep
+
+
+def _sweep_checks(rep, sweep):
+    rep.check("classification routes agree", [], sweep.mismatches)
+    rep.check("classification verdict counts", REFERENCE_VERDICT_COUNTS,
+              sweep.verdict_counts)
+    rep.check("classification moduli rows", REFERENCE_MODULI_ROWS,
+              sweep.moduli_rows)
 
 
 def _family_report(command, n):
@@ -150,46 +139,8 @@ def _family_report(command, n):
     rec = unbounded_family(n)
     rep = Report(command, inputs={"n": n})
     rep.results["record"] = rec
-    rep.check("fibre genus", n * n + 2, rec.gF)
-    rep.check("ample part rank", n * n + 1, rec.r)
-    rep.check("slope", Fraction(4), slope(4, 1, 1, rec.gF))
-    rep.check("xiao semistable rank", rec.r,
-              xiao_structure(rec.gF, Fraction(4), 2, 1).semistable_rank)
-    line, _ = ample_part_is_line(rec.decomposition)
-    rep.check("ample part is a line bundle", False, line)
+    rep.checks.extend(rec.checks)
     return rep
-
-
-def _pen6_checks(rep, record):
-    lattice = pen6_lattice()
-    for pair, value in derive_pen6_pairings().items():
-        i, j = (lattice.basis_labels.index(x) for x in pair)
-        rep.check("derived pairing %s.%s" % pair, lattice.gram[i][j], value)
-    k = serrano_canonical_pen6(lattice)
-    f1, f2 = pen6_fibres(lattice)
-    y1 = lattice.basis_class("Y1")
-    y2 = lattice.basis_class("Y2")
-    rep.check("canonical self-intersection", 5, dot(k, k))
-    rep.check("fibre self-intersections", [0, 0],
-              [dot(f1, f1), dot(f2, f2)])
-    rep.check("fibre product equals group order", 6, dot(f1, f2))
-    rep.check("canonical against sections", [1, 1],
-              [dot(k, y1), dot(k, y2)])
-    rep.check("adjunction degree on fibres", [4, 4],
-              [dot(k + f1, f1), dot(k + f2, f2)])
-    rep.check("nef violation certificate", -2,
-              nef_violation_certificate(k - f1, f2))
-    rep.check("certificate forces rank 2", [2, 2],
-              [f.r for f in record.fibrations])
-
-
-def _pen5_checks(rep, record):
-    s = slope(4, 1, 1, 3)
-    rep.check("slope", Fraction(4), s)
-    shape = xiao_structure(3, s, 2, 1)
-    rep.check("xiao semistable rank", 2, shape.semistable_rank)
-    rep.check("splitting forces rank 2", [2, 2],
-              [f.r for f in record.fibrations])
 
 
 def _bound_checks(rep, record):
@@ -206,22 +157,17 @@ def cmd_example(args):
     if ex_id == "family-fn":
         return _family_report("example family-fn", args.n)
     rep = Report("example %s" % ex_id, inputs={"id": ex_id})
-    table = {e.id: e for e in isotrivial_examples()}
-    table.update({e.id: e for e in nonisotrivial_examples()})
+    table = {e.id: e for e in isotrivial_examples() + nonisotrivial_examples()}
     record = table[ex_id]
     rep.results["record"] = record
     rep.check("chi", 1, record.invariants.chi)
-    if ex_id == "pen-5":
-        _pen5_checks(rep, record)
-    if ex_id == "pen-6":
-        _pen6_checks(rep, record)
+    rep.checks.extend(record.checks)
     if ex_id in ("pen-1", "pen-4"):
         _bound_checks(rep, record)
     if ex_id == "k26-d2":
-        verdict, inequality = isotriviality_obstruction(
-            record.invariants.K2, record.invariants.chi, ample=True)
-        rep.results["isotriviality_inequality"] = inequality
-        rep.check("isotriviality obstruction", NOT_ISOTRIVIAL, verdict)
+        inv = record.invariants
+        rep.results["isotriviality_inequality"] = isotriviality_obstruction(
+            inv.K2, inv.chi, inv.ample_canonical)[1]
         if args.Qhalf or args.Q:
             rep.results["classification"] = _classified(args, rep)
     elif args.Qhalf or args.Q:
@@ -232,14 +178,13 @@ def cmd_example(args):
 def _classified(args, rep):
     if not args.Qhalf:
         raise UsageError("--Qhalf is required when classifying")
-    s = build_reference_surface()
     lattice = reference_lattice_a()
     qhalf = _parse_named_character(args.Qhalf, lattice)
     q = (_parse_named_character(args.Q, lattice) if args.Q
          else qhalf * qhalf)
-    result = classification_report(s, q, qhalf)
-    result["Q_name"] = _display(q)
-    result["Qhalf_name"] = _display(qhalf)
+    result = classification_report(build_reference_surface(), q, qhalf)
+    result["Q_name"] = display_name(q)
+    result["Qhalf_name"] = display_name(qhalf)
     rep.check("classification routes agree", result["singularity"],
               result["singularity_oracle"])
     return result
@@ -274,8 +219,9 @@ def _load_lattice(fixture):
     try:
         with open(fixture) as handle:
             data = json.load(handle)
-        return IntersectionLattice(tuple(data["basis_labels"]),
-                                   tuple(tuple(r) for r in data["gram"]))
+        if not isinstance(data["basis_labels"], list):
+            raise ValueError("basis_labels must be a list")
+        return IntersectionLattice(data["basis_labels"], data["gram"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError("cannot load lattice fixture: %s" % exc)
 
@@ -283,6 +229,8 @@ def _load_lattice(fixture):
 def cmd_intersect(args):
     if args.pq and args.cls:
         raise UsageError("use either --pq pairs or --class vectors")
+    if args.m is not None and args.m > MAX_ORACLE_MODULUS:
+        raise UsageError("--m must be at most %d" % MAX_ORACLE_MODULUS)
     if args.pq:
         if len(args.pq) != 2:
             raise UsageError("need exactly two --pq pairs")
@@ -292,8 +240,7 @@ def cmd_intersect(args):
         value = kernel_dot(c1, c2)
         rep.results["kernel_dot"] = value
         rep.results["degree_vs_product_polarization"] = [
-            degree_vs_product_polarization(c1),
-            degree_vs_product_polarization(c2)]
+            degree_vs_product_polarization(c) for c in (c1, c2)]
         if args.m is not None:
             count = kernel_dot_oracle(c1, c2, args.m)
             rep.results["oracle_count"] = count
@@ -323,14 +270,19 @@ def _bundle_spec(args):
             spec = json.loads(text)
         except (OSError, ValueError) as exc:
             raise UsageError("cannot load bundle spec: %s" % exc)
+        if not isinstance(spec, dict):
+            raise UsageError("a bundle spec is a JSON object")
     g = spec.get("g", args.g)
     r = spec.get("r", args.r)
     if g is None or r is None:
         raise UsageError("need --g and --r (or a --spec with g and r)")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (g, r)):
+        raise UsageError("g and r must be integers")
+    torsion = spec.get("torsion", args.torsion or [])
+    if not isinstance(torsion, list):
+        raise UsageError("torsion must be a list of points")
     p = _parse_point(str(spec.get("p", args.p)))
-    torsion = [_parse_point(str(t))
-               for t in spec.get("torsion", args.torsion or [])]
-    return int(g), int(r), p, torsion
+    return g, r, p, [_parse_point(str(t)) for t in torsion]
 
 
 def cmd_bundle(args):
@@ -357,30 +309,16 @@ def cmd_bundle(args):
 
 
 def cmd_classify(args):
-    s = build_reference_surface()
     if args.sweep:
         rep = Report("classify", inputs={"sweep": True})
-        table, counts, rows, mismatches = [], {}, {}, []
-        _, image2 = phi_two_torsion_data(s.form_A)
-        for Q, Qhalf in admissible_pairs(s):
-            closed = classify_origin_singularity(s, Q, Qhalf)
-            oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
-            if closed != oracle:
-                mismatches.append(_display(Qhalf))
-            mtype = moduli_type(Q, Qhalf, frozenset(image2))
-            counts[closed] = counts.get(closed, 0) + 1
-            key = "%s/%s" % (mtype, closed)
-            rows[key] = rows.get(key, 0) + 1
-            table.append({"Qhalf": _display(Qhalf), "Q": _display(Q),
-                          "singularity": closed,
-                          "rf_pair": list(rf_pair(closed)),
-                          "moduli_type": mtype})
-        rep.results["pairs"] = table
-        rep.results["verdict_counts"] = counts
-        rep.results["moduli_rows"] = rows
-        rep.check("classification routes agree", [], mismatches)
-        rep.check("classification verdict counts", _VERDICT_COUNTS, counts)
-        rep.check("classification moduli rows", _MODULI_ROWS, rows)
+        sweep = classification_sweep(build_reference_surface())
+        rep.results["pairs"] = [
+            {"Qhalf": display_name(row.Qhalf), "Q": display_name(row.Q),
+             "singularity": row.closed, "rf_pair": list(rf_pair(row.closed)),
+             "moduli_type": row.moduli_type} for row in sweep.rows]
+        rep.results["verdict_counts"] = sweep.verdict_counts
+        rep.results["moduli_rows"] = sweep.moduli_rows
+        _sweep_checks(rep, sweep)
         return rep
     rep = Report("classify", inputs={"Q": args.Q, "Qhalf": args.Qhalf})
     rep.results.update(_classified(args, rep))
@@ -443,7 +381,8 @@ def build_parser():
     p.add_argument("--pq", action="append",
                    help="kernel curve 'p,q' (give twice)")
     p.add_argument("--m", type=int,
-                   help="modulus for the counting oracle (with --pq)")
+                   help="modulus for the counting oracle (with --pq), "
+                        "at most %d" % MAX_ORACLE_MODULUS)
     p.add_argument("--class", dest="cls", action="append",
                    help="divisor class coefficients 'a,b,...' (give twice)")
     p.set_defaults(handler=cmd_intersect)

@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .errors import IncompatibleLattice, InvalidModulus, NonPrimitive
+from .errors import (IncompatibleLattice, InvalidModulus, IrrfibError,
+                     NonPrimitive)
 from .linalg import solve_unique
 
 
@@ -23,11 +24,15 @@ class IntersectionLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
-        object.__setattr__(self, "gram",
-                           tuple(tuple(int(x) for x in row) for row in self.gram))
+        object.__setattr__(self, "gram", tuple(map(tuple, self.gram)))
         n = len(self.basis_labels)
+        if (not all(isinstance(x, str) for x in self.basis_labels)
+                or len(set(self.basis_labels)) != n):
+            raise ValueError("basis labels must be pairwise distinct strings")
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise ValueError("gram must be square of size len(basis_labels)")
+        if not all(type(x) is int for row in self.gram for x in row):
+            raise ValueError("gram entries must be integers")
         for i in range(n):
             for j in range(n):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -177,7 +182,8 @@ def serrano_canonical_pen6(l):
     k = DivisorClass(l, PEN6_CANONICAL)
     f1, _ = pen6_fibres(l)
     # coefficient identity K - F1 = 2Y2 - Y1 + Z2, used as the nef test class
-    assert (k - f1).coeffs == (-1, 2, 0, 1, 0)
+    if (k - f1).coeffs != (-1, 2, 0, 1, 0):
+        raise IrrfibError("K - F1 is not 2Y2 - Y1 + Z2")
     return k
 
 

@@ -4,10 +4,11 @@ Slope, the isotriviality windows, the genus bound for a line-bundle ample
 part, Riemann-Hurwitz for double covers, the unbounded family generator,
 and fixed records for the known surfaces with p_g = q = 2. Where a record's
 rank admits an independent derivation (slope structure, nef violation),
-the constructor re-runs it instead of trusting the stored number.
+the constructor re-runs it instead of trusting the stored number, and the
+record carries the derivation's named checks (outside its JSON form).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import (ample_part_is_line, generic_point,
@@ -16,6 +17,7 @@ from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
 from .intersection import (KernelCurve, degree_vs_product_polarization,
                            derive_pen6_pairings, dot, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
+from .report import Check
 
 NO_OBSTRUCTION = "no_obstruction"
 NOT_ISOTRIVIAL = "not_isotrivial"
@@ -53,6 +55,7 @@ class FibrationRecord:
     group_order: int = None
     ramification: tuple = None
     annotations: tuple = ()
+    checks: tuple = field(default=(), compare=False)  # derivation Checks
 
     def __post_init__(self):
         object.__setattr__(self, "annotations", tuple(self.annotations))
@@ -94,6 +97,7 @@ class ExampleSurface:
     polarization: tuple = None
     moduli_dims: tuple = None  # ((type, dimension), ...)
     annotations: tuple = ()
+    checks: tuple = field(default=(), compare=False)  # derivation Checks
 
     def to_json(self):
         return {
@@ -169,48 +173,70 @@ def unbounded_family(n):
     kernel_degree = degree_vs_product_polarization(KernelCurve(1, n))
     gF = double_cover_fibre_genus(1, 2 * kernel_degree)
     r = gF - 1
-    s = slope(4, 1, 1, gF)
-    assert s == 4
-    shape = xiao_structure(gF, s, 2, 1)
-    assert shape.semistable_rank == r
     d = pushforward_decomposition(gF, r, generic_point("p"), [])
     line, _ = ample_part_is_line(d)
-    assert line is (r == 1)
+    checks = (
+        Check("fibre genus", n * n + 2, gF),
+        Check("ample part rank", n * n + 1, r),
+        Check("slope", Fraction(4), slope(4, 1, 1, gF)),
+        Check("xiao semistable rank", r,
+              xiao_structure(gF, Fraction(4), 2, 1).semistable_rank),
+        Check("ample part is a line bundle", r == 1, line))
     return FibrationRecord(
         gC=1, gF=gF, isotrivial=False, r=r, decomposition=d,
         annotations=("fibre genus n^2 + 2 at n = %d" % n,
                      "slope 4; splitting re-derived",
                      "non-isotrivial by construction; the K2 = 4 "
-                     "numerical window gives no obstruction"))
+                     "numerical window gives no obstruction"),
+        checks=checks)
 
 
 def _pen5_ranks():
+    """Both ranks and the checks that derive them."""
     # slope 4 forces the trivial + semistable splitting; with gF = 3 the
     # semistable part is the rank-2 ample summand
     s = slope(4, 1, 1, 3)
-    shape = xiao_structure(3, s, 2, 1)
-    return shape.semistable_rank, shape.semistable_rank
+    rank = xiao_structure(3, s, 2, 1).semistable_rank
+    return (rank, rank), (
+        Check("slope", Fraction(4), s),
+        Check("xiao semistable rank", 2, rank),
+        Check("splitting forces rank 2", [2, 2], [rank, rank]))
 
 
 def _pen6_ranks():
+    """Both ranks (None where underived) and the checks that derive them."""
     # the canonical minus either fibre pairs negatively with the other
-    # (nef) fibre, so it is not effective and neither rank can be 1
+    # (nef) fibre, so it is not effective and that rank cannot be 1
     l = pen6_lattice()
+    checks = []
     for pair, value in derive_pen6_pairings().items():
         i, j = (l.basis_labels.index(x) for x in pair)
-        assert l.gram[i][j] == value
+        checks.append(Check("derived pairing %s.%s" % pair, l.gram[i][j],
+                            value))
     k = serrano_canonical_pen6(l)
     f1, f2 = pen6_fibres(l)
-    assert nef_violation_certificate(k - f1, f2) == -2
-    assert nef_violation_certificate(k - f2, f1) == -2
-    assert dot(f1, f2) == 6 and dot(k, k) == 5
-    return 2, 2
+    certificates = (nef_violation_certificate(k - f1, f2),
+                    nef_violation_certificate(k - f2, f1))
+    ranks = tuple(None if c is None else 2 for c in certificates)
+    checks += [
+        Check("canonical self-intersection", 5, dot(k, k)),
+        Check("fibre self-intersections", [0, 0], [dot(f1, f1), dot(f2, f2)]),
+        Check("fibre product equals group order", 6, dot(f1, f2)),
+        Check("canonical against sections", [1, 1],
+              [dot(k, l.basis_class("Y1")), dot(k, l.basis_class("Y2"))]),
+        Check("adjunction degree on fibres", [4, 4],
+              [dot(k + f1, f1), dot(k + f2, f2)]),
+        Check("nef violation certificate", -2, certificates[0]),
+        Check("nef violation certificate (K-F2 against F1)", -2,
+              certificates[1]),
+        Check("certificate forces rank 2", [2, 2], list(ranks))]
+    return ranks, tuple(checks)
 
 
 def isotrivial_examples():
     """The four isotrivial standard fixtures, ranks re-derived when possible."""
-    r5 = _pen5_ranks()
-    r6 = _pen6_ranks()
+    r5, checks5 = _pen5_ranks()
+    r6, checks6 = _pen6_ranks()
     split_note = ("abelian cover group: the pushforward splits into line "
                   "bundles, so r = 1")
     genus_note = "gF = 2 forces r = 1"
@@ -251,7 +277,8 @@ def isotrivial_examples():
                 FibrationRecord(1, 3, True, r5[1], group_order=8,
                                 ramification=(2,),
                                 annotations=("rank re-derived from the "
-                                             "slope-4 splitting",)))),
+                                             "slope-4 splitting",))),
+            checks=checks5),
         ExampleSurface(
             id="pen-6",
             invariants=SurfaceInvariants(2, 2, 5, 1),
@@ -264,7 +291,8 @@ def isotrivial_examples():
                 FibrationRecord(1, 3, True, r6[1], group_order=6,
                                 ramification=(3,),
                                 annotations=("rank re-derived from the nef "
-                                             "violation certificate",)))),
+                                             "violation certificate",))),
+            checks=checks6),
     ]
 
 
@@ -272,13 +300,15 @@ def nonisotrivial_examples():
     """Double, triple and quadruple Albanese covers with two fibrations."""
     member_note = ("rank of the ample part depends on the member: see the "
                    "origin-singularity classification")
-    verdict, _ = isotriviality_obstruction(6, 1, ample=True)
-    assert verdict == NOT_ISOTRIVIAL
+    k26 = SurfaceInvariants(2, 2, 6, 1, albanese_degree=2, ample_canonical=True)
+    verdict, _ = isotriviality_obstruction(k26.K2, k26.chi,
+                                           k26.ample_canonical)
     return [
         ExampleSurface(
             id="k26-d2",
-            invariants=SurfaceInvariants(2, 2, 6, 1, albanese_degree=2,
-                                         ample_canonical=True),
+            invariants=k26,
+            checks=(Check("isotriviality obstruction", NOT_ISOTRIVIAL,
+                          verdict),),
             polarization=(1, 2),
             moduli_dims=(("Ia", 4), ("Ib", 4), ("II", 3)),
             fibrations=(

@@ -12,8 +12,8 @@ from itertools import product
 from math import lcm
 
 from .errors import DegenerateEmbedding, IncompatibleLattice, InvalidOrder
-from .linalg import (determinant, diagonal, rational_inverse,
-                     smith_normal_form, transpose)
+from .linalg import (determinant, diagonal, smith_normal_form, solve_unique,
+                     transpose)
 
 
 def reduce_mod1(x):
@@ -187,7 +187,4 @@ def coordinates_in_sublattice(x, e):
     if x.lattice != e.ambient:
         raise IncompatibleLattice("point does not live on the ambient lattice")
     _require_square_full_rank(e)
-    inv = rational_inverse(e.rows())
-    y = [sum(Fraction(inv[i][j]) * x.coords[j] for j in range(len(inv)))
-         for i in range(len(inv))]
-    return TorsionPoint(e.sub, tuple(y))
+    return TorsionPoint(e.sub, tuple(solve_unique(e.rows(), x.coords)))

@@ -21,14 +21,10 @@ def mat_mul(a, b):
     if not a or not b:
         return []
     n, k, p = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
+    if any(len(row) != k for row in a):
+        raise ValueError("inner dimensions differ")
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(p)]
             for i in range(n)]
-
-
-def mat_vec(m, v):
-    assert all(len(row) == len(v) for row in m)
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
 
 
 def determinant(m):
@@ -36,7 +32,8 @@ def determinant(m):
     n = len(m)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -54,25 +51,6 @@ def determinant(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def rational_inverse(m):
-    """Gauss-Jordan inverse over Fraction; None if singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def solve_unique(a, b):
@@ -174,7 +152,8 @@ def smith_normal_form(m):
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    assert all(len(row) == nc for row in m)
+    if any(len(row) != nc for row in m):
+        raise ValueError("rows must have equal length")
     a = [[int(x) for x in row] for row in m]
     u = identity_matrix(nr)
     v = identity_matrix(nc)

@@ -12,8 +12,8 @@ from functools import lru_cache
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
-from .lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
-                      reduce_mod1, sublattice_index, torsion_subgroup)
+from .lattice import (Lattice, SublatticeEmbedding, reduce_mod1,
+                      sublattice_index, torsion_subgroup)
 from .linalg import integer_kernel_basis
 from .polarization import (AlternatingForm, phi_L_on_point,
                            phi_two_torsion_data, polarization_type,
@@ -201,16 +201,11 @@ def rf_pair(singularity):
     return table[singularity]
 
 
-def moduli_type(Q, Qhalf, phi2_image):
-    if Qhalf * Qhalf != Q:
-        raise InvalidTwist("Qhalf must be a square root of Q")
-    if Q not in phi2_image:
-        raise InvalidTwist("Q must be in the image of phi on 2-torsion")
-    if Q.is_trivial and Qhalf.is_trivial:
-        raise InvalidTwist("the trivial pair is excluded")
+def moduli_type(s, Q, Qhalf):
+    _check_pair(s, Q, Qhalf)
     if not Q.is_trivial:
         return "II"
-    return "Ib" if Qhalf in phi2_image else "Ia"
+    return "Ib" if Qhalf in _phi2_image(s) else "Ia"
 
 
 def admissible_qhalf(s):
@@ -225,8 +220,49 @@ def admissible_pairs(s):
     return [(q * q, q) for q in admissible_qhalf(s)]
 
 
+# The sweep's table on the reference surface: verdict counts, and pair counts
+# per "moduli type/verdict" row.
+REFERENCE_VERDICT_COUNTS = {"node": 1, "smooth_point": 12, "none": 50}
+REFERENCE_MODULI_ROWS = {"Ia/none": 8, "Ia/smooth_point": 4, "Ib/node": 1,
+                         "Ib/none": 2, "II/none": 40, "II/smooth_point": 8}
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    Q: Character
+    Qhalf: Character
+    closed: str
+    oracle: str
+    moduli_type: str
+
+
+@dataclass(frozen=True)
+class Sweep:
+    rows: tuple            # one SweepRow per admissible pair, in pair order
+    verdict_counts: dict   # closed-form verdict -> number of pairs
+    moduli_rows: dict      # "moduli type/verdict" -> number of pairs
+    mismatches: list       # {"Qhalf", "closed", "oracle"} where routes differ
+
+
+def classification_sweep(s):
+    """Both routes' verdicts and the moduli type of every admissible pair."""
+    rows, counts, moduli_rows, mismatches = [], {}, {}, []
+    for Q, Qhalf in admissible_pairs(s):
+        row = SweepRow(Q, Qhalf, classify_origin_singularity(s, Q, Qhalf),
+                       classify_origin_singularity_oracle(s, Q, Qhalf),
+                       moduli_type(s, Q, Qhalf))
+        rows.append(row)
+        if row.closed != row.oracle:
+            mismatches.append({"Qhalf": display_name(Qhalf),
+                               "closed": row.closed, "oracle": row.oracle})
+        counts[row.closed] = counts.get(row.closed, 0) + 1
+        key = "%s/%s" % (row.moduli_type, row.closed)
+        moduli_rows[key] = moduli_rows.get(key, 0) + 1
+    return Sweep(tuple(rows), counts, moduli_rows, mismatches)
+
+
 def classification_report(s, Q, Qhalf):
-    """Everything about one admissible pair, both routes asserted equal."""
+    """Everything about one admissible pair, with both routes' verdicts."""
     closed = classify_origin_singularity(s, Q, Qhalf)
     oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
     witnesses = sorted(
@@ -239,7 +275,7 @@ def classification_report(s, Q, Qhalf):
         "singularity": closed,
         "singularity_oracle": oracle,
         "rf_pair": list(rf_pair(closed)),
-        "moduli_type": moduli_type(Q, Qhalf, _phi2_image(s)),
+        "moduli_type": moduli_type(s, Q, Qhalf),
         "witness_points": [x.to_json() for x in witnesses],
     }
 
@@ -305,6 +341,11 @@ def character_name(chi):
     if chi.lattice == reference_lattice_b():
         return B_CHARACTER_NAMES.get(chi.values)
     return None
+
+
+def display_name(chi):
+    """Table name of chi, or its comma-joined values when it has none."""
+    return character_name(chi) or ",".join(str(v) for v in chi.values)
 
 
 def parse_character(text, lattice):

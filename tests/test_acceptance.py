@@ -26,10 +26,8 @@ from irrfib.lattice import sublattice_index
 from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
                                  polarization_type)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
-                          SINGULARITY_SMOOTH, admissible_pairs,
-                          build_reference_surface, character_name,
-                          classify_origin_singularity,
-                          classify_origin_singularity_oracle, moduli_type,
+                          SINGULARITY_SMOOTH, build_reference_surface,
+                          character_name, classification_sweep,
                           reference_embedding, rf_pair)
 
 HALF = Fraction(1, 2)
@@ -104,21 +102,19 @@ def test_criterion_05_character_tables():
 @criterion(6, "both classification routes agree on all 63 admissible pairs "
               "and reproduce the verdict/moduli table")
 def test_criterion_06_classification_sweep():
-    s = build_reference_surface()
-    pairs = admissible_pairs(s)
-    assert len(pairs) == 63
-    _, image = phi_two_torsion_data(s.form_A)
-    image = frozenset(image)
+    sweep = classification_sweep(build_reference_surface())
+    assert len(sweep.rows) == 63
+    assert sweep.mismatches == []
     verdicts = Counter()
     rows = Counter()
     node_names = []
-    for Q, Qhalf in pairs:
-        closed = classify_origin_singularity(s, Q, Qhalf)
-        assert closed == classify_origin_singularity_oracle(s, Q, Qhalf)
+    for row in sweep.rows:
+        closed = row.closed
+        assert closed == row.oracle
         verdicts[closed] += 1
-        rows[(moduli_type(Q, Qhalf, image), closed)] += 1
+        rows[(row.moduli_type, closed)] += 1
         if closed == SINGULARITY_NODE:
-            node_names.append(character_name(Qhalf))
+            node_names.append(character_name(row.Qhalf))
             assert rf_pair(closed) == (1, 1)
         elif closed == SINGULARITY_SMOOTH:
             assert rf_pair(closed) == (1, 2)

@@ -140,6 +140,12 @@ def test_intersect_errors(capsys):
     assert code == 64
     code, _, _ = run(capsys, "intersect")
     assert code == 64
+    # (Z/m)^4 is enumerated, so the modulus is capped at 64
+    for m in ("65", "200"):
+        code, _, err = run(capsys, "intersect", "--pq", "1,2", "--pq", "1,0",
+                           "--m", m)
+        assert code == 64
+        assert "at most 64" in err
 
 
 def test_intersect_divisor_classes(capsys):
@@ -166,6 +172,21 @@ def test_intersect_with_fixture_file(capsys, tmp_path):
                        str(tmp_path / "missing.json"),
                        "--class", "1,0", "--class", "0,1")
     assert code == 64
+    # only JSON integers in gram, only a list of distinct strings as labels
+    bad = [
+        '{"basis_labels": ["a", "b"], "gram": [[true, 1], [1, "2"]]}',
+        '{"basis_labels": ["a", "b"], "gram": [[1e400, 1], [1, 0]]}',
+        '{"basis_labels": ["a", "b"], "gram": [[0.5, 1], [1, 0]]}',
+        '{"basis_labels": "ab", "gram": [[0, 1], [1, 0]]}',
+        '{"basis_labels": ["a", "a"], "gram": [[0, 1], [1, 0]]}',
+        '{"basis_labels": ["a", 2], "gram": [[0, 1], [1, 0]]}',
+    ]
+    for text in bad:
+        fixture.write_text(text)
+        code, _, err = run(capsys, "intersect", "--fixture", str(fixture),
+                           "--class", "1,0", "--class", "0,1")
+        assert code == 64, text
+        assert "cannot load lattice fixture" in err, text
 
 
 def test_bundle_cohomology(capsys):
@@ -219,7 +240,7 @@ def test_bundle_spec_file(capsys, tmp_path):
     assert doc["results"]["h0"] == 2
 
 
-def test_bundle_errors(capsys):
+def test_bundle_errors(capsys, tmp_path):
     # wrong torsion count for (g, r) = (3, 1) is a domain error
     code, _, err = run(capsys, "bundle", "h0", "--g", "3", "--r", "1")
     assert code == 65
@@ -229,6 +250,19 @@ def test_bundle_errors(capsys):
     code, _, _ = run(capsys, "bundle", "h0", "--g", "3", "--r", "1",
                      "--torsion", "nonsense")
     assert code == 64
+    # a spec is a JSON object whose g and r are JSON integers (not bools)
+    for spec in ('{"g": "x", "r": 1}', '{"g": 3.7, "r": 1}',
+                 '{"g": 3, "r": true}', '{"g": 3, "r": "1"}',
+                 '{"g": 3, "r": 1, "torsion": 5}'):
+        code, _, err = run(capsys, "bundle", "h0", "--spec", spec)
+        assert code == 64, spec
+        assert "usage error" in err, spec
+    path = tmp_path / "spec.json"
+    for text in ('[3, 1]', '"g"', '7'):
+        path.write_text(text)
+        code, _, err = run(capsys, "bundle", "h0", "--spec", str(path))
+        assert code == 64, text
+        assert "usage error" in err, text
 
 
 def test_classify_single(capsys):
@@ -254,6 +288,13 @@ def test_classify_errors(capsys):
     code, _, err = run(capsys, "classify", "--Qhalf", "0,1/4,0,0")
     assert code == 65
     assert "InvalidTwist" in err
+    # a zero denominator is a usage error, for classify and example alike
+    for argv in (("classify", "--Qhalf", "1/0,0,0,0"),
+                 ("classify", "--Qhalf", "chiA1", "--Q", "0,0,0,1/0"),
+                 ("example", "k26-d2", "--Qhalf", "1/0,0,0,0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "usage error" in err, argv
 
 
 def test_classify_sweep(capsys):
@@ -268,3 +309,15 @@ def test_classify_sweep(capsys):
 def test_usage_without_command(capsys):
     assert run(capsys, )[0] == 64
     assert run(capsys, "no-such-command")[0] == 64
+
+
+def test_failing_derivation_is_a_failed_check(capsys, monkeypatch):
+    import irrfib.invariants
+    derived = irrfib.invariants.derive_pen6_pairings()
+    derived[("Y1", "Z1")] += 1
+    monkeypatch.setattr(irrfib.invariants, "derive_pen6_pairings",
+                        lambda: derived)
+    code, out, err = run(capsys, "example", "pen-6")
+    assert code == 2
+    assert "FAIL derived pairing Y1.Z1: expected 1, actual 2" in out
+    assert err == ""

@@ -1,4 +1,4 @@
-"""Golden-output gate: the --json body of each reference command, byte for byte.
+"""Golden-output gate: each reference command's --json body, byte for byte.
 
 The files under tests/golden/ are the exact stdout of `irrfib <argv> --json`.
 A deliberate change to one of them needs a CHANGES.md entry saying why.
@@ -19,7 +19,8 @@ CASES = {
     "classify-Qhalf-eps1": ("classify", "--Qhalf", "eps1"),
     "family-fn-n3": ("family-fn", "--n", "3"),
 }
-CASES.update({"example-%s" % ex_id: ("example", ex_id) for ex_id in EXAMPLE_IDS})
+CASES.update({"example-%s" % ex_id: ("example", ex_id)
+              for ex_id in EXAMPLE_IDS})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

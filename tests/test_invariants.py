@@ -101,6 +101,9 @@ def test_unbounded_family():
         assert rec.gC == 1
         assert rec.isotrivial is False
         assert rec.decomposition.rank == gF
+        assert [c.name for c in rec.checks if c.passed] == [
+            "fibre genus", "ample part rank", "slope",
+            "xiao semistable rank", "ample part is a line bundle"]
     with pytest.raises(ValueError):
         unbounded_family(0)
     with pytest.raises(ValueError):
@@ -118,7 +121,11 @@ def test_isotrivial_database():
              for sid, s in surfaces.items()}
     assert ranks == {"pen-1": (1, 1), "pen-4": (1, 1),
                      "pen-5": (2, 2), "pen-6": (2, 2)}
+    # derived ranks carry their derivations as passing checks
+    assert [len(surfaces[sid].checks) for sid in sorted(surfaces)] \
+        == [0, 0, 3, 14]
     for s in surfaces.values():
+        assert all(c.passed for c in s.checks)
         assert s.invariants.pg == 2 and s.invariants.q == 2
         assert s.invariants.chi == 1
         for f in s.fibrations:

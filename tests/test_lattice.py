@@ -10,7 +10,7 @@ from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                             quotient_group, reduce_mod1, sublattice_index,
                             torsion_subgroup)
 from irrfib.linalg import (determinant, integer_kernel_basis, mat_mul,
-                           rational_inverse, smith_normal_form, solve_unique)
+                           smith_normal_form, solve_unique)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
                           reference_lattice_b)
 
@@ -39,17 +39,20 @@ def test_determinant_against_cofactor_expansion():
         assert determinant(m) == _det_cofactor(m)
 
 
-def test_rational_inverse_round_trip():
+def test_solve_unique_round_trip():
     rng = random.Random(12)
     seen_invertible = 0
     for _ in range(60):
         n = rng.randint(1, 4)
         m = _random_matrix(rng, n, n, 5)
-        inv = rational_inverse(m)
+        units = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         if determinant(m) == 0:
-            assert inv is None
+            with pytest.raises(ValueError):
+                solve_unique(m, units[0])
             continue
         seen_invertible += 1
+        # the solutions for the unit vectors are the columns of the inverse
+        inv = [list(col) for col in zip(*(solve_unique(m, e) for e in units))]
         prod = mat_mul(m, inv)
         assert all(prod[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))
@@ -88,6 +91,16 @@ def test_smith_normal_form_random_properties():
                 assert b % a == 0
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
+
+
+def test_ragged_matrices_rejected():
+    ragged = [[1, 2], [3]]
+    with pytest.raises(ValueError):
+        mat_mul(ragged, [[1], [1]])
+    with pytest.raises(ValueError):
+        determinant(ragged)
+    with pytest.raises(ValueError):
+        smith_normal_form(ragged)
 
 
 def test_smith_normal_form_reference_embedding():

@@ -12,13 +12,13 @@ from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SpecialAbelianSurface, admissible_pairs,
                           admissible_qhalf, build_reference_surface,
                           character_name, classification_report,
-                          classify_origin_singularity,
-                          classify_origin_singularity_oracle, moduli_type,
-                          parse_character, psi_image,
+                          classification_sweep, classify_origin_singularity,
+                          classify_origin_singularity_oracle, display_name,
+                          moduli_type, parse_character, psi_image,
                           reducible_through_origin, reference_embedding,
                           reference_form_b, reference_lattice_a,
                           reference_lattice_b, rf_pair,
-                          translation_points_for_twist, _phi2_image)
+                          translation_points_for_twist)
 
 HALF = Fraction(1, 2)
 
@@ -44,6 +44,11 @@ VERDICT_BY_NAME = {
 @pytest.fixture(scope="module")
 def surface():
     return build_reference_surface()
+
+
+@pytest.fixture(scope="module")
+def sweep(surface):
+    return classification_sweep(surface)
 
 
 def _chi(name):
@@ -126,20 +131,20 @@ def test_two_torsion_verdicts(surface):
         assert classify_origin_singularity_oracle(surface, q, qhalf) == expected, name
 
 
-def test_node_is_unique(surface):
-    verdicts = [classify_origin_singularity(surface, q, qh)
-                for q, qh in admissible_pairs(surface)]
-    counts = Counter(verdicts)
+def test_node_is_unique(sweep):
+    counts = Counter(row.closed for row in sweep.rows)
     assert counts[SINGULARITY_NODE] == 1
     assert counts[SINGULARITY_SMOOTH] == 12
     assert counts[SINGULARITY_NONE] == 50
+    assert sweep.verdict_counts == counts
 
 
-def test_routes_agree_everywhere(surface):
-    for q, qhalf in admissible_pairs(surface):
-        closed = classify_origin_singularity(surface, q, qhalf)
-        oracle = classify_origin_singularity_oracle(surface, q, qhalf)
-        assert closed == oracle, qhalf.values
+def test_routes_agree_everywhere(surface, sweep):
+    assert [(row.Q, row.Qhalf) for row in sweep.rows] \
+        == admissible_pairs(surface)
+    for row in sweep.rows:
+        assert row.closed == row.oracle, row.Qhalf.values
+    assert sweep.mismatches == []
 
 
 def test_order_four_roots_of_the_node_character(surface):
@@ -186,24 +191,23 @@ def test_rf_pairs():
 
 
 def test_moduli_types(surface):
-    image = _phi2_image(surface)
     triv = trivial_character(reference_lattice_a())
-    assert moduli_type(triv, _chi("chiA1"), image) == "Ib"
-    assert moduli_type(triv, _chi("eps1"), image) == "Ia"
+    assert moduli_type(surface, triv, _chi("chiA1")) == "Ib"
+    assert moduli_type(surface, triv, _chi("eps1")) == "Ia"
     root = next(iter(square_roots(_chi("chiA1"), 4)))
-    assert moduli_type(_chi("chiA1"), root, image) == "II"
+    assert moduli_type(surface, _chi("chiA1"), root) == "II"
     with pytest.raises(InvalidTwist):
-        moduli_type(triv, triv, image)
+        moduli_type(surface, triv, triv)
     with pytest.raises(InvalidTwist):
-        moduli_type(_chi("chiA1"), _chi("chiA2"), image)
+        moduli_type(surface, _chi("chiA1"), _chi("chiA2"))
+    chiB = trivial_character(reference_lattice_b())
+    with pytest.raises(IncompatibleLattice):
+        moduli_type(surface, chiB, chiB)
 
 
-def test_moduli_row_counts(surface):
-    image = _phi2_image(surface)
-    rows = Counter()
-    for q, qhalf in admissible_pairs(surface):
-        rows[(moduli_type(q, qhalf, image),
-              classify_origin_singularity(surface, q, qhalf))] += 1
+def test_moduli_row_counts(sweep):
+    rows = Counter((row.moduli_type, row.closed) for row in sweep.rows)
+    assert sweep.moduli_rows == {"%s/%s" % key: n for key, n in rows.items()}
     assert rows == {
         ("II", SINGULARITY_NONE): 40,
         ("II", SINGULARITY_SMOOTH): 8,
@@ -244,6 +248,9 @@ def test_character_names_round_trip():
     chi = parse_character("0,0,1/2,0", a)
     assert chi == _chi("chiA1")
     assert character_name(Character(a, (Fraction(1, 4), 0, 0, 0))) is None
+    # display names fall back to the raw vector
+    assert display_name(chi) == "chiA1"
+    assert display_name(Character(a, (Fraction(1, 4), 0, 0, 0))) == "1/4,0,0,0"
 
 
 def test_parse_character_errors():
