@@ -36,7 +36,7 @@ from .lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                       quotient_group, sublattice_index, torsion_subgroup)
 from .linalg import smith_normal_form
 from .polarization import (AlternatingForm, PolarizationType, kernel_K_L,
-                           phi_L_on_point, phi_two_torsion_data,
+                           phi_L_fibres, phi_L_on_point, phi_two_torsion_data,
                            polarization_type, restrict_form)
 from .torus import (ProductPoint, SpecialAbelianSurface, admissible_pairs,
                     build_reference_surface, character_name,

@@ -8,7 +8,6 @@ error, 65 domain error (the raising error class is printed).
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bundles import (EllipticPoint, ample_part_is_line, elliptic_origin,
                       generic_point, h0, h1, jump_h1, pushforward_decomposition)
@@ -21,7 +20,7 @@ from .intersection import (DivisorClass, IntersectionLattice, KernelCurve,
 from .invariants import (genus_bound_rank_one, isotriviality_obstruction,
                          isotrivial_examples, nonisotrivial_examples, slope,
                          unbounded_family)
-from .lattice import sublattice_index
+from .lattice import parse_rational, sublattice_index
 from .polarization import kernel_K_L, phi_two_torsion_data, polarization_type
 from .report import Report, render
 from .torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
@@ -63,7 +62,7 @@ def _parse_point(text):
     if len(parts) != 2:
         raise UsageError("point must be '0', 'generic[:name]' or 'a,b'")
     try:
-        return EllipticPoint(tuple(Fraction(p) for p in parts))
+        return EllipticPoint(tuple(parse_rational(p) for p in parts))
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad point coordinates: %r" % text)
 
@@ -330,15 +329,11 @@ def build_parser():
     shared.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit the report as canonical JSON")
-    shared.add_argument("--fixture", default=argparse.SUPPRESS,
-                        help="path to a JSON lattice fixture "
-                             "({basis_labels, gram}); default: pen6")
 
     parser = _Parser(prog="irrfib",
                      description="Exact invariants of polarized abelian "
                                  "surfaces and irrational fibrations.")
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--fixture", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -385,6 +380,9 @@ def build_parser():
                         "at most %d" % MAX_ORACLE_MODULUS)
     p.add_argument("--class", dest="cls", action="append",
                    help="divisor class coefficients 'a,b,...' (give twice)")
+    p.add_argument("--fixture",
+                   help="path to a JSON lattice fixture "
+                        "({basis_labels, gram}); default: pen6")
     p.set_defaults(handler=cmd_intersect)
 
     p = sub.add_parser("bundle", parents=[shared],

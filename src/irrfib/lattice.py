@@ -21,6 +21,13 @@ def reduce_mod1(x):
     return x - (x.numerator // x.denominator)
 
 
+def parse_rational(text):
+    """Fraction(text), refusing exponent notation: "1e99999999" takes minutes."""
+    if "e" in text.lower():
+        raise ValueError("exponent notation is not accepted: %r" % text)
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class Lattice:
     rank: int

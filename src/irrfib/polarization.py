@@ -6,6 +6,8 @@ computed as the quotient of the dual lattice of the form by the lattice.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .characters import Character, trivial_character
 from .errors import DegenerateForm, IncompatibleLattice, InvalidRank
@@ -105,15 +107,23 @@ def kernel_K_L(f):
     return quotient_group(e)
 
 
+@lru_cache(maxsize=None)
+def phi_L_fibres(f, n):
+    """Each character phi_L(x) of an n-torsion point x, mapped to its fibre.
+
+    The one enumeration of (1/n)L/L behind every question about phi_L on
+    n-torsion points. Fibres are tuples in lexicographic coordinate order and
+    the map is read-only, so callers cannot change the cached table.
+    """
+    fibres = {}
+    for x in torsion_subgroup(f.lattice, n):
+        fibres.setdefault(phi_L_on_point(f, x), []).append(x)
+    return MappingProxyType({chi: tuple(xs) for chi, xs in fibres.items()})
+
+
 def phi_two_torsion_data(f):
     """(kernel, image) of phi_L on the 2-torsion points."""
     if determinant(f.rows()) == 0:
         raise DegenerateForm("form is degenerate")
-    kernel = set()
-    image = set()
-    for x in torsion_subgroup(f.lattice, 2):
-        chi = phi_L_on_point(f, x)
-        image.add(chi)
-        if chi == trivial_character(f.lattice):
-            kernel.add(x)
-    return kernel, image
+    fibres = phi_L_fibres(f, 2)
+    return set(fibres[trivial_character(f.lattice)]), set(fibres)

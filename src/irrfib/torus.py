@@ -12,11 +12,10 @@ from functools import lru_cache
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
-from .lattice import (Lattice, SublatticeEmbedding, reduce_mod1,
-                      sublattice_index, torsion_subgroup)
+from .lattice import (Lattice, SublatticeEmbedding, parse_rational,
+                      reduce_mod1, sublattice_index)
 from .linalg import integer_kernel_basis
-from .polarization import (AlternatingForm, phi_L_on_point,
-                           phi_two_torsion_data, polarization_type,
+from .polarization import (AlternatingForm, phi_L_fibres, polarization_type,
                            restrict_form)
 
 SINGULARITY_NONE = "none"
@@ -119,14 +118,7 @@ def reducible_through_origin(y):
 
 def translation_points_for_twist(s, xi, n_bound):
     """All n_bound-torsion points x with phi_L(x) = xi (possibly empty)."""
-    return {x for x in torsion_subgroup(s.embedding.sub, n_bound)
-            if phi_L_on_point(s.form_A, x) == xi}
-
-
-@lru_cache(maxsize=None)
-def _phi2_image(s):
-    _, image = phi_two_torsion_data(s.form_A)
-    return frozenset(image)
+    return set(phi_L_fibres(s.form_A, n_bound).get(xi, ()))
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +139,7 @@ def _check_pair(s, Q, Qhalf):
     lat = s.embedding.sub
     if Q.lattice != lat or Qhalf.lattice != lat:
         raise IncompatibleLattice("characters must live on the sublattice")
-    if Q not in _phi2_image(s):
+    if Q not in phi_L_fibres(s.form_A, 2):
         raise InvalidTwist("Q must be in the image of phi on 2-torsion")
     if Qhalf * Qhalf != Q:
         raise InvalidTwist("Qhalf must be a square root of Q")
@@ -205,14 +197,12 @@ def moduli_type(s, Q, Qhalf):
     _check_pair(s, Q, Qhalf)
     if not Q.is_trivial:
         return "II"
-    return "Ib" if Qhalf in _phi2_image(s) else "Ia"
+    return "Ib" if Qhalf in phi_L_fibres(s.form_A, 2) else "Ia"
 
 
 def admissible_qhalf(s):
     """The 63 nontrivial characters realizable as phi_L(x) on 4-torsion."""
-    seen = {phi_L_on_point(s.form_A, x)
-            for x in torsion_subgroup(s.embedding.sub, 4)}
-    return sorted((c for c in seen if not c.is_trivial),
+    return sorted((c for c in phi_L_fibres(s.form_A, 4) if not c.is_trivial),
                   key=lambda c: c.values)
 
 
@@ -265,10 +255,9 @@ def classification_report(s, Q, Qhalf):
     """Everything about one admissible pair, with both routes' verdicts."""
     closed = classify_origin_singularity(s, Q, Qhalf)
     oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
-    witnesses = sorted(
-        (x for x in translation_points_for_twist(s, Qhalf, 4)
-         if reducible_through_origin(psi_image(s, x))),
-        key=lambda p: p.coords)
+    # the fibre is already in coordinate order
+    witnesses = [x for x in phi_L_fibres(s.form_A, 4).get(Qhalf, ())
+                 if reducible_through_origin(psi_image(s, x))]
     return {
         "Q": [str(v) for v in Q.values],
         "Qhalf": [str(v) for v in Qhalf.values],
@@ -286,15 +275,6 @@ def classification_report(s, Q, Qhalf):
 def _pm(values):
     return tuple(Fraction(0) if v == 1 else HALF for v in values)
 
-
-_B_BASE = {
-    "chiB1": _pm((1, 1, -1, 1)),
-    "chiB2": _pm((-1, 1, 1, 1)),
-    "chiB3": _pm((-1, 1, -1, 1)),
-    "chiB4": _pm((1, 1, 1, -1)),
-    "chiB5": _pm((1, -1, 1, 1)),
-    "chiB6": _pm((1, -1, 1, -1)),
-}
 
 _A_TABLE = {
     "trivial": _pm((1, 1, 1, 1)),
@@ -318,10 +298,10 @@ _A_TABLE = {
 
 def _b_table():
     # compose the factor-wise generators into all 16 names
-    first = {"": (Fraction(0),) * 4, "chiB1": _B_BASE["chiB1"],
-             "chiB2": _B_BASE["chiB2"], "chiB3": _B_BASE["chiB3"]}
-    second = {"": (Fraction(0),) * 4, "chiB4": _B_BASE["chiB4"],
-              "chiB5": _B_BASE["chiB5"], "chiB6": _B_BASE["chiB6"]}
+    first = {"": _pm((1, 1, 1, 1)), "chiB1": _pm((1, 1, -1, 1)),
+             "chiB2": _pm((-1, 1, 1, 1)), "chiB3": _pm((-1, 1, -1, 1))}
+    second = {"": _pm((1, 1, 1, 1)), "chiB4": _pm((1, 1, 1, -1)),
+              "chiB5": _pm((1, -1, 1, 1)), "chiB6": _pm((1, -1, 1, -1))}
     out = {}
     for n1, v1 in first.items():
         for n2, v2 in second.items():
@@ -330,8 +310,9 @@ def _b_table():
     return out
 
 
+_B_TABLE = _b_table()
 A_CHARACTER_NAMES = {v: k for k, v in _A_TABLE.items()}
-B_CHARACTER_NAMES = {v: k for k, v in _b_table().items()}
+B_CHARACTER_NAMES = {v: k for k, v in _B_TABLE.items()}
 
 
 def character_name(chi):
@@ -352,14 +333,14 @@ def parse_character(text, lattice):
     """Parse "chiA2*chiA5", "eps3", "trivial", or a raw "0,1/2,0,1/4" vector."""
     text = text.strip()
     if "," in text:
-        values = tuple(Fraction(part) for part in text.split(","))
+        values = tuple(parse_rational(part) for part in text.split(","))
         if len(values) != lattice.rank:
             raise ValueError("expected %d coordinates" % lattice.rank)
         return Character(lattice, values)
     if lattice == reference_lattice_a():
-        table = {k: v for k, v in _A_TABLE.items()}
+        table = _A_TABLE
     elif lattice == reference_lattice_b():
-        table = _b_table()
+        table = _B_TABLE
     else:
         raise ValueError("names are only defined on the reference lattices")
     out = trivial_character(lattice)

@@ -187,6 +187,15 @@ def test_intersect_with_fixture_file(capsys, tmp_path):
                            "--class", "1,0", "--class", "0,1")
         assert code == 64, text
         assert "cannot load lattice fixture" in err, text
+    # --fixture belongs to intersect alone
+    for argv in (("appendix", "--fixture", "nowhere.json"),
+                 ("slope", "--k2", "8", "--chi", "1", "--gc", "2", "--gf", "3",
+                  "--fixture", "x"),
+                 ("--fixture", "pen6", "intersect", "--class", "2,2,2,2,1",
+                  "--class", "3,0,2,1,1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "irrfib: error:" in err, argv
 
 
 def test_bundle_cohomology(capsys):
@@ -251,9 +260,12 @@ def test_bundle_errors(capsys, tmp_path):
                      "--torsion", "nonsense")
     assert code == 64
     # a spec is a JSON object whose g and r are JSON integers (not bools)
+    # exponent notation is refused wherever a rational is read
     for spec in ('{"g": "x", "r": 1}', '{"g": 3.7, "r": 1}',
                  '{"g": 3, "r": true}', '{"g": 3, "r": "1"}',
-                 '{"g": 3, "r": 1, "torsion": 5}'):
+                 '{"g": 3, "r": 1, "torsion": 5}',
+                 '{"g": 3, "r": 1, "torsion": ["1e5000,0"]}',
+                 '{"g": 3, "r": 1, "torsion": ["1/3,0"], "p": "1E5,0"}'):
         code, _, err = run(capsys, "bundle", "h0", "--spec", spec)
         assert code == 64, spec
         assert "usage error" in err, spec
@@ -263,6 +275,13 @@ def test_bundle_errors(capsys, tmp_path):
         code, _, err = run(capsys, "bundle", "h0", "--spec", str(path))
         assert code == 64, text
         assert "usage error" in err, text
+    base = ("bundle", "jump", "--g", "3", "--r", "1")
+    for argv in ((*base, "--torsion", "1/3,0", "--q", "1e5000,0"),
+                 (*base, "--torsion", "1.5e3,0", "--q", "1/3,0"),
+                 (*base, "--torsion", "1/3,0", "--q", "1/3,0", "--p", "1E5,0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "usage error" in err, argv
 
 
 def test_classify_single(capsys):
@@ -289,9 +308,13 @@ def test_classify_errors(capsys):
     assert code == 65
     assert "InvalidTwist" in err
     # a zero denominator is a usage error, for classify and example alike
+    # so is a rational in exponent notation
     for argv in (("classify", "--Qhalf", "1/0,0,0,0"),
                  ("classify", "--Qhalf", "chiA1", "--Q", "0,0,0,1/0"),
-                 ("example", "k26-d2", "--Qhalf", "1/0,0,0,0")):
+                 ("example", "k26-d2", "--Qhalf", "1/0,0,0,0"),
+                 ("classify", "--Qhalf", "1e5000,0,0,0"),
+                 ("classify", "--Qhalf", "chiA1", "--Q", "0,0,1E5,0"),
+                 ("example", "k26-d2", "--Qhalf", "0,1.5e3,0,0")):
         code, _, err = run(capsys, *argv)
         assert code == 64, argv
         assert "usage error" in err, argv

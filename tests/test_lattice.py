@@ -7,8 +7,8 @@ from irrfib.errors import (DegenerateEmbedding, IncompatibleLattice,
                            InvalidOrder)
 from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                             TorsionPoint, coordinates_in_sublattice, origin,
-                            quotient_group, reduce_mod1, sublattice_index,
-                            torsion_subgroup)
+                            parse_rational, quotient_group, reduce_mod1,
+                            sublattice_index, torsion_subgroup)
 from irrfib.linalg import (determinant, integer_kernel_basis, mat_mul,
                            smith_normal_form, solve_unique)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
@@ -198,6 +198,14 @@ def test_finite_abelian_group_validation():
         FiniteAbelianGroup((1,), (origin(lat),))  # factor < 2
     with pytest.raises(ValueError):
         FiniteAbelianGroup((4,), (half,))  # order mismatch
+
+
+def test_parse_rational():
+    for text in ("3", "-1/4", "+2", " 1/2 ", "0.25", ".5", "1.", "1_000"):
+        assert parse_rational(text) == Fraction(text), text
+    for text in ("1e5", "1E5", "1.5e3", "1e-2", "x", ""):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_torsion_subgroup_sizes():

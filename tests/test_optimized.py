@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import CASES
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,15 +23,14 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (("example", "pen-6"), "example-pen-6"),
-    (("appendix",), "appendix"),
-])
-def test_optimized_run_reports_the_same_checks(argv, golden):
+# One fresh process per golden: in process, every case shares one fibre
+# table, so a cache that leaked between commands would not show there.
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_optimized_run_reports_the_same_checks(golden):
     path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "irrfib.cli", *argv, "--json"],
+        [sys.executable, "-O", "-m", "irrfib.cli", *CASES[golden], "--json"],
         capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / ("%s.json" % golden)).read_text()

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import pytest
 
 from irrfib.characters import Character, square_roots, trivial_character
 from irrfib.errors import IncompatibleLattice, InvalidTwist
-from irrfib.lattice import TorsionPoint, torsion_subgroup
-from irrfib.polarization import kernel_K_L, restrict_form
+from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
+                            torsion_subgroup)
+from irrfib.linalg import determinant, mat_mul
+from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
+                                 restrict_form)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, ProductPoint,
                           SpecialAbelianSurface, admissible_pairs,
@@ -114,6 +118,20 @@ def test_translation_sets(surface):
     assert translation_points_for_twist(surface, outside, 4) == set()
 
 
+def test_returned_sets_are_fresh(surface):
+    chi = _chi("chiA1")
+    first = translation_points_for_twist(surface, chi, 4)
+    first.clear()
+    assert len(translation_points_for_twist(surface, chi, 4)) == 4
+    kernel, image = phi_two_torsion_data(surface.form_A)
+    kernel.clear()
+    image.add(chi * _chi("chiA5"))
+    assert phi_two_torsion_data(surface.form_A) == (
+        set(kernel_K_L(surface.form_A).elements()),
+        {_chi(name) for name in ("trivial", "chiA1", "chiA2*chiA5",
+                                 "chiA3*chiA5")})
+
+
 def test_translation_sets_are_kernel_cosets(surface):
     kl = kernel_K_L(surface.form_A).elements()
     for qhalf in admissible_qhalf(surface):
@@ -205,17 +223,57 @@ def test_moduli_types(surface):
         moduli_type(surface, chiB, chiB)
 
 
+MODULI_ROWS = {
+    ("II", SINGULARITY_NONE): 40,
+    ("II", SINGULARITY_SMOOTH): 8,
+    ("Ia", SINGULARITY_NONE): 8,
+    ("Ia", SINGULARITY_SMOOTH): 4,
+    ("Ib", SINGULARITY_NODE): 1,
+    ("Ib", SINGULARITY_NONE): 2,
+}
+
+
 def test_moduli_row_counts(sweep):
     rows = Counter((row.moduli_type, row.closed) for row in sweep.rows)
     assert sweep.moduli_rows == {"%s/%s" % key: n for key, n in rows.items()}
-    assert rows == {
-        ("II", SINGULARITY_NONE): 40,
-        ("II", SINGULARITY_SMOOTH): 8,
-        ("Ia", SINGULARITY_NONE): 8,
-        ("Ia", SINGULARITY_SMOOTH): 4,
-        ("Ib", SINGULARITY_NODE): 1,
-        ("Ib", SINGULARITY_NONE): 2,
-    }
+    assert rows == MODULI_ROWS
+
+
+def _random_unimodular(rng):
+    """A 4x4 integer matrix of determinant +-1: elementary moves on I."""
+    g = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(12):
+        i, j = rng.sample(range(4), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        g = [[g[r][c] + (k * g[j][c] if r == i else 0) for c in range(4)]
+             for r in range(4)]
+        if rng.random() < 0.3:
+            g[i], g[j] = g[j], g[i]
+    return g
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_classification_is_basis_independent(seed):
+    """The sweep on the reference surface re-expressed in a new basis of A.
+
+    The embedding becomes E*G and form_A its restriction; both routes must
+    still agree, with the same verdict counts and moduli rows.
+    """
+    g = _random_unimodular(random.Random(seed))
+    assert abs(determinant(g)) == 1
+    e = reference_embedding()
+    moved = SublatticeEmbedding(e.ambient, Lattice(4, ("g1", "g2", "g3", "g4")),
+                                mat_mul(e.rows(), g))
+    fb = reference_form_b()
+    sweep = classification_sweep(
+        SpecialAbelianSurface(moved, fb, restrict_form(fb, moved)))
+    assert len(sweep.rows) == 63
+    assert sweep.mismatches == []
+    assert sweep.verdict_counts == {SINGULARITY_NODE: 1,
+                                    SINGULARITY_SMOOTH: 12,
+                                    SINGULARITY_NONE: 50}
+    assert Counter((row.moduli_type, row.closed)
+                   for row in sweep.rows) == MODULI_ROWS
 
 
 def test_classification_report_shape(surface):
