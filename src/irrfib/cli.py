@@ -37,7 +37,7 @@ _EXTENDABLE_NAMES = sorted(("trivial", "chiA1", "chiA2", "chiA3", "chiA5",
                             "chiA1*chiA5", "chiA2*chiA5", "chiA3*chiA5"))
 _NEW_NAMES = tuple("eps%d" % i for i in range(1, 9))
 _IMAGE_NAMES = sorted(("trivial", "chiA1", "chiA2*chiA5", "chiA3*chiA5"))
-# (Z/m)^4 is enumerated cell by cell, so the oracle's modulus is capped
+# the oracle tests every cell of (Z/m)^2; the cap keeps its cost bounded
 MAX_ORACLE_MODULUS = 64
 
 
@@ -50,6 +50,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         sys.exit(64)
+
+    def _get_values(self, action, arg_strings):
+        # before Python 3.13, argparse strips the "--" of "--chi=--" and
+        # hands the option an empty list instead of reporting no value
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and value == []:
+            self.error("argument %s: expected one argument"
+                       % "/".join(action.option_strings))
+        return value
 
 
 def _parse_point(text):

@@ -225,17 +225,16 @@ def degree_vs_product_polarization(c):
 def kernel_dot_oracle(c1, c2, m):
     """Count the common m-torsion of the two kernels by raw enumeration.
 
-    Each factor point is a pair in (Z/m)^2 and each kernel imposes its
-    relation coordinatewise, so the count is over (Z/m)^4. When m is a
+    A point of E x E has one (Z/m)^2 coordinate pair per factor, and each
+    kernel imposes the same relation on both pairs, so the four
+    congruences split into two identical systems over (Z/m)^2. Every cell
+    of (Z/m)^2 is tested and the one-factor count is squared. When m is a
     multiple of |p1 q2 - q1 p2| != 0 this equals kernel_dot(c1, c2).
     """
     if not isinstance(m, int) or m < 2:
         raise InvalidModulus("modulus must be an integer >= 2")
     count = 0
-    for x1, x2, y1, y2 in product(range(m), repeat=4):
-        if ((c1.p * x1 + c1.q * y1) % m == 0
-                and (c1.p * x2 + c1.q * y2) % m == 0
-                and (c2.p * x1 + c2.q * y1) % m == 0
-                and (c2.p * x2 + c2.q * y2) % m == 0):
+    for x, y in product(range(m), repeat=2):
+        if (c1.p * x + c1.q * y) % m == 0 and (c2.p * x + c2.q * y) % m == 0:
             count += 1
-    return count
+    return count ** 2

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -140,7 +141,7 @@ def test_intersect_errors(capsys):
     assert code == 64
     code, _, _ = run(capsys, "intersect")
     assert code == 64
-    # (Z/m)^4 is enumerated, so the modulus is capped at 64
+    # the oracle's cost grows with m^2, so the modulus is capped at 64
     for m in ("65", "200"):
         code, _, err = run(capsys, "intersect", "--pq", "1,2", "--pq", "1,0",
                            "--m", m)
@@ -332,6 +333,13 @@ def test_classify_sweep(capsys):
 def test_usage_without_command(capsys):
     assert run(capsys, )[0] == 64
     assert run(capsys, "no-such-command")[0] == 64
+    # "--flag=--" leaves the option without a value
+    for argv in (("bounds", "--k2", "7", "--chi=--"),
+                 ("slope", "--k2=2", "--chi=--", "--gc", "2", "--gf=0"),
+                 ("intersect", "--pq=--", "--pq", "1,0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert "error: argument" in err
 
 
 def test_failing_derivation_is_a_failed_check(capsys, monkeypatch):
@@ -344,3 +352,109 @@ def test_failing_derivation_is_a_failed_check(capsys, monkeypatch):
     assert code == 2
     assert "FAIL derived pairing Y1.Z1: expected 1, actual 2" in out
     assert err == ""
+
+
+# An argv grammar for the fuzz test: every subcommand and flag, each value
+# drawn from a pair (valid texts, malformed texts), valid three times in four.
+_INTS = (("0", "1", "2", "3", "7", "-1", "-4", "10", "9" * 25),
+         ("", "x", "1.5", "1/2", "1e3", "--"))
+_CHARACTERS = (("trivial", "chiA1", "chiA2*chiA5", "eps3", "chiB1",
+                "0,0,1/4,0", "1/2,0,0,0", "0,0,0,0", "1/4,1/4,1/4,1/4"),
+               ("chiZ9", "1/0,0,0,0", "1e5,0,0,0", "a,b,c,d", "0,0,0", "",
+                "1/3,0,0,0", "**"))
+_PQ = (("1,0", "0,1", "1,2", "2,1", "3,-2", "-1,4", "1,1", "-1,0", "5,7"),
+       ("2,4", "0,0", "1", "1,2,3", "a,b", "", "1.0,2"))
+_M = (tuple(str(m) for m in range(2, 65)), ("1", "0", "-3", "65", "x", ""))
+_CLASSES = (("2,2,2,2,1", "3,0,2,1,1", "-1,2,0,1,0", "0,3,1,2,1", "1,0",
+             "0,1"),
+            ("1,2", "a", "1,2,3,4,5,6", ""))
+_POINTS = (("0", "generic", "generic:q", "1/2,0", "0,1/2", "1/2,1/2",
+            "1/3,1/3", "1/4,0", "0,0"),
+           ("x", "1,2,3", "1/0,0", "1e3,0", ""))
+_SPECS = (('{"g": 3, "r": 1, "p": "generic", "torsion": ["1/2,0"]}',
+           '{"g": 2, "r": 1}', '{"g": 4, "r": 2, "torsion": ["0,1/2"]}'),
+          ('{"g": "x", "r": 1}', '{"g": true, "r": 1}', '[1]', '{',
+           '{"g": 2, "r": 1, "torsion": 5}', '{"g": 3, "r": 1, "p": [1]}',
+           "nowhere.json"))
+
+
+def _draw_argv(rng, fixtures):
+    def value(texts):
+        return rng.choice(texts[rng.random() >= 0.75])
+
+    def option(flag, texts):
+        # argparse takes the "-1,4" of "--pq -1,4" for an option, so half
+        # the options are spelled "--pq=-1,4"
+        text = value(texts)
+        return ["%s=%s" % (flag, text)] if rng.random() < 0.5 else [flag, text]
+
+    def maybe(flag, texts, p):
+        return option(flag, texts) if rng.random() < p else []
+
+    def repeat(flag, texts, counts):
+        return [t for _ in range(rng.choice(counts))
+                for t in option(flag, texts)]
+
+    # appendix has one flag and runs the whole battery: a third as often
+    command = value((("example", "family-fn", "slope", "bounds", "intersect",
+                      "bundle", "classify") * 3 + ("appendix",),
+                     ("bogus", "")))
+    argv = [command] if command else []
+    if command == "appendix":
+        argv += ["--corrupt"] if rng.random() < 0.3 else []
+    elif command == "example":
+        argv.append(value((EXAMPLE_IDS, ("pen-9", ""))))
+        argv += maybe("--n", _INTS, 0.3)
+        argv += maybe("--Qhalf", _CHARACTERS, 0.3)
+        argv += maybe("--Q", _CHARACTERS, 0.2)
+    elif command == "family-fn":
+        argv += maybe("--n", _INTS, 0.8)
+    elif command in ("slope", "bounds"):
+        flags = ("--k2", "--chi", "--gc", "--gf")
+        for flag in flags[:4 if command == "slope" else 2]:
+            argv += maybe(flag, _INTS, 0.95)
+        if command == "bounds":
+            argv += maybe("--ample", (("true", "false"), ("maybe",)), 0.5)
+    elif command == "intersect":
+        if rng.random() < 0.6:
+            argv += repeat("--pq", _PQ, (1, 2, 2, 2, 2, 3))
+            argv += maybe("--m", _M, 0.8)
+        else:
+            argv += repeat("--class", _CLASSES, (1, 2, 2, 2, 2, 3))
+            argv += maybe("--fixture", fixtures, 0.4)
+        argv += maybe("--class", _CLASSES, 0.05)
+    elif command == "bundle":
+        argv.append(value((("h0", "h1", "jump", "r-criterion"), ("h2",))))
+        argv += maybe("--spec", _SPECS, 0.3)
+        argv += maybe("--g", _INTS, 0.8)
+        argv += maybe("--r", _INTS, 0.8)
+        argv += maybe("--p", _POINTS, 0.5)
+        argv += repeat("--torsion", _POINTS, (0, 0, 1, 2, 3))
+        argv += maybe("--q", _POINTS, 0.5)
+    elif command == "classify":
+        argv += ["--sweep"] if rng.random() < 0.2 else []
+        argv += maybe("--Qhalf", _CHARACTERS, 0.8)
+        argv += maybe("--Q", _CHARACTERS, 0.4)
+    if rng.random() < 0.1:
+        argv.insert(rng.randint(0, len(argv)),
+                    rng.choice(("--bogus", "--fixture", "--help", "-", "--")))
+    if rng.random() < 0.5:
+        argv.insert(rng.randint(0, len(argv)), "--json")
+    return argv
+
+
+def test_fuzzed_argv_keeps_the_exit_contract(capsys, tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text('{"basis_labels": ["a", "b"], "gram": [[0, 1], [1, 0]]}')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"basis_labels": ["a", "a"], "gram": [[0, 1], [1, 0]]}')
+    fixtures = (("pen6", str(good)), (str(bad), str(tmp_path / "none.json")))
+    rng = random.Random(2014)
+    for _ in range(200):
+        argv = _draw_argv(rng, fixtures)
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as exc:
+            pytest.fail("%r raised %r" % (argv, exc))
+        assert code in (0, 2, 64, 65), argv
+        assert "Traceback" not in err, argv

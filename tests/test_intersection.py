@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -160,3 +161,35 @@ def test_oracle_agrees_with_closed_form():
         for m in (d, 2 * d):
             if m >= 2 and d != 0 and m % d == 0:
                 assert kernel_dot_oracle(c1, c2, m) == kernel_dot(c1, c2)
+
+
+def _raw_common_torsion(c1, c2, m):
+    # reference: every cell (x1, x2, y1, y2) of (Z/m)^4, all four relations
+    return sum(1 for x1, x2, y1, y2 in product(range(m), repeat=4)
+               if (c1.p * x1 + c1.q * y1) % m == 0
+               and (c1.p * x2 + c1.q * y2) % m == 0
+               and (c2.p * x1 + c2.q * y1) % m == 0
+               and (c2.p * x2 + c2.q * y2) % m == 0)
+
+
+def test_oracle_matches_raw_enumeration():
+    rng = random.Random(29)
+    for m in range(2, 10):
+        pairs = [(_random_primitive(rng, 9), _random_primitive(rng, 9))
+                 for _ in range(8)]
+        pairs += [(c, KernelCurve(s * c.p, s * c.q))  # det = 0
+                  for c in (_random_primitive(rng, 9) for _ in range(2))
+                  for s in (1, -1)]
+        dets = [abs(a.p * b.q - a.q * b.p) for a, b in pairs]
+        assert any(d and m % d for d in dets)  # det need not divide m
+        for a, b in pairs:
+            assert kernel_dot_oracle(a, b, m) == _raw_common_torsion(a, b, m)
+    # at the CLI's cap the raw loop is too slow; the closed form holds there
+    for m in (64, 60):
+        for _ in range(6):
+            while True:
+                a, b = _random_primitive(rng, 9), _random_primitive(rng, 9)
+                d = abs(a.p * b.q - a.q * b.p)
+                if d and m % d == 0:
+                    break
+            assert kernel_dot_oracle(a, b, m) == kernel_dot(a, b)

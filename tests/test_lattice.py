@@ -93,6 +93,29 @@ def test_smith_normal_form_random_properties():
         assert abs(determinant(v)) == 1
 
 
+def test_smith_normal_form_and_determinant_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(1403)
+    for k in range(50):
+        nr = rng.randint(1, 5)
+        nc = nr if k % 2 else rng.randint(1, 5)
+        if k % 5 == 0:
+            m = [[0] * nc for _ in range(nr)]
+        elif k % 5 == 1:  # rank-deficient: a product through rank < min
+            r = rng.randint(1, max(1, min(nr, nc) - 1))
+            m = mat_mul(_random_matrix(rng, nr, r, 4),
+                        _random_matrix(rng, r, nc, 4))
+        else:
+            m = _random_matrix(rng, nr, nc)
+        _, d, _ = smith_normal_form(m)
+        expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+        assert ([d[i][i] for i in range(min(nr, nc))]
+                == [abs(expected[i, i]) for i in range(min(nr, nc))]), m
+        if nr == nc:
+            assert determinant(m) == sympy.Matrix(m).det(), m
+
+
 def test_ragged_matrices_rejected():
     ragged = [[1, 2], [3]]
     with pytest.raises(ValueError):
