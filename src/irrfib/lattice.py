@@ -17,7 +17,11 @@ from .linalg import (determinant, diagonal, smith_normal_form, solve_unique,
 
 
 def reduce_mod1(x):
-    x = Fraction(x)
+    """x mod 1 as a Fraction in [0, 1); a Fraction already there is returned."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if 0 <= x.numerator < x.denominator:
+        return x
     return x - (x.numerator // x.denominator)
 
 

@@ -6,13 +6,15 @@ computed as the quotient of the dual lattice of the form by the lattice.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 
 from .characters import Character, trivial_character
-from .errors import DegenerateForm, IncompatibleLattice, InvalidRank
-from .lattice import (Lattice, SublatticeEmbedding, quotient_group,
-                      torsion_subgroup)
+from .errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
+                     InvalidRank)
+from .lattice import Lattice, SublatticeEmbedding, TorsionPoint, quotient_group
 from .linalg import (determinant, diagonal, mat_mul, smith_normal_form,
                      transpose)
 
@@ -87,7 +89,7 @@ def phi_L_on_point(f, x):
     """The character exp(2*pi*i*f(., x)) evaluated on the basis vectors."""
     if x.lattice != f.lattice:
         raise IncompatibleLattice("point does not live on the form's lattice")
-    values = tuple(sum(m_ij * xj for m_ij, xj in zip(row, x.coords))
+    values = tuple(sum(m_ij * xj for m_ij, xj in zip(row, x.coords) if m_ij)
                    for row in f.matrix)
     return Character(f.lattice, values)
 
@@ -112,13 +114,24 @@ def phi_L_fibres(f, n):
     """Each character phi_L(x) of an n-torsion point x, mapped to its fibre.
 
     The one enumeration of (1/n)L/L behind every question about phi_L on
-    n-torsion points. Fibres are tuples in lexicographic coordinate order and
-    the map is read-only, so callers cannot change the cached table.
+    n-torsion points. It runs on the integer grid (Z/n)^rank: the point k/n
+    has character numerators M*k mod n, with M the form's matrix, and points
+    are grouped by those. Each key Character and each TorsionPoint is then
+    built once, with Fraction(i, n) values. Fibres are tuples in
+    lexicographic coordinate order and the map is read-only, so callers
+    cannot change the cached table.
     """
+    if n < 1:
+        raise InvalidOrder("torsion order must be a positive integer")
     fibres = {}
-    for x in torsion_subgroup(f.lattice, n):
-        fibres.setdefault(phi_L_on_point(f, x), []).append(x)
-    return MappingProxyType({chi: tuple(xs) for chi, xs in fibres.items()})
+    for k in product(range(n), repeat=f.lattice.rank):
+        key = tuple(sum(m * kj for m, kj in zip(row, k)) % n for row in f.matrix)
+        fibres.setdefault(key, []).append(k)
+    steps = [Fraction(i, n) for i in range(n)]
+    return MappingProxyType({
+        Character(f.lattice, tuple(steps[v] for v in key)):
+            tuple(TorsionPoint(f.lattice, tuple(steps[i] for i in k)) for k in ks)
+        for key, ks in fibres.items()})
 
 
 def phi_two_torsion_data(f):

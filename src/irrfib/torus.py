@@ -95,6 +95,25 @@ def psi_image(s, x):
     return ProductPoint((b[0], b[2]), (b[1], b[3]))
 
 
+def _origin_cases(e1, e2, half):
+    """The lemma's four cases, from the two factor coordinates of psi(x).
+
+    A factor coordinate is (t, c), the coefficients of tau_i and 1; `half`
+    is t at the half-period tau_i/2: 1/2 on Fractions, n // 2 on the
+    numerators of an n-torsion point.
+    """
+    cases = set()
+    if e2 == (0, 0):
+        cases.add(1)
+    if e2 == (half, 0):
+        cases.add(2)
+    if e1 == (0, 0):
+        cases.add(3)
+    if e1 == (half, 0):
+        cases.add(4)
+    return frozenset(cases)
+
+
 def reducible_through_origin(y):
     """Which translated reducible members pass through the origin.
 
@@ -102,18 +121,7 @@ def reducible_through_origin(y):
     factor coordinate of psi(x) is 0 or the half-period tau_i/2; the four
     cases follow the lemma's numbering.
     """
-    zero = (Fraction(0), Fraction(0))
-    half = (HALF, Fraction(0))
-    cases = set()
-    if y.e2 == zero:
-        cases.add(1)
-    if y.e2 == half:
-        cases.add(2)
-    if y.e1 == zero:
-        cases.add(3)
-    if y.e1 == half:
-        cases.add(4)
-    return frozenset(cases)
+    return _origin_cases(y.e1, y.e2, HALF)
 
 
 def translation_points_for_twist(s, xi, n_bound):
@@ -135,7 +143,13 @@ def _factor_period_kernels(s):
     return tuple(map(tuple, to_first)), tuple(map(tuple, to_second))
 
 
+@lru_cache(maxsize=None)
 def _check_pair(s, Q, Qhalf):
+    """Raise unless (Q, Qhalf) is an admissible pair.
+
+    Both routes and the moduli type check every pair they are given, so a
+    pair that passes is remembered; a refused pair raises again each time.
+    """
     lat = s.embedding.sub
     if Q.lattice != lat or Qhalf.lattice != lat:
         raise IncompatibleLattice("characters must live on the sublattice")
@@ -170,13 +184,26 @@ def classify_origin_singularity(s, Q, Qhalf):
     return SINGULARITY_NONE
 
 
+def _origin_cases_on_grid(s, x, n):
+    """reducible_through_origin(psi_image(s, x)), computed on integers.
+
+    For x = k/n with n even, psi(x) has numerators E*k mod n, E the
+    embedding matrix, and the half-period has numerator n // 2.
+    """
+    k = [c.numerator * (n // c.denominator) for c in x.coords]
+    b = [sum(e * kj for e, kj in zip(row, k)) % n for row in s.embedding.matrix]
+    return _origin_cases((b[0], b[2]), (b[1], b[3]), n // 2)
+
+
 def classify_origin_singularity_oracle(s, Q, Qhalf):
-    """Independent verdict by enumerating translation points on 4-torsion."""
+    """Independent verdict by enumerating translation points on 4-torsion.
+
+    Every point of the fibre over Qhalf is tested, on its integer numerators.
+    """
     _check_pair(s, Q, Qhalf)
-    points = translation_points_for_twist(s, Qhalf, 4)
     saw_side = False
-    for x in points:
-        cases = reducible_through_origin(psi_image(s, x))
+    for x in translation_points_for_twist(s, Qhalf, 4):
+        cases = _origin_cases_on_grid(s, x, 4)
         second_side = bool(cases & {1, 2})
         first_side = bool(cases & {3, 4})
         if second_side and first_side:

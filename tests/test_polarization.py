@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidRank)
+from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
+                           InvalidRank)
 from irrfib.lattice import Lattice, TorsionPoint, torsion_subgroup
 from irrfib.polarization import (AlternatingForm, PolarizationType,
-                                 kernel_K_L, phi_L_on_point,
+                                 kernel_K_L, phi_L_fibres, phi_L_on_point,
                                  phi_two_torsion_data, polarization_type,
                                  restrict_form)
 from irrfib.torus import (reference_embedding, reference_form_b,
                           reference_lattice_a)
+from test_torus import BASIS_SEEDS, moved_surface
 
 RESTRICTED_MATRIX = ((0, 0, 1, 0),
                      (0, 0, 0, 2),
@@ -134,3 +136,43 @@ def test_two_torsion_kernel_and_image():
     assert {chi.values for chi in image} == IMAGE_VALUES
     # kernel size * image size = number of 2-torsion points
     assert len(kernel) * len(image) == 16
+
+
+def _pointwise_fibres(f, n):
+    """The fibre map built point by point in Fractions: the reference."""
+    fibres = {}
+    for x in torsion_subgroup(f.lattice, n):
+        fibres.setdefault(phi_L_on_point(f, x), []).append(x)
+    return {chi: tuple(xs) for chi, xs in fibres.items()}
+
+
+def _assert_matches_pointwise(f, n):
+    grid = phi_L_fibres(f, n)
+    reference = _pointwise_fibres(f, n)
+    assert list(grid) == list(reference)
+    for chi, xs in grid.items():
+        assert xs == reference[chi]
+        assert all(type(v) is Fraction for v in chi.values)
+        assert all(type(c) is Fraction for x in xs for c in x.coords)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phi_L_fibres_matches_pointwise_reference(n):
+    """The integer grid gives the same keys, in the same order, and the same
+    fibres as phi_L_on_point over torsion_subgroup, on the forms of A and B."""
+    _assert_matches_pointwise(_restricted_form(), n)
+    _assert_matches_pointwise(reference_form_b(), n)
+
+
+@pytest.mark.parametrize("seed", BASIS_SEEDS[::10])
+def test_phi_L_fibres_matches_pointwise_reference_in_moved_bases(seed):
+    """form_A in random GL4(Z) bases of A has large, negative entries."""
+    f = moved_surface(seed).form_A
+    assert min(v for row in f.matrix for v in row) < -2
+    for n in (2, 4):
+        _assert_matches_pointwise(f, n)
+
+
+def test_phi_L_fibres_rejects_nonpositive_order():
+    with pytest.raises(InvalidOrder):
+        phi_L_fibres(_restricted_form(), 0)

@@ -1,0 +1,111 @@
+"""Property tests: the Smith form, K(L), the polarization type, the phi_L
+fibres and reduction mod 1, on generated inputs.
+
+Examples are derandomized and not stored, so every run tests the same ones.
+The module is skipped when hypothesis is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irrfib.lattice import Lattice, reduce_mod1
+from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
+from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_fibres,
+                                 polarization_type)
+
+LATTICE = Lattice(4, ("e1", "e2", "e3", "e4"))
+
+bounded = settings(max_examples=20, deadline=500, derandomize=True,
+                   database=None)
+
+entries = st.integers(-9, 9)
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+def _skew(a):
+    """The 4x4 skew matrix with upper triangle a = (a12, a13, a14, a23, a24, a34)."""
+    m = [[0] * 4 for _ in range(4)]
+    for (i, j), v in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), a):
+        m[i][j], m[j][i] = v, -v
+    return m
+
+
+skew_forms = st.lists(st.integers(-6, 6), min_size=6, max_size=6).map(_skew)
+nondegenerate_forms = skew_forms.filter(lambda m: determinant(m) != 0)
+
+
+@st.composite
+def unimodular(draw):
+    """A product of elementary row additions r_i += k * r_j, and row swaps."""
+    g = [[int(i == j) for j in range(4)] for i in range(4)]
+    moves = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    st.integers(-3, 3), st.booleans()),
+                          max_size=10))
+    for i, j, k, swap in moves:
+        if i == j:
+            continue
+        g[i] = [a + k * b for a, b in zip(g[i], g[j])]
+        if swap:
+            g[i], g[j] = g[j], g[i]
+    return g
+
+
+@bounded
+@given(matrices())
+def test_smith_normal_form_properties(m):
+    u, d, v = smith_normal_form(m)
+    assert mat_mul(mat_mul(u, m), v) == d
+    assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+    assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0]))
+               if i != j)
+    diag = diagonal(d)
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+
+
+@bounded
+@given(nondegenerate_forms)
+def test_kernel_order_is_the_determinant(m):
+    f = AlternatingForm(LATTICE, m)
+    t = polarization_type(f)
+    assert kernel_K_L(f).order() == determinant(m) == (t.d1 * t.d2) ** 2
+
+
+@bounded
+@given(nondegenerate_forms, unimodular())
+def test_polarization_type_is_basis_independent(m, g):
+    moved = mat_mul(mat_mul([list(r) for r in zip(*g)], m), g)
+    assert (polarization_type(AlternatingForm(LATTICE, moved))
+            == polarization_type(AlternatingForm(LATTICE, m)))
+
+
+@settings(bounded, max_examples=10)
+@given(skew_forms, st.integers(1, 4))
+def test_phi_L_fibres_have_equal_size(m, n):
+    """phi_L is a homomorphism, so every fibre is a coset of its kernel."""
+    fibres = phi_L_fibres(AlternatingForm(LATTICE, m), n)
+    assert {len(xs) for xs in fibres.values()} == {n ** 4 // len(fibres)}
+    assert n ** 4 % len(fibres) == 0
+
+
+@bounded
+@given(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)))
+def test_reduce_mod1(x):
+    r = reduce_mod1(x)
+    assert type(r) is Fraction and 0 <= r < 1
+    assert (x - r).denominator == 1
+    if 0 <= x < 1:
+        assert r == x
+    assert reduce_mod1(r) == r

@@ -13,8 +13,9 @@ from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
                                  restrict_form)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, ProductPoint,
-                          SpecialAbelianSurface, admissible_pairs,
-                          admissible_qhalf, build_reference_surface,
+                          SpecialAbelianSurface, _origin_cases_on_grid,
+                          admissible_pairs, admissible_qhalf,
+                          build_reference_surface,
                           character_name, classification_report,
                           classification_sweep, classify_origin_singularity,
                           classify_origin_singularity_oracle, display_name,
@@ -103,6 +104,19 @@ def test_reducible_through_origin_cases():
     ]
     for (e1, e2), cases in table:
         assert reducible_through_origin(ProductPoint(e1, e2)) == frozenset(cases)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_oracle_integer_cases_match_psi_image(surface, seed):
+    """The oracle's case set on integer numerators, at every 4-torsion point,
+    equals the Fraction route's, on A and in two moved bases of A."""
+    s = surface if seed is None else moved_surface(seed)
+    seen = set()
+    for x in torsion_subgroup(s.embedding.sub, 4):
+        cases = _origin_cases_on_grid(s, x, 4)
+        assert cases == reducible_through_origin(psi_image(s, x))
+        seen.add(cases)
+    assert {frozenset({1, 3}), frozenset({2, 4}), frozenset()} <= seen
 
 
 def test_translation_sets(surface):
@@ -252,12 +266,13 @@ def _random_unimodular(rng):
     return g
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_classification_is_basis_independent(seed):
-    """The sweep on the reference surface re-expressed in a new basis of A.
+BASIS_SEEDS = range(50)
 
-    The embedding becomes E*G and form_A its restriction; both routes must
-    still agree, with the same verdict counts and moduli rows.
+
+def moved_surface(seed):
+    """The reference surface re-expressed in a random GL4(Z) basis of A.
+
+    The embedding becomes E*G and form_A its restriction.
     """
     g = _random_unimodular(random.Random(seed))
     assert abs(determinant(g)) == 1
@@ -265,8 +280,14 @@ def test_classification_is_basis_independent(seed):
     moved = SublatticeEmbedding(e.ambient, Lattice(4, ("g1", "g2", "g3", "g4")),
                                 mat_mul(e.rows(), g))
     fb = reference_form_b()
-    sweep = classification_sweep(
-        SpecialAbelianSurface(moved, fb, restrict_form(fb, moved)))
+    return SpecialAbelianSurface(moved, fb, restrict_form(fb, moved))
+
+
+@pytest.mark.parametrize("seed", BASIS_SEEDS)
+def test_classification_is_basis_independent(seed):
+    """The sweep on the reference surface in a new basis of A: both routes
+    must still agree, with the same verdict counts and moduli rows."""
+    sweep = classification_sweep(moved_surface(seed))
     assert len(sweep.rows) == 63
     assert sweep.mismatches == []
     assert sweep.verdict_counts == {SINGULARITY_NODE: 1,
