@@ -27,13 +27,13 @@ from .intersection import (DivisorClass, IntersectionLattice, KernelCurve,
                            kernel_dot_oracle, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
 from .invariants import (ExampleSurface, FibrationRecord, SurfaceInvariants,
-                         albanese_base_check, diagonal_family,
-                         double_cover_fibre_genus, genus_bound_rank_one,
-                         isotrivial_examples, isotriviality_obstruction,
-                         nonisotrivial_examples, slope, unbounded_family)
+                         albanese_base_check, double_cover_fibre_genus,
+                         genus_bound_rank_one, isotrivial_examples,
+                         isotriviality_obstruction, nonisotrivial_examples,
+                         slope, unbounded_family)
 from .lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
-                      TorsionPoint, coordinates_in_sublattice, origin,
-                      quotient_group, sublattice_index, torsion_subgroup)
+                      TorsionPoint, origin, quotient_group, sublattice_index,
+                      torsion_subgroup)
 from .linalg import smith_normal_form
 from .polarization import (AlternatingForm, PolarizationType, kernel_K_L,
                            phi_L_fibres, phi_L_on_point, phi_two_torsion_data,

@@ -7,17 +7,16 @@ of (Q/Z)^2, optionally extended by free formal generators so that a
 "general point p" can be manipulated exactly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import (ContradictsXiao, InvalidRank, InvalidShape,
                      InvalidTorsionList, IrrfibError, NotApplicable)
 from .lattice import reduce_mod1
+from .record import Record
 
 
-@dataclass(frozen=True)
-class EllipticPoint:
+class EllipticPoint(Record):
     coords: tuple
     free: tuple = ()  # ((generator name, integer coefficient), ...)
 
@@ -71,8 +70,7 @@ def generic_point(name):
     return EllipticPoint((0, 0), ((name, 1),))
 
 
-@dataclass(frozen=True)
-class IndecomposableBundle:
+class IndecomposableBundle(Record):
     rank: int
     degree: int
     det_point: EllipticPoint
@@ -95,8 +93,7 @@ class IndecomposableBundle:
                 "det_point": self.det_point.to_json()}
 
 
-@dataclass(frozen=True)
-class BundleDecomposition:
+class BundleDecomposition(Record):
     summands: tuple
 
     def __post_init__(self):
@@ -237,8 +234,7 @@ def jump_h1(d, Q):
     return 0
 
 
-@dataclass(frozen=True)
-class XiaoShape:
+class XiaoShape(Record):
     trivial_rank: int
     semistable_rank: int
     semistable_degree: int

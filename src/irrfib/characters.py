@@ -6,7 +6,6 @@ integer linear algebra on the value vectors, and the traditional +-1 display
 of 2-torsion characters is a formatting concern only.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -14,10 +13,10 @@ from math import lcm
 from .errors import IncompatibleLattice, InvalidOrder, UnsupportedIndex
 from .lattice import (Lattice, _require_square_full_rank, reduce_mod1,
                       sublattice_index)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     lattice: Lattice
     values: tuple
 

@@ -7,7 +7,6 @@ intersection of kernel curves on a product of two elliptic curves, with a
 brute-force counting oracle kept deliberately separate from the closed form.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -15,10 +14,10 @@ from math import gcd
 from .errors import (IncompatibleLattice, InvalidModulus, IrrfibError,
                      NonPrimitive)
 from .linalg import solve_unique
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Record):
     basis_labels: tuple
     gram: tuple
 
@@ -51,8 +50,7 @@ class IntersectionLattice:
                 "gram": [list(r) for r in self.gram]}
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     lattice: IntersectionLattice
     coeffs: tuple
 
@@ -197,8 +195,7 @@ def nef_violation_certificate(d, nef):
     return v if v < 0 else None
 
 
-@dataclass(frozen=True)
-class KernelCurve:
+class KernelCurve(Record):
     p: int
     q: int
 

@@ -8,7 +8,6 @@ the constructor re-runs it instead of trusting the stored number, and the
 record carries the derivation's named checks (outside its JSON form).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import (ample_part_is_line, generic_point,
@@ -17,6 +16,7 @@ from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
 from .intersection import (KernelCurve, degree_vs_product_polarization,
                            derive_pen6_pairings, dot, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
+from .record import Record, field
 from .report import Check
 
 NO_OBSTRUCTION = "no_obstruction"
@@ -24,8 +24,7 @@ NOT_ISOTRIVIAL = "not_isotrivial"
 NOT_ISOTRIVIAL_IF_NOT_ISOGENOUS = "not_isotrivial_if_not_isogenous"
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
     pg: int
     q: int
     K2: int
@@ -45,8 +44,7 @@ class SurfaceInvariants:
                 "ample_canonical": self.ample_canonical}
 
 
-@dataclass(frozen=True)
-class FibrationRecord:
+class FibrationRecord(Record):
     gC: int
     gF: int
     isotrivial: bool = None
@@ -87,8 +85,7 @@ class FibrationRecord:
         }
 
 
-@dataclass(frozen=True)
-class ExampleSurface:
+class ExampleSurface(Record):
     id: str
     invariants: SurfaceInvariants
     fibrations: tuple
@@ -349,34 +346,3 @@ def nonisotrivial_examples():
                 "curves gives the two fibrations",
                 "rank of the ample part not determined")),
     ]
-
-
-DIAGONAL_FAMILY_KEYS = ((5, 3), (6, 2), (6, 4))
-
-
-def diagonal_family(K2, albanese_degree, n):
-    """Self-product specialization: one fibration per kernel curve (1, n).
-
-    Fibre genera grow with n, which forces rank >= 2 for almost all n; only
-    the double-cover case carries an exact genus formula here.
-    """
-    if (K2, albanese_degree) not in DIAGONAL_FAMILY_KEYS:
-        raise NotApplicable("no such diagonal family")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    kernel_degree = degree_vs_product_polarization(KernelCurve(1, n))
-    gF = None
-    if (K2, albanese_degree) == (6, 2):
-        # double cover, branch degree 2 * (2L . E_n) with L of type (1,2)
-        gF = double_cover_fibre_genus(1, 4 * kernel_degree)
-    bound_note = ("genus grows with n, so the rank-1 genus bound fails "
-                  "for almost all n: r >= 2 for almost all n")
-    return {
-        "K2": K2,
-        "albanese_degree": albanese_degree,
-        "n": n,
-        "kernel_degree": kernel_degree,
-        "gF": gF,
-        "r": None,
-        "annotations": (bound_note,),
-    }

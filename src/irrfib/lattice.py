@@ -6,14 +6,13 @@ of basis labels. Torsion points are rational coordinate vectors reduced
 mod 1, with exact coordinate-wise equality.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 from .errors import DegenerateEmbedding, IncompatibleLattice, InvalidOrder
-from .linalg import (determinant, diagonal, smith_normal_form, solve_unique,
-                     transpose)
+from .linalg import determinant, diagonal, smith_normal_form, transpose
+from .record import Record
 
 
 def reduce_mod1(x):
@@ -32,8 +31,7 @@ def parse_rational(text):
     return Fraction(text)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     rank: int
     basis_labels: tuple
 
@@ -48,8 +46,7 @@ class Lattice:
         return {"rank": self.rank, "basis_labels": list(self.basis_labels)}
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Record):
     lattice: Lattice
     coords: tuple
 
@@ -86,8 +83,7 @@ def origin(lattice):
     return TorsionPoint(lattice, (Fraction(0),) * lattice.rank)
 
 
-@dataclass(frozen=True)
-class SublatticeEmbedding:
+class SublatticeEmbedding(Record):
     ambient: Lattice
     sub: Lattice
     matrix: tuple  # columns express sub basis vectors in ambient coordinates
@@ -120,8 +116,7 @@ def sublattice_index(e):
     return abs(_require_square_full_rank(e))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     invariant_factors: tuple
     generators: tuple  # TorsionPoints, aligned with the factors
 
@@ -187,15 +182,3 @@ def torsion_subgroup(lattice, n):
         raise InvalidOrder("torsion order must be a positive integer")
     steps = [Fraction(k, n) for k in range(n)]
     return [TorsionPoint(lattice, c) for c in product(steps, repeat=lattice.rank)]
-
-
-def coordinates_in_sublattice(x, e):
-    """Rewrite an ambient-coordinate point in sub coordinates, mod 1.
-
-    Solves e.matrix * y = x.coords over the rationals; solutions differ by
-    quotient-group elements, and the principal one (E^-1 x mod 1) is returned.
-    """
-    if x.lattice != e.ambient:
-        raise IncompatibleLattice("point does not live on the ambient lattice")
-    _require_square_full_rank(e)
-    return TorsionPoint(e.sub, tuple(solve_unique(e.rows(), x.coords)))

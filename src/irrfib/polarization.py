@@ -5,7 +5,6 @@ on torsion points (that is all the downstream geometry needs), and K(L) is
 computed as the quotient of the dual lattice of the form by the lattice.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -17,10 +16,10 @@ from .errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
 from .lattice import Lattice, SublatticeEmbedding, TorsionPoint, quotient_group
 from .linalg import (determinant, diagonal, mat_mul, smith_normal_form,
                      transpose)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AlternatingForm:
+class AlternatingForm(Record):
     lattice: Lattice
     matrix: tuple
 
@@ -47,8 +46,7 @@ class AlternatingForm:
                 "matrix": [list(r) for r in self.matrix]}
 
 
-@dataclass(frozen=True)
-class PolarizationType:
+class PolarizationType(Record):
     d1: int
     d2: int
 

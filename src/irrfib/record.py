@@ -1,0 +1,108 @@
+"""Value records declared by annotations, with no code generated per class.
+
+A Record subclass declares its fields as annotations, in order; a value in
+the class body is the field's default. The fields are read once, when the
+subclass is created, and all subclasses share one constructor (which ends
+by calling the __post_init__ hook), equality and hashing over the compared
+fields, and repr. Unless declared with frozen=False, a record refuses
+assignment and deletion, and keeps its hash once computed: the generic
+methods are slower than generated ones, and the kept hash more than pays
+for that. dataclasses generates them instead, compiling code for every
+class and importing inspect, which was about half the cost of
+`import irrfib.cli`.
+"""
+
+from operator import attrgetter
+
+_MISSING = object()
+
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class field:
+    """A default built per instance by default_factory, or a field that
+    compare=False keeps out of equality and hashing."""
+
+    __slots__ = ("default", "default_factory", "compare")
+
+    def __init__(self, *, default=_MISSING, default_factory=None, compare=True):
+        self.default = default
+        self.default_factory = default_factory
+        self.compare = compare
+
+
+class Record:
+    _fields = ()     # field names, in declaration order
+    _defaults = {}   # field name -> default value, or a field with a factory
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults, compared = {}, []
+        for name in cls._fields:
+            default = cls.__dict__.get(name, _MISSING)
+            if not isinstance(default, field) or default.compare:
+                compared.append(name)
+            if isinstance(default, field) and default.default_factory is None:
+                default = default.default
+            if default is not _MISSING:
+                cls._defaults[name] = default
+        cls._key = attrgetter(*compared)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names) or (
+                kwargs and not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError("%s() got unexpected arguments"
+                            % type(self).__name__)
+        values = dict(zip(names, args), **kwargs)
+        for name in names:
+            if name in values:
+                continue
+            if name not in self._defaults:
+                raise TypeError("%s() is missing argument %r"
+                                % (type(self).__name__, name))
+            default = self._defaults[name]
+            values[name] = (default.default_factory()
+                            if isinstance(default, field) else default)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError("cannot assign to %r of a frozen %s"
+                                % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise FrozenRecordError("cannot delete %r of a frozen %s"
+                                % (name, type(self).__name__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        # A frozen record never changes, and its hash walks every nested
+        # record and Fraction, so the first result is kept with the record.
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(self._key(self))
+        return value
+
+    def __reduce__(self):
+        # rebuilt from the fields: a kept hash must not reach another process
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))

@@ -5,8 +5,9 @@ byte-stable: encoding the same report twice gives identical output.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .record import Record, field
 
 
 def encode(value):
@@ -26,8 +27,7 @@ def encode(value):
     raise TypeError("cannot encode %r" % type(value))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     expected: object
     actual: object
@@ -41,8 +41,7 @@ class Check:
                 "actual": encode(self.actual), "pass": self.passed}
 
 
-@dataclass
-class Report:
+class Report(Record, frozen=False):
     command: str
     inputs: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)

@@ -6,7 +6,6 @@ translated reducible members pass through the origin, and a two-route verdict
 (closed form on character values vs exhaustive enumeration on 4-torsion).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,6 +16,7 @@ from .lattice import (Lattice, SublatticeEmbedding, parse_rational,
 from .linalg import integer_kernel_basis
 from .polarization import (AlternatingForm, phi_L_fibres, polarization_type,
                            restrict_form)
+from .record import Record
 
 SINGULARITY_NONE = "none"
 SINGULARITY_SMOOTH = "smooth_point"
@@ -25,8 +25,7 @@ SINGULARITY_NODE = "node"
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class SpecialAbelianSurface:
+class SpecialAbelianSurface(Record):
     embedding: SublatticeEmbedding
     form_B: AlternatingForm
     form_A: AlternatingForm
@@ -41,8 +40,7 @@ class SpecialAbelianSurface:
             raise ValueError("restricted form must have type (1,2)")
 
 
-@dataclass(frozen=True)
-class ProductPoint:
+class ProductPoint(Record):
     e1: tuple  # (coefficient of tau1, coefficient of 1) mod 1
     e2: tuple
 
@@ -244,8 +242,7 @@ REFERENCE_MODULI_ROWS = {"Ia/none": 8, "Ia/smooth_point": 4, "Ib/node": 1,
                          "Ib/none": 2, "II/none": 40, "II/smooth_point": 8}
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     Q: Character
     Qhalf: Character
     closed: str
@@ -253,8 +250,7 @@ class SweepRow:
     moduli_type: str
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(Record):
     rows: tuple            # one SweepRow per admissible pair, in pair order
     verdict_counts: dict   # closed-form verdict -> number of pairs
     moduli_rows: dict      # "moduli type/verdict" -> number of pairs

@@ -30,6 +30,10 @@ def test_character_normalization_and_ops():
     assert two.pm_vector() == (-1, 1, 1, 1)
     with pytest.raises(IncompatibleLattice):
         chi * trivial_character(reference_lattice_b())
+    third = Character(lat, (Fraction(1, 3), 0, 0, 0))
+    assert not third.is_two_torsion
+    assert third.pm_vector() is None
+    assert third.order() == 3
     with pytest.raises(ValueError):
         Character(lat, (0, 0))
 

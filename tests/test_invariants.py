@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from irrfib.errors import (InvalidBranching, NotApplicable, UndefinedSlope)
-from irrfib.invariants import (DIAGONAL_FAMILY_KEYS, ExampleSurface,
-                               FibrationRecord, NO_OBSTRUCTION,
-                               NOT_ISOTRIVIAL,
+from irrfib.invariants import (ExampleSurface, FibrationRecord,
+                               NO_OBSTRUCTION, NOT_ISOTRIVIAL,
                                NOT_ISOTRIVIAL_IF_NOT_ISOGENOUS,
                                SurfaceInvariants, albanese_base_check,
-                               diagonal_family, double_cover_fibre_genus,
+                               double_cover_fibre_genus,
                                genus_bound_rank_one, isotrivial_examples,
                                isotriviality_obstruction,
                                nonisotrivial_examples, slope,
@@ -156,21 +155,6 @@ def test_nonisotrivial_database():
         for f in s.fibrations:
             assert f.isotrivial is False
             assert albanese_base_check(s.invariants.q, f.gC)
-
-
-def test_diagonal_family():
-    assert DIAGONAL_FAMILY_KEYS == ((5, 3), (6, 2), (6, 4))
-    got = [diagonal_family(6, 2, n)["gF"] for n in (1, 2, 3, 4)]
-    assert got == [5, 11, 21, 35]
-    rec = diagonal_family(6, 2, 3)
-    assert rec["kernel_degree"] == 10
-    assert rec["r"] is None
-    assert diagonal_family(5, 3, 2)["gF"] is None
-    assert diagonal_family(6, 4, 2)["gF"] is None
-    with pytest.raises(NotApplicable):
-        diagonal_family(7, 2, 1)
-    with pytest.raises(ValueError):
-        diagonal_family(6, 2, 0)
 
 
 def test_example_surface_serialization():

@@ -6,9 +6,9 @@ import pytest
 from irrfib.errors import (DegenerateEmbedding, IncompatibleLattice,
                            InvalidOrder)
 from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
-                            TorsionPoint, coordinates_in_sublattice, origin,
-                            parse_rational, quotient_group, reduce_mod1,
-                            sublattice_index, torsion_subgroup)
+                            TorsionPoint, origin, parse_rational,
+                            quotient_group, reduce_mod1, sublattice_index,
+                            torsion_subgroup)
 from irrfib.linalg import (determinant, integer_kernel_basis, mat_mul,
                            smith_normal_form, solve_unique)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
@@ -238,16 +238,3 @@ def test_torsion_subgroup_sizes():
     assert len(torsion_subgroup(lat, 4)) == 256
     with pytest.raises(InvalidOrder):
         torsion_subgroup(lat, 0)
-
-
-def test_coordinates_in_sublattice_round_trip():
-    e = reference_embedding()
-    rows = e.rows()
-    for x in torsion_subgroup(e.ambient, 4):
-        y = coordinates_in_sublattice(x, e)
-        assert y.lattice == e.sub
-        image = [sum(row[j] * y.coords[j] for j in range(4)) for row in rows]
-        assert all(reduce_mod1(a - b) == 0
-                   for a, b in zip(image, x.coords))
-    with pytest.raises(IncompatibleLattice):
-        coordinates_in_sublattice(origin(e.sub), e)

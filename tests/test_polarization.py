@@ -42,6 +42,8 @@ def test_form_validation():
     lat = reference_lattice_a()
     with pytest.raises(ValueError):
         AlternatingForm(lat, ((0, 1), (-1, 0)))  # shape mismatch
+    with pytest.raises(ValueError):  # four rows, the last one short
+        AlternatingForm(lat, ((0,) * 4,) * 3 + ((0,) * 3,))
     bad = [[0] * 4 for _ in range(4)]
     bad[0][1] = 1  # not skew: missing the -1 mirror
     with pytest.raises(ValueError):

@@ -214,6 +214,12 @@ def test_invalid_pairs_rejected(surface):
     chiB = trivial_character(reference_lattice_b())
     with pytest.raises(IncompatibleLattice):
         classify_origin_singularity(surface, chiB, chiB)
+    # exactly one character on the wrong lattice, in either position
+    Q, Qhalf = admissible_pairs(surface)[0]
+    for pair in ((Character(chiB.lattice, Q.values), Qhalf),
+                 (Q, Character(chiB.lattice, Qhalf.values))):
+        with pytest.raises(IncompatibleLattice):
+            classify_origin_singularity(surface, *pair)
 
 
 def test_rf_pairs():
