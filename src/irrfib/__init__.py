@@ -13,7 +13,7 @@ from .bundles import (BundleDecomposition, EllipticPoint,
                       h0_omega_twisted_minus_fibre, jump_h1,
                       pushforward_decomposition, twist, xiao_structure)
 from .characters import (Character, character_product, kernel_of_restriction,
-                         restrict_character, square_roots, torsion_characters,
+                         restrict_character, torsion_characters,
                          trivial_character, two_torsion_character_tables)
 from .errors import (ContradictsXiao, DegenerateEmbedding, DegenerateForm,
                      IncompatibleLattice, InvalidBranching, InvalidModulus,

@@ -2,13 +2,14 @@
 
 Lattices carry no complex structure at all: every computation downstream
 depends only on the integral data, so a lattice is just a rank and a tuple
-of basis labels. Torsion points are rational coordinate vectors reduced
-mod 1, with exact coordinate-wise equality.
+of basis labels. Torsion points, like characters, are int numerators mod
+their order n (OnGrid); their Fraction coordinates are a view.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm, prod
+from operator import attrgetter
 
 from .errors import DegenerateEmbedding, IncompatibleLattice, InvalidOrder
 from .linalg import determinant, diagonal, smith_normal_form, transpose
@@ -31,6 +32,71 @@ def parse_rational(text):
     return Fraction(text)
 
 
+class OnGrid:
+    """A torsion element held as int numerators `nums` mod its order `n`.
+
+    The fields named in `_views` hold `_size` Fraction coordinates each: the
+    constructor turns them into the grid, and each is rebuilt from it once,
+    on first access. Equality and hashing use the other fields, n and nums.
+    Elements of a lattice's torus also add and scale here.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*(name for name in cls._fields
+                                if name not in cls._views), "n", "nums")
+
+    @classmethod
+    def from_grid(cls, n, nums, **fields):
+        """The element with numerators nums, already reduced mod n."""
+        g = gcd(n, *nums)
+        self = object.__new__(cls)
+        self.__dict__.update(fields, n=n // g, nums=nums if g == 1 else
+                             tuple(k // g for k in nums))
+        return self
+
+    @property
+    def _size(self):
+        return self.lattice.rank
+
+    def __post_init__(self):
+        views = [self.__dict__.pop(name) for name in self._views]
+        if any(len(view) != self._size for view in views):
+            raise ValueError("%s needs %d coordinates in %s" % (
+                type(self).__name__, self._size, " and ".join(self._views)))
+        values = [Fraction(v) for view in views for v in view]
+        n = lcm(*(v.denominator for v in values))
+        self.__dict__.update(n=n, nums=tuple(int(v * n) % n for v in values))
+
+    def __getattr__(self, name):
+        # reached only while the view is not yet in the instance dict
+        if name not in self._views:
+            raise AttributeError(name)
+        i, size = self._views.index(name), self._size
+        view = self.__dict__[name] = tuple(
+            Fraction(k, self.n) for k in self.nums[i * size:(i + 1) * size])
+        return view
+
+    def nums_over(self, big):
+        """The numerators over the denominator big, a multiple of n."""
+        return tuple(k * (big // self.n) for k in self.nums)
+
+    def order(self):
+        return self.n
+
+    def _plus(self, other, what):
+        if self.lattice != other.lattice:
+            raise IncompatibleLattice("%s on different lattices" % what)
+        n = lcm(self.n, other.n)
+        nums = zip(self.nums_over(n), other.nums_over(n))
+        return self.from_grid(n, tuple((x + y) % n for x, y in nums),
+                              lattice=self.lattice)
+
+    def scale(self, k):
+        return self.from_grid(self.n, tuple(k * c % self.n for c in self.nums),
+                              lattice=self.lattice)
+
+
 class Lattice(Record):
     rank: int
     basis_labels: tuple
@@ -46,41 +112,27 @@ class Lattice(Record):
         return {"rank": self.rank, "basis_labels": list(self.basis_labels)}
 
 
-class TorsionPoint(Record):
+class TorsionPoint(OnGrid, Record):
     lattice: Lattice
     coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           tuple(reduce_mod1(c) for c in self.coords))
-        if len(self.coords) != self.lattice.rank:
-            raise ValueError("coordinate count must equal the lattice rank")
+    _views = ("coords",)
 
     def __add__(self, other):
-        if self.lattice != other.lattice:
-            raise IncompatibleLattice("points on different lattices")
-        return TorsionPoint(self.lattice,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, "points")
 
     def __neg__(self):
-        return TorsionPoint(self.lattice, tuple(-c for c in self.coords))
-
-    def scale(self, n):
-        return TorsionPoint(self.lattice, tuple(n * c for c in self.coords))
+        return self.scale(-1)
 
     @property
     def is_origin(self):
-        return all(c == 0 for c in self.coords)
-
-    def order(self):
-        return lcm(*(c.denominator for c in self.coords))
+        return self.n == 1
 
     def to_json(self):
         return [str(c) for c in self.coords]
 
 
 def origin(lattice):
-    return TorsionPoint(lattice, (Fraction(0),) * lattice.rank)
+    return TorsionPoint.from_grid(1, (0,) * lattice.rank, lattice=lattice)
 
 
 class SublatticeEmbedding(Record):
@@ -133,23 +185,20 @@ class FiniteAbelianGroup(Record):
                 raise ValueError("generator order must equal its factor")
 
     def order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     def elements(self):
-        """All elements of the span, sorted by coordinates."""
+        """All elements of the span, sorted by coordinates: by numerators
+        over one denominator, the group's exponent."""
         if not self.generators:
             return []
         lat = self.generators[0].lattice
-        pts = set()
-        for ks in product(*(range(d) for d in self.invariant_factors)):
-            p = origin(lat)
-            for k, g in zip(ks, self.generators):
-                p = p + g.scale(k)
-            pts.add(p)
-        return sorted(pts, key=lambda p: p.coords)
+        big = lcm(*self.invariant_factors)
+        gens = [g.nums_over(big) for g in self.generators]
+        pts = {tuple(sum(k * g[j] for k, g in zip(ks, gens)) % big
+                     for j in range(lat.rank))
+               for ks in product(*(range(d) for d in self.invariant_factors))}
+        return [TorsionPoint.from_grid(big, p, lattice=lat) for p in sorted(pts)]
 
     def to_json(self):
         return {"invariant_factors": list(self.invariant_factors),
@@ -165,20 +214,16 @@ def quotient_group(e):
     """
     _require_square_full_rank(e)
     _, d, v = smith_normal_form(e.rows())
-    cols = transpose(v)
-    pairs = []
-    for i, di in enumerate(diagonal(d)):
-        if di > 1:
-            coords = tuple(Fraction(x, di) for x in cols[i])
-            pairs.append((di, TorsionPoint(e.sub, coords)))
-    pairs.sort(key=lambda fg: (fg[0], fg[1].coords))
-    return FiniteAbelianGroup(tuple(f for f, _ in pairs),
-                              tuple(g for _, g in pairs))
+    pairs = sorted((di, tuple(x % di for x in col))
+                   for di, col in zip(diagonal(d), transpose(v)) if di > 1)
+    return FiniteAbelianGroup(
+        tuple(di for di, _ in pairs),
+        tuple(TorsionPoint.from_grid(di, k, lattice=e.sub) for di, k in pairs))
 
 
 def torsion_subgroup(lattice, n):
     """All n-torsion points (1/n)L / L, in lexicographic coordinate order."""
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
-    steps = [Fraction(k, n) for k in range(n)]
-    return [TorsionPoint(lattice, c) for c in product(steps, repeat=lattice.rank)]
+    return [TorsionPoint.from_grid(n, k, lattice=lattice)
+            for k in product(range(n), repeat=lattice.rank)]

@@ -5,9 +5,9 @@ on torsion points (that is all the downstream geometry needs), and K(L) is
 computed as the quotient of the dual lattice of the form by the lattice.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from types import MappingProxyType
 
 from .characters import Character, trivial_character
@@ -78,8 +78,6 @@ def polarization_type(f):
         raise DegenerateForm("form is degenerate")
     _, d, _ = smith_normal_form(f.rows())
     diag = diagonal(d)
-    if diag[0] != diag[1] or diag[2] != diag[3]:
-        raise DegenerateForm("skew form divisors must pair up")
     return PolarizationType(diag[0], diag[2])
 
 
@@ -114,22 +112,21 @@ def phi_L_fibres(f, n):
     The one enumeration of (1/n)L/L behind every question about phi_L on
     n-torsion points. It runs on the integer grid (Z/n)^rank: the point k/n
     has character numerators M*k mod n, with M the form's matrix, and points
-    are grouped by those. Each key Character and each TorsionPoint is then
-    built once, with Fraction(i, n) values. Fibres are tuples in
+    are grouped by those. Keys and points are built straight from their
+    numerators, with no Fraction in between. Fibres are tuples in
     lexicographic coordinate order and the map is read-only, so callers
     cannot change the cached table.
     """
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
+    lat = f.lattice
     fibres = {}
-    for k in product(range(n), repeat=f.lattice.rank):
-        key = tuple(sum(m * kj for m, kj in zip(row, k)) % n for row in f.matrix)
-        fibres.setdefault(key, []).append(k)
-    steps = [Fraction(i, n) for i in range(n)]
-    return MappingProxyType({
-        Character(f.lattice, tuple(steps[v] for v in key)):
-            tuple(TorsionPoint(f.lattice, tuple(steps[i] for i in k)) for k in ks)
-        for key, ks in fibres.items()})
+    for k in product(range(n), repeat=lat.rank):
+        key = tuple(sum(map(mul, row, k)) % n for row in f.matrix)
+        fibres.setdefault(key, []).append(
+            TorsionPoint.from_grid(n, k, lattice=lat))
+    return MappingProxyType({Character.from_grid(n, key, lattice=lat): tuple(xs)
+                             for key, xs in fibres.items()})
 
 
 def phi_two_torsion_data(f):

@@ -6,13 +6,14 @@ translated reducible members pass through the origin, and a two-route verdict
 (closed form on character values vs exhaustive enumeration on 4-torsion).
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
-from .lattice import (Lattice, SublatticeEmbedding, parse_rational,
-                      reduce_mod1, sublattice_index)
+from .lattice import (Lattice, OnGrid, SublatticeEmbedding, parse_rational,
+                      sublattice_index)
 from .linalg import integer_kernel_basis
 from .polarization import (AlternatingForm, phi_L_fibres, polarization_type,
                            restrict_form)
@@ -21,8 +22,6 @@ from .record import Record
 SINGULARITY_NONE = "none"
 SINGULARITY_SMOOTH = "smooth_point"
 SINGULARITY_NODE = "node"
-
-HALF = Fraction(1, 2)
 
 
 class SpecialAbelianSurface(Record):
@@ -40,15 +39,11 @@ class SpecialAbelianSurface(Record):
             raise ValueError("restricted form must have type (1,2)")
 
 
-class ProductPoint(Record):
+class ProductPoint(OnGrid, Record):
     e1: tuple  # (coefficient of tau1, coefficient of 1) mod 1
     e2: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "e1", tuple(reduce_mod1(c) for c in self.e1))
-        object.__setattr__(self, "e2", tuple(reduce_mod1(c) for c in self.e2))
-        if len(self.e1) != 2 or len(self.e2) != 2:
-            raise ValueError("factor points have two coordinates each")
+    _views = ("e1", "e2")
+    _size = 2
 
     def to_json(self):
         return {"e1": [str(c) for c in self.e1], "e2": [str(c) for c in self.e2]}
@@ -93,23 +88,15 @@ def psi_image(s, x):
     return ProductPoint((b[0], b[2]), (b[1], b[3]))
 
 
-def _origin_cases(e1, e2, half):
+def _origin_cases(n, e1, e2):
     """The lemma's four cases, from the two factor coordinates of psi(x).
 
-    A factor coordinate is (t, c), the coefficients of tau_i and 1; `half`
-    is t at the half-period tau_i/2: 1/2 on Fractions, n // 2 on the
-    numerators of an n-torsion point.
+    A factor coordinate is (t, c), the numerators mod n of the coefficients
+    of tau_i and 1; the half-period tau_i/2 is (n // 2, 0) when n is even.
     """
-    cases = set()
-    if e2 == (0, 0):
-        cases.add(1)
-    if e2 == (half, 0):
-        cases.add(2)
-    if e1 == (0, 0):
-        cases.add(3)
-    if e1 == (half, 0):
-        cases.add(4)
-    return frozenset(cases)
+    half = (n // 2, 0) if n % 2 == 0 else None
+    hits = (e2 == (0, 0), e2 == half, e1 == (0, 0), e1 == half)
+    return frozenset(case for case, hit in enumerate(hits, 1) if hit)
 
 
 def reducible_through_origin(y):
@@ -119,7 +106,7 @@ def reducible_through_origin(y):
     factor coordinate of psi(x) is 0 or the half-period tau_i/2; the four
     cases follow the lemma's numbering.
     """
-    return _origin_cases(y.e1, y.e2, HALF)
+    return _origin_cases(y.n, y.nums[:2], y.nums[2:])
 
 
 def translation_points_for_twist(s, xi, n_bound):
@@ -160,8 +147,7 @@ def _check_pair(s, Q, Qhalf):
 
 
 def _trivial_on(chi, gens):
-    return all(sum(g * v for g, v in zip(gen, chi.values)).denominator == 1
-               for gen in gens)
+    return all(sum(map(mul, gen, chi.nums)) % chi.n == 0 for gen in gens)
 
 
 def classify_origin_singularity(s, Q, Qhalf):
@@ -185,12 +171,12 @@ def classify_origin_singularity(s, Q, Qhalf):
 def _origin_cases_on_grid(s, x, n):
     """reducible_through_origin(psi_image(s, x)), computed on integers.
 
-    For x = k/n with n even, psi(x) has numerators E*k mod n, E the
-    embedding matrix, and the half-period has numerator n // 2.
+    x is an n-torsion point: over the denominator n it has numerators k,
+    and psi(x) has numerators E*k mod n, E the embedding matrix.
     """
-    k = [c.numerator * (n // c.denominator) for c in x.coords]
-    b = [sum(e * kj for e, kj in zip(row, k)) % n for row in s.embedding.matrix]
-    return _origin_cases((b[0], b[2]), (b[1], b[3]), n // 2)
+    k = x.nums_over(n)
+    b = [sum(map(mul, row, k)) % n for row in s.embedding.matrix]
+    return _origin_cases(n, (b[0], b[2]), (b[1], b[3]))
 
 
 def classify_origin_singularity_oracle(s, Q, Qhalf):
@@ -227,8 +213,10 @@ def moduli_type(s, Q, Qhalf):
 
 def admissible_qhalf(s):
     """The 63 nontrivial characters realizable as phi_L(x) on 4-torsion."""
-    return sorted((c for c in phi_L_fibres(s.form_A, 4) if not c.is_trivial),
-                  key=lambda c: c.values)
+    chars = [c for c in phi_L_fibres(s.form_A, 4) if not c.is_trivial]
+    # in value order: over one common denominator, numerators sort alike
+    big = lcm(*(c.n for c in chars))
+    return sorted(chars, key=lambda c: c.nums_over(big))
 
 
 def admissible_pairs(s):
@@ -280,7 +268,7 @@ def classification_report(s, Q, Qhalf):
     oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
     # the fibre is already in coordinate order
     witnesses = [x for x in phi_L_fibres(s.form_A, 4).get(Qhalf, ())
-                 if reducible_through_origin(psi_image(s, x))]
+                 if _origin_cases_on_grid(s, x, 4)]
     return {
         "Q": [str(v) for v in Q.values],
         "Qhalf": [str(v) for v in Qhalf.values],
@@ -293,10 +281,10 @@ def classification_report(s, Q, Qhalf):
 
 
 # Display names for the 2-torsion characters of the two reference lattices,
-# matching the usual tables; products are composed with "*".
+# matching the usual tables (as numerators mod 2); products compose by "*".
 
 def _pm(values):
-    return tuple(Fraction(0) if v == 1 else HALF for v in values)
+    return tuple(0 if v == 1 else 1 for v in values)
 
 
 _A_TABLE = {
@@ -325,25 +313,23 @@ def _b_table():
              "chiB2": _pm((-1, 1, 1, 1)), "chiB3": _pm((-1, 1, -1, 1))}
     second = {"": _pm((1, 1, 1, 1)), "chiB4": _pm((1, 1, 1, -1)),
               "chiB5": _pm((1, -1, 1, 1)), "chiB6": _pm((1, -1, 1, -1))}
-    out = {}
-    for n1, v1 in first.items():
-        for n2, v2 in second.items():
-            name = "*".join(n for n in (n1, n2) if n) or "trivial"
-            out[name] = tuple(reduce_mod1(a + b) for a, b in zip(v1, v2))
-    return out
+    return {"*".join(n for n in (n1, n2) if n) or "trivial":
+            tuple((a + b) % 2 for a, b in zip(v1, v2))
+            for n1, v1 in first.items() for n2, v2 in second.items()}
 
 
 _B_TABLE = _b_table()
 A_CHARACTER_NAMES = {v: k for k, v in _A_TABLE.items()}
 B_CHARACTER_NAMES = {v: k for k, v in _B_TABLE.items()}
+# per reference lattice: name -> numerators mod 2 (n <= 2), and back
+_TABLES = {reference_lattice_a(): (_A_TABLE, A_CHARACTER_NAMES),
+           reference_lattice_b(): (_B_TABLE, B_CHARACTER_NAMES)}
 
 
 def character_name(chi):
     """Table name of a 2-torsion character on a reference lattice, if any."""
-    if chi.lattice == reference_lattice_a():
-        return A_CHARACTER_NAMES.get(chi.values)
-    if chi.lattice == reference_lattice_b():
-        return B_CHARACTER_NAMES.get(chi.values)
+    if chi.is_two_torsion and chi.lattice in _TABLES:
+        return _TABLES[chi.lattice][1].get(chi.nums)
     return None
 
 
@@ -360,15 +346,12 @@ def parse_character(text, lattice):
         if len(values) != lattice.rank:
             raise ValueError("expected %d coordinates" % lattice.rank)
         return Character(lattice, values)
-    if lattice == reference_lattice_a():
-        table = _A_TABLE
-    elif lattice == reference_lattice_b():
-        table = _B_TABLE
-    else:
+    if lattice not in _TABLES:
         raise ValueError("names are only defined on the reference lattices")
+    table = _TABLES[lattice][0]
     out = trivial_character(lattice)
     for part in text.split("*"):
         if part not in table:
             raise ValueError("unknown character name: %r" % part)
-        out = out * Character(lattice, table[part])
+        out = out * Character.from_grid(2, table[part], lattice=lattice)
     return out

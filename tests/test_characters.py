@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from irrfib.characters import (Character, kernel_of_restriction,
-                               restrict_character, square_roots,
-                               torsion_characters, trivial_character,
+                               restrict_character, torsion_characters,
+                               trivial_character,
                                two_torsion_character_tables)
 from irrfib.errors import (IncompatibleLattice, InvalidOrder,
                            UnsupportedIndex)
@@ -92,11 +92,12 @@ def test_two_torsion_tables_partition():
     named = set(A_CHARACTER_NAMES)
     assert {chi.values for chi in extendable} | {chi.values for chi in new} \
         == {chi.values for chi in torsion_characters(e.sub, 2)}
-    # every table entry carries one of the published names
+    # every table entry carries one of the published names, keyed by its
+    # numerators mod 2
     for chi in extendable | new:
-        assert chi.values in named
+        assert chi.nums in named
     # new characters are exactly those whose name starts with "eps"
-    assert {A_CHARACTER_NAMES[chi.values] for chi in new} == \
+    assert {A_CHARACTER_NAMES[chi.nums] for chi in new} == \
         {"eps%d" % k for k in range(1, 9)}
 
 
@@ -113,22 +114,3 @@ def test_b_character_names_cover_two_torsion():
     names = set(B_CHARACTER_NAMES.values())
     assert "chiB1" in names and "chiB2*chiB5" in names
     assert len(B_CHARACTER_NAMES) == 16
-
-
-def test_square_roots():
-    lat = reference_lattice_a()
-    triv = trivial_character(lat)
-    roots = square_roots(triv, 2)
-    assert len(roots) == 16
-    assert all((r * r).is_trivial for r in roots)
-
-    chi = Character(lat, (0, 0, HALF, 0))
-    roots = square_roots(chi, 4)
-    assert len(roots) == 16
-    assert all(r * r == chi for r in roots)
-    assert all(r.order() in (4,) or r.values[2] in (Fraction(1, 4), Fraction(3, 4))
-               for r in roots)
-    with pytest.raises(InvalidOrder):
-        square_roots(chi, 2)  # not a multiple of 2*order
-    with pytest.raises(InvalidOrder):
-        square_roots(chi, 0)

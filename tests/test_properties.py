@@ -77,6 +77,18 @@ def test_smith_normal_form_properties(m):
 
 @bounded
 @given(nondegenerate_forms)
+def test_smith_form_of_a_skew_form_pairs_its_divisors(m):
+    """polarization_type reads d1 and d2 off the diagonal unchecked: the
+    Smith form of an alternating matrix repeats each divisor once."""
+    u, d, v = smith_normal_form(m)
+    assert mat_mul(mat_mul(u, m), v) == d
+    diag = diagonal(d)
+    assert diag[0] == diag[1] and diag[2] == diag[3]
+    assert diag[0] * diag[2] > 0
+
+
+@bounded
+@given(nondegenerate_forms)
 def test_kernel_order_is_the_determinant(m):
     f = AlternatingForm(LATTICE, m)
     t = polarization_type(f)

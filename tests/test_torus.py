@@ -1,10 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from irrfib.characters import Character, square_roots, trivial_character
+import irrfib.torus
+from irrfib.characters import Character, trivial_character
 from irrfib.errors import IncompatibleLattice, InvalidTwist
 from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                             torsion_subgroup)
@@ -58,6 +60,13 @@ def sweep(surface):
 
 def _chi(name):
     return parse_character(name, reference_lattice_a())
+
+
+def _square_roots(chi):
+    """The 2^rank characters xi with xi * xi = chi: each value v has the two
+    halves v/2 and v/2 + 1/2."""
+    halves = [(v / 2, v / 2 + HALF) for v in chi.values]
+    return {Character(chi.lattice, combo) for combo in product(*halves)}
 
 
 def test_surface_validation():
@@ -155,6 +164,25 @@ def test_translation_sets_are_kernel_cosets(surface):
         assert {(x0 + k).coords for k in kl} == {p.coords for p in pts}
 
 
+@pytest.mark.parametrize("coords, cases, verdict", [
+    ((Fraction(1, 4), 0, 0, 0), {1}, SINGULARITY_SMOOTH),
+    ((Fraction(3, 4), HALF, 0, 0), {2}, SINGULARITY_SMOOTH),
+    ((Fraction(3, 4), Fraction(1, 4), 0, 0), {3}, SINGULARITY_SMOOTH),
+    ((Fraction(1, 4), Fraction(1, 4), 0, 0), {4}, SINGULARITY_SMOOTH),
+    ((0, 0, 0, 0), {1, 3}, SINGULARITY_NODE),
+])
+def test_oracle_groups_the_cases_into_sides(surface, monkeypatch, coords,
+                                            cases, verdict):
+    """Cases 1 and 2 put a component over one side, 3 and 4 over the other:
+    a fibre of one hand-built point, whatever pair it is handed for."""
+    x = TorsionPoint(surface.embedding.sub, coords)
+    assert _origin_cases_on_grid(surface, x, 4) == frozenset(cases)
+    monkeypatch.setattr(irrfib.torus, "translation_points_for_twist",
+                        lambda s, xi, n_bound: {x})
+    Q, Qhalf = admissible_pairs(surface)[0]
+    assert classify_origin_singularity_oracle(surface, Q, Qhalf) == verdict
+
+
 def test_two_torsion_verdicts(surface):
     for name, expected in VERDICT_BY_NAME.items():
         qhalf = _chi(name)
@@ -181,8 +209,9 @@ def test_routes_agree_everywhere(surface, sweep):
 
 def test_order_four_roots_of_the_node_character(surface):
     chi = _chi("chiA1")
-    roots = square_roots(chi, 4)
+    roots = _square_roots(chi)
     assert len(roots) == 16
+    assert all(r * r == chi for r in roots)
     verdicts = Counter(classify_origin_singularity(surface, chi, r)
                        for r in roots)
     assert verdicts == {SINGULARITY_SMOOTH: 8, SINGULARITY_NONE: 8}
@@ -232,7 +261,7 @@ def test_moduli_types(surface):
     triv = trivial_character(reference_lattice_a())
     assert moduli_type(surface, triv, _chi("chiA1")) == "Ib"
     assert moduli_type(surface, triv, _chi("eps1")) == "Ia"
-    root = next(iter(square_roots(_chi("chiA1"), 4)))
+    root = next(iter(_square_roots(_chi("chiA1"))))
     assert moduli_type(surface, _chi("chiA1"), root) == "II"
     with pytest.raises(InvalidTwist):
         moduli_type(surface, triv, triv)
