@@ -5,9 +5,10 @@ named checks. Exit status: 0 all checks pass, 2 a check failed, 64 usage
 error, 65 domain error (the raising error class is printed).
 """
 
-import argparse
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from .bundles import (EllipticPoint, ample_part_is_line, elliptic_origin,
                       generic_point, h0, h1, jump_h1, pushforward_decomposition)
@@ -43,22 +44,6 @@ MAX_ORACLE_MODULUS = 64
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-        sys.exit(64)
-
-    def _get_values(self, action, arg_strings):
-        # before Python 3.13, argparse strips the "--" of "--chi=--" and
-        # hands the option an empty list instead of reporting no value
-        value = super()._get_values(action, arg_strings)
-        if action.nargs is None and value == []:
-            self.error("argument %s: expected one argument"
-                       % "/".join(action.option_strings))
-        return value
 
 
 def _parse_point(text):
@@ -318,6 +303,8 @@ def cmd_bundle(args):
 
 def cmd_classify(args):
     if args.sweep:
+        if args.Q is not None or args.Qhalf is not None:
+            raise UsageError("--sweep classifies every pair: no --Q/--Qhalf")
         rep = Report("classify", inputs={"sweep": True})
         sweep = classification_sweep(build_reference_surface())
         rep.results["pairs"] = [
@@ -333,11 +320,77 @@ def cmd_classify(args):
     return rep
 
 
+def _arg(name, **kwargs):
+    """An argument as its add_argument keywords; a flag's dest spelled out."""
+    if name.startswith("--"):
+        kwargs.setdefault("dest", name[2:])
+    return name, kwargs
+
+
+# The command line, declared once and read by both parsers: per command,
+# its handler's name (so a rebound handler is called), help and arguments.
+COMMANDS = {
+    "appendix": ("cmd_appendix", "run the full reference-surface verification",
+                 (_arg("--corrupt", action="store_true", default=False, help=
+                       "self-test: corrupt one expected table and fail"),)),
+    "example": ("cmd_example", "emit a database record with its checks", (
+        _arg("id", choices=EXAMPLE_IDS),
+        _arg("--n", type=int, default=1, help="family index (family-fn only)"),
+        _arg("--Q", help="twist character name or vector (k26-d2)"),
+        _arg("--Qhalf", help="square-root character (k26-d2)"))),
+    "family-fn": ("cmd_family", "the unbounded-rank family record",
+                  (_arg("--n", type=int, default=1),)),
+    "slope": ("cmd_slope", "fibration slope", tuple(
+        _arg(name, type=int, required=True)
+        for name in ("--k2", "--chi", "--gc", "--gf"))),
+    "bounds": ("cmd_bounds", "genus bound and isotriviality windows", (
+        _arg("--k2", type=int, required=True),
+        _arg("--chi", type=int, required=True),
+        _arg("--ample", choices=("true", "false")))),
+    "intersect": ("cmd_intersect",
+                  "kernel-curve or divisor-class intersections", (
+        _arg("--pq", action="append", help="kernel curve 'p,q' (give twice)"),
+        _arg("--m", type=int, help="modulus for the counting oracle (with "
+             "--pq), at most %d" % MAX_ORACLE_MODULUS),
+        _arg("--class", dest="cls", action="append",
+             help="divisor class coefficients 'a,b,...' (give twice)"),
+        _arg("--fixture", help="path to a JSON lattice fixture "
+             "({basis_labels, gram}); default: pen6"))),
+    "bundle": ("cmd_bundle", "pushforward decomposition queries", (
+        _arg("action", choices=("h0", "h1", "jump", "r-criterion")),
+        _arg("--spec", help="JSON {g, r, p, torsion[]} inline or path"),
+        _arg("--g", type=int, help="fibre genus"),
+        _arg("--r", type=int, help="rank of the ample part"),
+        _arg("--p", default="generic",
+             help="determinant point ('0', 'generic[:name]', 'a,b')"),
+        _arg("--torsion", action="append",
+             help="torsion line-bundle point 'a,b' (repeatable)"),
+        _arg("--q", help="twist point for the jump query"))),
+    "classify": ("cmd_classify", "origin singularity for a twist pair", (
+        _arg("--Q", help="twist character name or vector"),
+        _arg("--Qhalf", help="square root character name or vector"),
+        _arg("--sweep", action="store_true", default=False,
+             help="classify every admissible pair"))),
+}
+
+
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="emit the report as canonical JSON")
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            sys.stderr.write("%s: error: %s\n" % (self.prog, message))
+            sys.exit(64)
+
+        def _get_values(self, action, arg_strings):
+            # before Python 3.13, argparse strips the "--" of "--chi=--" and
+            # hands the option an empty list instead of reporting no value
+            value = super()._get_values(action, arg_strings)
+            if action.nargs is None and value == []:
+                self.error("argument %s: expected one argument"
+                           % "/".join(action.option_strings))
+            return value
 
     parser = _Parser(prog="irrfib",
                      description="Exact invariants of polarized abelian "
@@ -345,84 +398,66 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("appendix", parents=[shared],
-                       help="run the full reference-surface verification")
-    p.add_argument("--corrupt", action="store_true",
-                   help="self-test: corrupt one expected table and fail")
-    p.set_defaults(handler=cmd_appendix)
-
-    p = sub.add_parser("example", parents=[shared],
-                       help="emit a database record with its checks")
-    p.add_argument("id", choices=EXAMPLE_IDS)
-    p.add_argument("--n", type=int, default=1,
-                   help="family index (family-fn only)")
-    p.add_argument("--Q", help="twist character name or vector (k26-d2)")
-    p.add_argument("--Qhalf", help="square-root character (k26-d2)")
-    p.set_defaults(handler=cmd_example)
-
-    p = sub.add_parser("family-fn", parents=[shared],
-                       help="the unbounded-rank family record")
-    p.add_argument("--n", type=int, default=1)
-    p.set_defaults(handler=cmd_family)
-
-    p = sub.add_parser("slope", parents=[shared], help="fibration slope")
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--gc", type=int, required=True)
-    p.add_argument("--gf", type=int, required=True)
-    p.set_defaults(handler=cmd_slope)
-
-    p = sub.add_parser("bounds", parents=[shared],
-                       help="genus bound and isotriviality windows")
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--ample", choices=("true", "false"))
-    p.set_defaults(handler=cmd_bounds)
-
-    p = sub.add_parser("intersect", parents=[shared],
-                       help="kernel-curve or divisor-class intersections")
-    p.add_argument("--pq", action="append",
-                   help="kernel curve 'p,q' (give twice)")
-    p.add_argument("--m", type=int,
-                   help="modulus for the counting oracle (with --pq), "
-                        "at most %d" % MAX_ORACLE_MODULUS)
-    p.add_argument("--class", dest="cls", action="append",
-                   help="divisor class coefficients 'a,b,...' (give twice)")
-    p.add_argument("--fixture",
-                   help="path to a JSON lattice fixture "
-                        "({basis_labels, gram}); default: pen6")
-    p.set_defaults(handler=cmd_intersect)
-
-    p = sub.add_parser("bundle", parents=[shared],
-                       help="pushforward decomposition queries")
-    p.add_argument("action", choices=("h0", "h1", "jump", "r-criterion"))
-    p.add_argument("--spec", help="JSON {g, r, p, torsion[]} inline or path")
-    p.add_argument("--g", type=int, help="fibre genus")
-    p.add_argument("--r", type=int, help="rank of the ample part")
-    p.add_argument("--p", default="generic",
-                   help="determinant point ('0', 'generic[:name]', 'a,b')")
-    p.add_argument("--torsion", action="append",
-                   help="torsion line-bundle point 'a,b' (repeatable)")
-    p.add_argument("--q", help="twist point for the jump query")
-    p.set_defaults(handler=cmd_bundle)
-
-    p = sub.add_parser("classify", parents=[shared],
-                       help="origin singularity for a twist pair")
-    p.add_argument("--Q", help="twist character name or vector")
-    p.add_argument("--Qhalf", help="square root character name or vector")
-    p.add_argument("--sweep", action="store_true",
-                   help="classify every admissible pair")
-    p.set_defaults(handler=cmd_classify)
+    for command, (handler, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="emit the report as canonical JSON")
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(handler=globals()[handler])
     return parser
 
 
+def _parse_exact(argv):
+    """build_parser().parse_args(argv), read from COMMANDS without argparse;
+    None where argparse must answer: help, errors, an unknown or abbreviated
+    flag, a value starting with "-", or a single-valued flag given twice."""
+    tokens, json = iter(argv), False
+    command = next(tokens, None)
+    while command == "--json":
+        command, json = next(tokens, None), True
+    if command not in COMMANDS:
+        return None
+    handler, _, arguments = COMMANDS[command]
+    table, seen = dict(arguments), set()
+    # a token without a leading "-" is the value of the positional, if any
+    bare = next((name for name in table if not name.startswith("-")), "-")
+    ns = {kw.get("dest", name): kw.get("default") for name, kw in arguments}
+    ns.update(command=command, handler=globals()[handler], json=json)
+    for token in tokens:
+        name, eq, value = (token.partition("=") if token.startswith("-")
+                           else (bare, "=", token))
+        kw = table.get(name, {})
+        action, dest = kw.get("action"), kw.get("dest", name)
+        if token == "--json" or token == name and action == "store_true":
+            ns[kw.get("dest", "json")] = True
+            continue
+        value = value if eq else next(tokens, "-")
+        if not kw or action == "store_true" or value.startswith("-") or (
+                name in seen and action != "append"):
+            return None
+        seen.add(name)
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        ns[dest] = (ns[dest] or []) + [value] if action == "append" else value
+    if any(name not in seen and (name == bare or kw.get("required"))
+           for name, kw in arguments):
+        return None
+    return SimpleNamespace(**ns)
+
+
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
+    args = _parse_exact(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 0
     try:
         report = args.handler(args)
     except UsageError as exc:
@@ -431,7 +466,12 @@ def main(argv=None):
     except IrrfibError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 65
-    print(render(report, getattr(args, "json", False)))
+    try:
+        print(render(report, args.json), flush=True)
+    except BrokenPipeError:
+        # the reader is gone, but the work was done and checked: keep its
+        # status, and send stdout to devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 2
 
 

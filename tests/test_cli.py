@@ -1,9 +1,18 @@
+import functools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irrfib.cli import EXAMPLE_IDS, main
+from irrfib.cli import COMMANDS, EXAMPLE_IDS, _parse_exact, build_parser, main
+from test_golden import CASES
+from test_record import _run
 
 
 def run(capsys, *argv):
@@ -458,3 +467,182 @@ def test_fuzzed_argv_keeps_the_exit_contract(capsys, tmp_path):
             pytest.fail("%r raised %r" % (argv, exc))
         assert code in (0, 2, 64, 65), argv
         assert "Traceback" not in err, argv
+
+
+def test_classify_sweep_refuses_a_twist(capsys):
+    for extra in (("--Qhalf", "garbage"), ("--Q", "chiA1"),
+                  ("--Qhalf", "chiA1", "--Q", "trivial"), ("--Qhalf", "")):
+        code, out, err = run(capsys, "classify", "--sweep", *extra)
+        assert code == 64, extra
+        assert out == "" and "usage error" in err, extra
+
+
+# --- the command table: the exact parser against argparse -----------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TEXT_GOLDEN = Path(__file__).parent / "golden" / "cli-help-and-errors.json"
+
+# the command forms of the README's "Command line" section
+README_FORMS = (
+    ("appendix",), ("appendix", "--corrupt"), ("example", "pen-1"),
+    ("family-fn", "--n", "4"),
+    ("slope", "--k2", "8", "--chi", "1", "--gc", "1", "--gf", "3"),
+    ("bounds", "--k2", "6", "--chi", "1", "--ample", "true"),
+    ("intersect", "--pq", "1,2", "--pq", "1,0", "--m", "2"),
+    ("intersect", "--class", "2,2,2,2,1", "--class", "3,0,2,1,1"),
+    ("bundle", "h0", "--g", "3", "--r", "1", "--torsion", "1/3,0"),
+    ("bundle", "jump", "--g", "3", "--r", "1", "--torsion", "1/3,0",
+     "--q", "2/3,0"),
+    ("bundle", "r-criterion", "--g", "3", "--r", "2"),
+    ("bundle", "h0", "--spec",
+     '{"g": 3, "r": 1, "p": "generic", "torsion": ["1/3,0"]}'),
+    ("classify", "--Qhalf", "chiA1"), ("classify", "--sweep"),
+    ("classify", "--Qhalf", "chiA1", "--json"),
+    ("slope", "--k2", "7", "--chi", "2", "--gc", "1", "--gf", "3", "--json"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    return build_parser()  # a parser can parse any number of argv
+
+
+def _same_namespace(argv):
+    """Whether the exact parser reads argv; if it does, it must read it as
+    argparse does."""
+    exact = _parse_exact(argv)
+    if exact is None:
+        return False
+    try:
+        expected = vars(_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail("argparse refuses %r, which the exact parser read" % argv)
+    assert vars(exact) == expected, argv
+    return True
+
+
+def test_exact_parser_reads_every_documented_form():
+    forms = [*README_FORMS, *(CASES[name] + ("--json",) for name in CASES)]
+    for argv in forms:
+        assert _same_namespace(list(argv)), argv
+        assert _same_namespace(["--json", *argv]), argv
+
+
+SLOPE = ("slope", "--k2", "8", "--chi", "1", "--gc", "1", "--gf", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("slope", "--k2", "-1", "--chi", "1", "--gc", "1", "--gf", "3"),
+    ("intersect", "--pq=-1,4", "--pq", "1,0"),
+    ("bounds", "--k2", "7", "--chi=--"),
+    (*SLOPE, "--"), ("--", *SLOPE), ("-", *SLOPE), (*SLOPE, "-h"),
+    ("--help",), ("-h", "appendix"), ("classify", "--Qh", "chiA1"),
+    ("family-fn", "--n", "2", "--n", "3"), ("appendix", "--corrupt=1"),
+    ("--json=1", "appendix"), ("appendix", "--json=1"),
+    SLOPE[:-2], ("slope", "--k2", "x", *SLOPE[3:]),
+    ("bounds", "--k2", "1", "--chi", "1", "--ample", "maybe"),
+    ("example",), ("example", "pen-2"), ("example", "pen-1", "pen-4"),
+    ("appendix", "pen-1"), (), ("--json",), ("no-such-command",),
+    ("--fixture", "pen6", "intersect", "--class", "1,0", "--class", "0,1"),
+])
+def test_exact_parser_leaves_the_rest_to_argparse(argv):
+    assert _parse_exact(list(argv)) is None
+
+
+def test_exact_parser_matches_argparse_on_the_fuzz_corpus():
+    fixtures = (("pen6", "good.json"), ("bad.json", "none.json"))
+    rng = random.Random(2014)
+    accepted = sum(_same_namespace(_draw_argv(rng, fixtures))
+                   for _ in range(2500))
+    # a third of the corpus is well formed; far fewer would mean the exact
+    # parser declines forms it should read, and every command pays argparse
+    assert accepted > 600
+
+
+_VALUES = ("0", "1", "7", "10", " 3", "+2", "1_0", "x", "", "1,2", "1/2,0",
+           "chiA1", "eps3", "true", "false", "maybe", "generic", "a=b",
+           "h0", "jump", "pen-1", "k26-d2", "-1", "-1,4", "--", "-", "-h",
+           "--json=1", "--Qh")
+
+
+def _occurrence(data, name, action, value):
+    """One flag's tokens: one in ten in any form, else in a form it takes."""
+    forms = ("flag",) if action == "store_true" else ("flag=", "flag value")
+    if data.draw(st.integers(0, 9)) == 0:
+        forms = ("flag", "flag=", "flag value")
+    form = data.draw(st.sampled_from(forms))
+    if form == "flag":
+        return [name]
+    if form == "flag=":
+        return ["%s=%s" % (name, data.draw(value))]
+    return [name, data.draw(value)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_exact_parser_matches_argparse_on_the_table_grammar(data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    value = st.one_of(st.sampled_from(_VALUES), st.text(max_size=4))
+    groups, bare = [], []
+    for name, kwargs in COMMANDS[command][2]:
+        action = kwargs.get("action")
+        if not name.startswith("-"):
+            # the positional: mostly a choice, sometimes wrong or missing
+            bare = data.draw(st.sampled_from(
+                [[c] for c in kwargs["choices"]] + [["x"], []]))
+            continue
+        count = data.draw(st.integers(0, 3 if action == "append" else 1))
+        if kwargs.get("required") and data.draw(st.booleans()):
+            count = max(count, 1)
+        groups += [_occurrence(data, name, action, value)
+                   for _ in range(count)]
+    groups = data.draw(st.permutations(groups))
+    argv = [command] + [token for group in groups for token in group]
+    for token in bare:  # the positional goes anywhere after the command
+        argv.insert(data.draw(st.integers(1, len(argv))), token)
+    for _ in range(data.draw(st.integers(0, 2))):
+        argv.insert(data.draw(st.integers(0, len(argv))), "--json")
+    if data.draw(st.integers(0, 9)) == 0:
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(value))
+    _same_namespace(argv)
+
+
+def test_help_and_error_text_matches_its_golden(capsys, monkeypatch):
+    golden = json.loads(TEXT_GOLDEN.read_text())
+    if golden["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip("argparse's text was recorded on Python %s"
+                    % golden["python"])
+    monkeypatch.setenv("COLUMNS", str(golden["columns"]))
+    for case in golden["cases"]:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (
+            case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+# A block-buffered stdout fails at the flush, an unbuffered one in print
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_keeps_the_exit_status(unbuffered):
+    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               PYTHONUNBUFFERED=unbuffered)
+    for argv, status in ((("example", "pen-5"), 0), (("appendix",), 0),
+                         (("appendix", "--corrupt"), 2)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "irrfib.cli", *argv], env=env,
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (status, b""), argv
+
+
+def test_well_formed_commands_import_no_argparse():
+    names = "{'argparse', 'gettext', 'locale'}"
+    assert _run("import irrfib.cli, sys; print(sorted(%s & set(sys.modules)))"
+                % names) == "[]\n"
+    for argv in (["appendix", "--json"], ["classify", "--sweep"], [*SLOPE]):
+        out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
+                   "print(sorted(%s & set(sys.modules)))" % (argv, names))
+        assert out.endswith("\n[]\n"), argv
