@@ -57,10 +57,6 @@ class EllipticPoint(Record):
             return None
         return lcm(*(c.denominator for c in self.coords))
 
-    def to_json(self):
-        return {"coords": [str(c) for c in self.coords],
-                "free": [[n, c] for n, c in self.free]}
-
 
 def elliptic_origin():
     return EllipticPoint((0, 0))
@@ -88,10 +84,6 @@ class IndecomposableBundle(Record):
         return (self.rank, self.degree, self.det_point.coords,
                 self.det_point.free)
 
-    def to_json(self):
-        return {"rank": self.rank, "degree": self.degree,
-                "det_point": self.det_point.to_json()}
-
 
 class BundleDecomposition(Record):
     summands: tuple
@@ -108,9 +100,6 @@ class BundleDecomposition(Record):
     @property
     def degree(self):
         return sum(b.degree for b in self.summands)
-
-    def to_json(self):
-        return {"summands": [b.to_json() for b in self.summands]}
 
 
 def h0(x):
@@ -238,11 +227,6 @@ class XiaoShape(Record):
     trivial_rank: int
     semistable_rank: int
     semistable_degree: int
-
-    def to_json(self):
-        return {"trivial_rank": self.trivial_rank,
-                "semistable_rank": self.semistable_rank,
-                "semistable_degree": self.semistable_degree}
 
 
 def xiao_structure(gF, slope, q_surface, gC):

@@ -40,10 +40,6 @@ class Character(OnGrid, Record):
             return None
         return tuple(1 if k == 0 else -1 for k in self.nums)
 
-    def to_json(self):
-        return {"lattice": self.lattice.to_json(),
-                "values": [str(v) for v in self.values]}
-
 
 def trivial_character(lattice):
     return Character.from_grid(1, (0,) * lattice.rank, lattice=lattice)

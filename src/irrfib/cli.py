@@ -161,20 +161,20 @@ def cmd_example(args):
         inv = record.invariants
         rep.results["isotriviality_inequality"] = isotriviality_obstruction(
             inv.K2, inv.chi, inv.ample_canonical)[1]
-        if args.Qhalf or args.Q:
+        if args.Qhalf is not None or args.Q is not None:
             rep.results["classification"] = _classified(args, rep)
-    elif args.Qhalf or args.Q:
+    elif args.Qhalf is not None or args.Q is not None:
         raise UsageError("--Q/--Qhalf only apply to k26-d2")
     return rep
 
 
 def _classified(args, rep):
-    if not args.Qhalf:
+    if args.Qhalf is None:
         raise UsageError("--Qhalf is required when classifying")
     lattice = reference_lattice_a()
     qhalf = _parse_named_character(args.Qhalf, lattice)
-    q = (_parse_named_character(args.Q, lattice) if args.Q
-         else qhalf * qhalf)
+    q = (qhalf * qhalf if args.Q is None
+         else _parse_named_character(args.Q, lattice))
     result = classification_report(build_reference_surface(), q, qhalf)
     result["Q_name"] = display_name(q)
     result["Qhalf_name"] = display_name(qhalf)
@@ -412,7 +412,8 @@ def build_parser():
 def _parse_exact(argv):
     """build_parser().parse_args(argv), read from COMMANDS without argparse;
     None where argparse must answer: help, errors, an unknown or abbreviated
-    flag, a value starting with "-", or a single-valued flag given twice."""
+    flag, a separate value starting with "-" or the value "--" after "=" (which
+    argparse before 3.13 strips), or a single-valued flag given twice."""
     tokens, json = iter(argv), False
     command = next(tokens, None)
     while command == "--json":
@@ -434,7 +435,8 @@ def _parse_exact(argv):
             ns[kw.get("dest", "json")] = True
             continue
         value = value if eq else next(tokens, "-")
-        if not kw or action == "store_true" or value.startswith("-") or (
+        if not kw or action == "store_true" or value == "--" or (
+                value.startswith("-") and not eq) or (
                 name in seen and action != "append"):
             return None
         seen.add(name)

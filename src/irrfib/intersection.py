@@ -45,10 +45,6 @@ class IntersectionLattice(Record):
         i = self.basis_labels.index(label)
         return DivisorClass(self, tuple(1 if j == i else 0 for j in range(self.rank)))
 
-    def to_json(self):
-        return {"basis_labels": list(self.basis_labels),
-                "gram": [list(r) for r in self.gram]}
-
 
 class DivisorClass(Record):
     lattice: IntersectionLattice

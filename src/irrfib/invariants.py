@@ -16,7 +16,7 @@ from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
 from .intersection import (KernelCurve, degree_vs_product_polarization,
                            derive_pen6_pairings, dot, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
-from .record import Record, field
+from .record import Record, encode, field
 from .report import Check
 
 NO_OBSTRUCTION = "no_obstruction"
@@ -37,11 +37,6 @@ class SurfaceInvariants(Record):
             raise ValueError("chi must equal 1 - q + pg")
         if self.albanese_degree is not None and self.albanese_degree < 1:
             raise ValueError("albanese degree must be positive")
-
-    def to_json(self):
-        return {"pg": self.pg, "q": self.q, "K2": self.K2, "chi": self.chi,
-                "albanese_degree": self.albanese_degree,
-                "ample_canonical": self.ample_canonical}
 
 
 class FibrationRecord(Record):
@@ -72,18 +67,6 @@ class FibrationRecord(Record):
                 if len(ample) != 1 or ample[0].rank != self.r:
                     raise ValueError("ample part rank must equal r")
 
-    def to_json(self):
-        return {
-            "gC": self.gC, "gF": self.gF,
-            "isotrivial": self.isotrivial, "r": self.r,
-            "decomposition": (None if self.decomposition is None
-                              else self.decomposition.to_json()),
-            "group_order": self.group_order,
-            "ramification": (None if self.ramification is None
-                             else list(self.ramification)),
-            "annotations": list(self.annotations),
-        }
-
 
 class ExampleSurface(Record):
     id: str
@@ -97,19 +80,8 @@ class ExampleSurface(Record):
     checks: tuple = field(default=(), compare=False)  # derivation Checks
 
     def to_json(self):
-        return {
-            "id": self.id,
-            "invariants": self.invariants.to_json(),
-            "fibrations": [f.to_json() for f in self.fibrations],
-            "group_name": self.group_name,
-            "curve_genera": (None if self.curve_genera is None
-                             else list(self.curve_genera)),
-            "polarization": (None if self.polarization is None
-                             else list(self.polarization)),
-            "moduli_dims": (None if self.moduli_dims is None
-                            else {k: v for k, v in self.moduli_dims}),
-            "annotations": list(self.annotations),
-        }
+        return dict(super().to_json(), moduli_dims=encode(
+            None if self.moduli_dims is None else dict(self.moduli_dims)))
 
 
 def slope(K2, chi, gC, gF):

@@ -108,9 +108,6 @@ class Lattice(Record):
         if len(set(self.basis_labels)) != self.rank:
             raise ValueError("basis labels must be pairwise distinct")
 
-    def to_json(self):
-        return {"rank": self.rank, "basis_labels": list(self.basis_labels)}
-
 
 class TorsionPoint(OnGrid, Record):
     lattice: Lattice
@@ -199,10 +196,6 @@ class FiniteAbelianGroup(Record):
                      for j in range(lat.rank))
                for ks in product(*(range(d) for d in self.invariant_factors))}
         return [TorsionPoint.from_grid(big, p, lattice=lat) for p in sorted(pts)]
-
-    def to_json(self):
-        return {"invariant_factors": list(self.invariant_factors),
-                "generators": [g.to_json() for g in self.generators]}
 
 
 def quotient_group(e):

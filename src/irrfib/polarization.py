@@ -41,10 +41,6 @@ class AlternatingForm(Record):
         return AlternatingForm(self.lattice,
                                tuple(tuple(k * x for x in row) for row in self.matrix))
 
-    def to_json(self):
-        return {"lattice": self.lattice.to_json(),
-                "matrix": [list(r) for r in self.matrix]}
-
 
 class PolarizationType(Record):
     d1: int

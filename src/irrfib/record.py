@@ -10,11 +10,37 @@ methods are slower than generated ones, and the kept hash more than pays
 for that. dataclasses generates them instead, compiling code for every
 class and importing inspect, which was about half the cost of
 `import irrfib.cli`.
+
+The JSON form of a value is written here once. encode() turns it into plain
+JSON types, rationals as "p/q" strings, and a record's to_json() is the dict
+of its encoded compared fields, so a compare=False field stays out of JSON
+as it stays out of equality. Six records override it: TorsionPoint,
+DivisorClass, KernelCurve and PolarizationType are lists, ExampleSurface's
+moduli_dims is a dict, and a Check adds its "pass". An override returns
+plain JSON types too.
 """
 
+from fractions import Fraction
 from operator import attrgetter
 
 _MISSING = object()
+
+
+def encode(value):
+    """Recursively convert to plain JSON types, rationals as strings."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted((encode(v) for v in value), key=repr)
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    raise TypeError("cannot encode %r" % type(value))
 
 
 class FrozenRecordError(AttributeError):
@@ -36,6 +62,7 @@ class field:
 class Record:
     _fields = ()     # field names, in declaration order
     _defaults = {}   # field name -> default value, or a field with a factory
+    _compared = ()   # the fields not declared with compare=False
 
     def __init_subclass__(cls, frozen=True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -49,6 +76,7 @@ class Record:
                 default = default.default
             if default is not _MISSING:
                 cls._defaults[name] = default
+        cls._compared = tuple(compared)
         cls._key = attrgetter(*compared)
         if not frozen:
             cls.__setattr__ = object.__setattr__
@@ -102,6 +130,9 @@ class Record:
     def __reduce__(self):
         # rebuilt from the fields: a kept hash must not reach another process
         return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def to_json(self):
+        return {name: encode(getattr(self, name)) for name in self._compared}
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(

@@ -45,9 +45,6 @@ class ProductPoint(OnGrid, Record):
     _views = ("e1", "e2")
     _size = 2
 
-    def to_json(self):
-        return {"e1": [str(c) for c in self.e1], "e2": [str(c) for c in self.e2]}
-
 
 def reference_lattice_b():
     return Lattice(4, ("lambda1", "lambda2", "mu1", "mu2"))
@@ -270,13 +267,13 @@ def classification_report(s, Q, Qhalf):
     witnesses = [x for x in phi_L_fibres(s.form_A, 4).get(Qhalf, ())
                  if _origin_cases_on_grid(s, x, 4)]
     return {
-        "Q": [str(v) for v in Q.values],
-        "Qhalf": [str(v) for v in Qhalf.values],
+        "Q": Q.values,
+        "Qhalf": Qhalf.values,
         "singularity": closed,
         "singularity_oracle": oracle,
         "rf_pair": list(rf_pair(closed)),
         "moduli_type": moduli_type(s, Q, Qhalf),
-        "witness_points": [x.to_json() for x in witnesses],
+        "witness_points": witnesses,
     }
 
 

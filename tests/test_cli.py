@@ -477,6 +477,16 @@ def test_classify_sweep_refuses_a_twist(capsys):
         assert out == "" and "usage error" in err, extra
 
 
+@pytest.mark.parametrize("argv", [
+    ("example", "pen-1", "--Q", ""), ("example", "pen-1", "--Qhalf", ""),
+    ("example", "pen-1", "--Q", "chiA1"), ("example", "k26-d2", "--Qhalf", ""),
+    ("example", "k26-d2", "--Q", ""), ("classify", "--Qhalf", ""),
+    ("classify", "--Qhalf", "chiA1", "--Q", ""), ("classify", "--Q", "")])
+def test_an_empty_or_misplaced_twist_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "") and "usage error" in err
+
+
 # --- the command table: the exact parser against argparse -----------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -533,7 +543,7 @@ SLOPE = ("slope", "--k2", "8", "--chi", "1", "--gc", "1", "--gf", "3")
 
 @pytest.mark.parametrize("argv", [
     ("slope", "--k2", "-1", "--chi", "1", "--gc", "1", "--gf", "3"),
-    ("intersect", "--pq=-1,4", "--pq", "1,0"),
+    ("intersect", "--pq=--", "--pq", "1,0"),
     ("bounds", "--k2", "7", "--chi=--"),
     (*SLOPE, "--"), ("--", *SLOPE), ("-", *SLOPE), (*SLOPE, "-h"),
     ("--help",), ("-h", "appendix"), ("classify", "--Qh", "chiA1"),
@@ -547,6 +557,18 @@ SLOPE = ("slope", "--k2", "8", "--chi", "1", "--gc", "1", "--gf", "3")
 ])
 def test_exact_parser_leaves_the_rest_to_argparse(argv):
     assert _parse_exact(list(argv)) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("intersect", "--pq=-1,4", "--pq", "1,0"),
+    ("intersect", "--pq=-3,4", "--pq=2,-3", "--m=-1"),
+    ("intersect", "--class=-1,2,0,0,0", "--class", "0,1,0,0,0"),
+    ("slope", "--k2=-1", "--chi", "1", "--gc", "1", "--gf=-2"),
+    ("classify", "--Qhalf=-h"), ("bundle", "h0", "--g", "3", "--r=1", "--p=-"),
+])
+def test_exact_parser_reads_a_dash_value_after_equals(argv):
+    # argparse takes anything after "=" as the value, "-..." included
+    assert _same_namespace(list(argv))
 
 
 def test_exact_parser_matches_argparse_on_the_fuzz_corpus():

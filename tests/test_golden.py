@@ -1,7 +1,8 @@
-"""Golden-output gate: each reference command's --json body, byte for byte.
+"""Golden-output gate: each reference command's stdout, byte for byte.
 
-The files under tests/golden/ are the exact stdout of `irrfib <argv> --json`.
-A deliberate change to one of them needs a CHANGES.md entry saying why.
+The files under tests/golden/ are the exact stdout of `irrfib <argv> --json`
+(NAME.json) and of `irrfib <argv>` (NAME.txt). A deliberate change to one of
+them needs a CHANGES.md entry saying why.
 """
 
 from pathlib import Path
@@ -22,9 +23,13 @@ CASES = {
 CASES.update({"example-%s" % ex_id: ("example", ex_id)
               for ex_id in EXAMPLE_IDS})
 
+MODES = {"json": ("--json",), "txt": ()}
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_json_body_matches_golden(name, capsys):
-    assert main([*CASES[name], "--json"]) == 0
+
+@pytest.mark.parametrize("name, mode", [
+    pytest.param(name, mode, id=name if mode == "json" else "%s-%s" % (name, mode))
+    for name in sorted(CASES) for mode in MODES])
+def test_json_body_matches_golden(name, mode, capsys):
+    assert main([*CASES[name], *MODES[mode]]) == 0
     out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / ("%s.json" % name)).read_bytes()
+    assert out.encode() == (GOLDEN / ("%s.%s" % (name, mode))).read_bytes()

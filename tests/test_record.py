@@ -1,10 +1,12 @@
 """The record contract every irrfib value type keeps.
 
 Records are frozen, compare and hash by their compared fields, never equal
-an instance of another class, and cost no `dataclasses` import.
+an instance of another class, encode to JSON by those same fields, and cost
+no `dataclasses` import.
 """
 
 import importlib
+import json
 import os
 import pickle
 import pkgutil
@@ -24,8 +26,8 @@ from irrfib.intersection import KernelCurve, pen6_lattice
 from irrfib.invariants import (ExampleSurface, FibrationRecord,
                                nonisotrivial_examples, unbounded_family)
 from irrfib.polarization import kernel_K_L, polarization_type
-from irrfib.record import Record
-from irrfib.report import Report
+from irrfib.record import Record, encode
+from irrfib.report import Check, Report
 from irrfib.torus import (ProductPoint, Sweep, build_reference_surface,
                           classification_sweep)
 
@@ -106,6 +108,27 @@ def test_different_classes_never_compare_equal():
 
     assert Twin(1, 2) != KernelCurve(1, 2)
     assert Twin(1, 2) == Twin(1, 2)
+
+
+def _compared(record):
+    """The fields not declared with compare=False."""
+    return {name for name in record._fields
+            if getattr(vars(type(record)).get(name), "compare", True)}
+
+
+@pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)
+def test_json_form_is_the_compared_fields(record):
+    doc = json.loads(json.dumps(encode(record)))
+    assert doc == record.to_json()
+    if isinstance(doc, dict):
+        extra = {"pass"} if isinstance(record, Check) else set()
+        assert set(doc) == _compared(record) | extra
+
+
+def test_six_records_override_the_json_form():
+    overriding = {c.__name__ for c in RECORD_CLASSES if "to_json" in vars(c)}
+    assert overriding == {"TorsionPoint", "DivisorClass", "KernelCurve",
+                          "PolarizationType", "ExampleSurface", "Check"}
 
 
 def test_checks_stay_out_of_equality_and_hashing():
