@@ -23,9 +23,6 @@ class Character(OnGrid, Record):
     def __mul__(self, other):
         return character_product(self, other)
 
-    def inverse(self):
-        return self.scale(-1)
-
     @property
     def is_trivial(self):
         return self.n == 1

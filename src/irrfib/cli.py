@@ -147,8 +147,14 @@ def _bound_checks(rep, record):
 
 def cmd_example(args):
     ex_id = args.id
+    twist = args.Qhalf is not None or args.Q is not None
+    if twist and ex_id != "k26-d2":
+        raise UsageError("--Q/--Qhalf only apply to k26-d2")
     if ex_id == "family-fn":
-        return _family_report("example family-fn", args.n)
+        return _family_report("example family-fn",
+                              1 if args.n is None else args.n)
+    if args.n is not None:
+        raise UsageError("--n only applies to family-fn")
     rep = Report("example %s" % ex_id, inputs={"id": ex_id})
     table = {e.id: e for e in isotrivial_examples() + nonisotrivial_examples()}
     record = table[ex_id]
@@ -161,10 +167,8 @@ def cmd_example(args):
         inv = record.invariants
         rep.results["isotriviality_inequality"] = isotriviality_obstruction(
             inv.K2, inv.chi, inv.ample_canonical)[1]
-        if args.Qhalf is not None or args.Q is not None:
+        if twist:
             rep.results["classification"] = _classified(args, rep)
-    elif args.Qhalf is not None or args.Q is not None:
-        raise UsageError("--Q/--Qhalf only apply to k26-d2")
     return rep
 
 
@@ -220,8 +224,10 @@ def _load_lattice(fixture):
 
 
 def cmd_intersect(args):
-    if args.pq and args.cls:
-        raise UsageError("use either --pq pairs or --class vectors")
+    if args.pq and (args.cls or args.fixture is not None):
+        raise UsageError("--pq pairs take neither --class nor --fixture")
+    if args.cls and args.m is not None:
+        raise UsageError("--m only applies to --pq pairs")
     if args.m is not None and args.m > MAX_ORACLE_MODULUS:
         raise UsageError("--m must be at most %d" % MAX_ORACLE_MODULUS)
     if args.pq:
@@ -279,6 +285,8 @@ def _bundle_spec(args):
 
 
 def cmd_bundle(args):
+    if args.q is not None and args.action != "jump":
+        raise UsageError("--q only applies to jump")
     g, r, p, torsion = _bundle_spec(args)
     decomposition = pushforward_decomposition(g, r, p, torsion)
     rep = Report("bundle %s" % args.action,
@@ -335,7 +343,7 @@ COMMANDS = {
                        "self-test: corrupt one expected table and fail"),)),
     "example": ("cmd_example", "emit a database record with its checks", (
         _arg("id", choices=EXAMPLE_IDS),
-        _arg("--n", type=int, default=1, help="family index (family-fn only)"),
+        _arg("--n", type=int, help="family index (family-fn only)"),
         _arg("--Q", help="twist character name or vector (k26-d2)"),
         _arg("--Qhalf", help="square-root character (k26-d2)"))),
     "family-fn": ("cmd_family", "the unbounded-rank family record",
@@ -469,7 +477,12 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 65
     try:
-        print(render(report, args.json), flush=True)
+        text = render(report, args.json)
+    except ValueError as exc:  # an int too long for str() (4300 digits)
+        print("error: ValueError: %s" % exc, file=sys.stderr)
+        return 65
+    try:
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader is gone, but the work was done and checked: keep its
         # status, and send stdout to devnull so the flush at exit is quiet

@@ -7,13 +7,12 @@ intersection of kernel curves on a product of two elliptic curves, with a
 brute-force counting oracle kept deliberately separate from the closed form.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
 from .errors import (IncompatibleLattice, InvalidModulus, IrrfibError,
                      NonPrimitive)
-from .linalg import solve_unique
+from .linalg import solve_integer
 from .record import Record
 
 
@@ -130,8 +129,8 @@ def derive_pen6_pairings():
     for fibre, own in ((PEN6_F1, ("Y1", "Z1", "Z2", "W")),
                        (PEN6_F2, ("Y2", "Z1", "Z2", "W"))):
         for comp in own:
-            row = [Fraction(0)] * len(unknowns)
-            const = Fraction(0)
+            row = [0] * len(unknowns)
+            const = 0
             for i, label in enumerate(PEN6_LABELS):
                 if fibre[i] == 0:
                     continue
@@ -142,13 +141,7 @@ def derive_pen6_pairings():
                     row[k] += fibre[i]
             rows.append(row)
             rhs.append(-const)
-    sol = solve_unique(rows, rhs)
-    out = {}
-    for pair, value in zip(unknowns, sol):
-        if value.denominator != 1:
-            raise ValueError("pen6 pairing solution is not integral")
-        out[pair] = int(value)
-    return out
+    return dict(zip(unknowns, solve_integer(rows, rhs)))
 
 
 def pen6_lattice():

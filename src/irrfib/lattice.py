@@ -147,14 +147,10 @@ class SublatticeEmbedding(Record):
         if sum(1 for x in diagonal(d) if x != 0) != self.sub.rank:
             raise ValueError("matrix must have full column rank")
 
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
-
 def _require_square_full_rank(e):
     if e.ambient.rank != e.sub.rank:
         raise DegenerateEmbedding("embedding is not square")
-    det = determinant(e.rows())
+    det = determinant(e.matrix)
     if det == 0:
         raise DegenerateEmbedding("embedding matrix is singular")
     return det
@@ -206,7 +202,7 @@ def quotient_group(e):
     invariant factors.
     """
     _require_square_full_rank(e)
-    _, d, v = smith_normal_form(e.rows())
+    _, d, v = smith_normal_form(e.matrix)
     pairs = sorted((di, tuple(x % di for x in col))
                    for di, col in zip(diagonal(d), transpose(v)) if di > 1)
     return FiniteAbelianGroup(

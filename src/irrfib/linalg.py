@@ -1,12 +1,13 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines.
 
-Everything here is plain lists-of-lists over int or Fraction. The Smith
-normal form returns the transforms (U, D, V) with U*M*V = D, which the
-quotient-group and kernel computations need; the pivot rule is deterministic
-(smallest absolute value, ties row-major) so outputs are reproducible.
+Everything here is plain lists-of-lists (or tuples of tuples) over int; a
+routine copies its input or only reads it. The Smith normal form returns the
+transforms (U, D, V) with U*M*V = D, which the quotient-group, kernel and
+linear-system computations need; the pivot rule is deterministic (smallest
+absolute value, ties row-major) so outputs are reproducible.
 """
 
-from fractions import Fraction
+from operator import mul
 
 
 def identity_matrix(n):
@@ -51,40 +52,6 @@ def determinant(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def solve_unique(a, b):
-    """Unique exact solution of a (possibly overdetermined) consistent system.
-
-    Returns the Fraction vector x with a*x = b, or raises ValueError if the
-    system is inconsistent or underdetermined.
-    """
-    rows = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    ncols = len(a[0]) if a else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    if rank < ncols:
-        raise ValueError("underdetermined system")
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            raise ValueError("inconsistent system")
-    # after full reduction the first ncols rows are a permuted identity
-    sol = [Fraction(0)] * ncols
-    for r in range(rank):
-        col = next(c for c in range(ncols) if rows[r][c] != 0)
-        sol[col] = rows[r][ncols]
-    return sol
 
 
 def _min_pivot(a, t, nr, nc):
@@ -184,6 +151,23 @@ def smith_normal_form(m):
 
 def diagonal(m):
     return [m[i][i] for i in range(min(len(m), len(m[0]) if m else 0))]
+
+
+def solve_integer(a, b):
+    """The unique integer x with a*x = b, for a of full column rank.
+
+    With U*A*V = D, x = V*y where D*y = U*b: each (U*b)_i past the rank must
+    be 0, and each before it divisible by d_i. Raises ValueError if the
+    system is rank deficient or has no integer solution.
+    """
+    u, d, v = smith_normal_form(a)
+    diag, ub = diagonal(d), [sum(map(mul, row, b)) for row in u]
+    if len(diag) < len(v) or 0 in diag:
+        raise ValueError("rank-deficient system")
+    if any(ub[len(diag):]) or any(c % di for c, di in zip(ub, diag)):
+        raise ValueError("no integer solution")
+    y = [c // di for c, di in zip(ub, diag)]
+    return [sum(map(mul, row, y)) for row in v]
 
 
 def integer_kernel_basis(m):

@@ -34,13 +34,6 @@ class AlternatingForm(Record):
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise ValueError("matrix must be skew-symmetric")
 
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
-    def scaled(self, k):
-        return AlternatingForm(self.lattice,
-                               tuple(tuple(k * x for x in row) for row in self.matrix))
-
 
 class PolarizationType(Record):
     d1: int
@@ -57,8 +50,8 @@ class PolarizationType(Record):
 def restrict_form(f, e):
     if f.lattice != e.ambient:
         raise IncompatibleLattice("form does not live on the ambient lattice")
-    m = e.rows()
-    restricted = mat_mul(mat_mul(transpose(m), f.rows()), m)
+    m = e.matrix
+    restricted = mat_mul(mat_mul(transpose(m), f.matrix), m)
     return AlternatingForm(e.sub, tuple(tuple(row) for row in restricted))
 
 
@@ -70,9 +63,9 @@ def polarization_type(f):
     """
     if f.lattice.rank != 4:
         raise InvalidRank("polarization type is defined for rank 4")
-    if determinant(f.rows()) == 0:
+    if determinant(f.matrix) == 0:
         raise DegenerateForm("form is degenerate")
-    _, d, _ = smith_normal_form(f.rows())
+    _, d, _ = smith_normal_form(f.matrix)
     diag = diagonal(d)
     return PolarizationType(diag[0], diag[2])
 
@@ -93,7 +86,7 @@ def kernel_K_L(f):
     has matrix f^T in the basis dual to f, so the quotient machinery applies
     directly and the generators come back in lattice coordinates.
     """
-    if determinant(f.rows()) == 0:
+    if determinant(f.matrix) == 0:
         raise DegenerateForm("form is degenerate")
     dual = Lattice(f.lattice.rank,
                    tuple(label + "*" for label in f.lattice.basis_labels))
@@ -127,7 +120,7 @@ def phi_L_fibres(f, n):
 
 def phi_two_torsion_data(f):
     """(kernel, image) of phi_L on the 2-torsion points."""
-    if determinant(f.rows()) == 0:
+    if determinant(f.matrix) == 0:
         raise DegenerateForm("form is degenerate")
     fibres = phi_L_fibres(f, 2)
     return set(fibres[trivial_character(f.lattice)]), set(fibres)

@@ -4,12 +4,11 @@ A Record subclass declares its fields as annotations, in order; a value in
 the class body is the field's default. The fields are read once, when the
 subclass is created, and all subclasses share one constructor (which ends
 by calling the __post_init__ hook), equality and hashing over the compared
-fields, and repr. Unless declared with frozen=False, a record refuses
-assignment and deletion, and keeps its hash once computed: the generic
-methods are slower than generated ones, and the kept hash more than pays
-for that. dataclasses generates them instead, compiling code for every
-class and importing inspect, which was about half the cost of
-`import irrfib.cli`.
+fields, and repr. A record refuses assignment and deletion, and keeps its
+hash once computed: the generic methods are slower than generated ones, and
+the kept hash more than pays for that. dataclasses generates them instead,
+compiling code for every class and importing inspect, which was about half
+the cost of `import irrfib.cli`.
 
 The JSON form of a value is written here once. encode() turns it into plain
 JSON types, rationals as "p/q" strings, and a record's to_json() is the dict
@@ -48,23 +47,21 @@ class FrozenRecordError(AttributeError):
 
 
 class field:
-    """A default built per instance by default_factory, or a field that
-    compare=False keeps out of equality and hashing."""
+    """A field that compare=False keeps out of equality and hashing."""
 
-    __slots__ = ("default", "default_factory", "compare")
+    __slots__ = ("default", "compare")
 
-    def __init__(self, *, default=_MISSING, default_factory=None, compare=True):
+    def __init__(self, *, default=_MISSING, compare=True):
         self.default = default
-        self.default_factory = default_factory
         self.compare = compare
 
 
 class Record:
     _fields = ()     # field names, in declaration order
-    _defaults = {}   # field name -> default value, or a field with a factory
+    _defaults = {}   # field name -> default value
     _compared = ()   # the fields not declared with compare=False
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults, compared = {}, []
@@ -72,16 +69,12 @@ class Record:
             default = cls.__dict__.get(name, _MISSING)
             if not isinstance(default, field) or default.compare:
                 compared.append(name)
-            if isinstance(default, field) and default.default_factory is None:
+            if isinstance(default, field):
                 default = default.default
             if default is not _MISSING:
                 cls._defaults[name] = default
         cls._compared = tuple(compared)
         cls._key = attrgetter(*compared)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -96,9 +89,7 @@ class Record:
             if name not in self._defaults:
                 raise TypeError("%s() is missing argument %r"
                                 % (type(self).__name__, name))
-            default = self._defaults[name]
-            values[name] = (default.default_factory()
-                            if isinstance(default, field) else default)
+            values[name] = self._defaults[name]
         self.__dict__.update(values)
         self.__post_init__()
 

@@ -7,7 +7,7 @@ gives identical output.
 
 import json
 
-from .record import Record, encode, field
+from .record import Record, encode
 
 
 class Check(Record):
@@ -23,11 +23,10 @@ class Check(Record):
         return {**super().to_json(), "pass": self.passed}
 
 
-class Report(Record, frozen=False):
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+class Report:
+    def __init__(self, command, inputs=None):
+        self.command, self.inputs = command, {} if inputs is None else inputs
+        self.results, self.checks = {}, []
 
     def check(self, name, expected, actual):
         self.checks.append(Check(name, expected, actual))
@@ -35,6 +34,9 @@ class Report(Record, frozen=False):
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
+
+    def to_json(self):
+        return encode(vars(self))
 
 
 def _dumps(value):

@@ -119,7 +119,7 @@ def _factor_period_kernels(s):
     the second factor, so its period lattice is the integer kernel of the
     (lambda2, mu2) rows of the embedding matrix; symmetrically for the other.
     """
-    rows = s.embedding.rows()
+    rows = s.embedding.matrix
     to_first = integer_kernel_basis([rows[1], rows[3]])
     to_second = integer_kernel_basis([rows[0], rows[2]])
     return tuple(map(tuple, to_first)), tuple(map(tuple, to_second))

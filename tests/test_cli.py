@@ -365,7 +365,8 @@ def test_failing_derivation_is_a_failed_check(capsys, monkeypatch):
 
 # An argv grammar for the fuzz test: every subcommand and flag, each value
 # drawn from a pair (valid texts, malformed texts), valid three times in four.
-_INTS = (("0", "1", "2", "3", "7", "-1", "-4", "10", "9" * 25),
+# "9" * 2200 parses, but some results from it are too long for str()
+_INTS = (("0", "1", "2", "3", "7", "-1", "-4", "10", "9" * 25, "9" * 2200),
          ("", "x", "1.5", "1/2", "1e3", "--"))
 _CHARACTERS = (("trivial", "chiA1", "chiA2*chiA5", "eps3", "chiB1",
                 "0,0,1/4,0", "1/2,0,0,0", "0,0,0,0", "1/4,1/4,1/4,1/4"),
@@ -485,6 +486,34 @@ def test_classify_sweep_refuses_a_twist(capsys):
 def test_an_empty_or_misplaced_twist_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "") and "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "pen-1", "--n", "5"), ("example", "family-fn", "--Q", "chiA1"),
+    ("intersect", "--class", "2,2,2,2,1", "--class", "3,0,2,1,1", "--m", "7"),
+    ("intersect", "--pq", "1,2", "--pq", "1,0", "--fixture", "x.json"),
+    ("bundle", "h0", "--g", "3", "--r", "1", "--torsion", "1/3,0",
+     "--q", "1/2,0")])
+def test_a_flag_that_does_not_apply_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "") and "usage error" in err
+
+
+_LONG = "9" * 2200  # its square and beyond exceed str()'s 4300 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length")
+@pytest.mark.parametrize("argv", [
+    ("family-fn", "--n", _LONG), ("example", "family-fn", "--n", _LONG),
+    ("slope", "--k2", "1", "--chi", "1", "--gc", _LONG, "--gf", _LONG),
+    ("intersect", "--pq", "1," + _LONG, "--pq", _LONG + ",1"),
+    ("intersect", "--class", "1,0,0,0," + _LONG,
+     "--class", "0,0,0,0," + _LONG)], ids=lambda argv: " ".join(argv[:2]))
+def test_a_result_too_long_to_print_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
 
 
 # --- the command table: the exact parser against argparse -----------------

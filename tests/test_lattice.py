@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,7 @@ from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                             quotient_group, reduce_mod1, sublattice_index,
                             torsion_subgroup)
 from irrfib.linalg import (determinant, integer_kernel_basis, mat_mul,
-                           smith_normal_form, solve_unique)
+                           smith_normal_form, solve_integer)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
                           reference_lattice_b)
 
@@ -39,35 +40,44 @@ def test_determinant_against_cofactor_expansion():
         assert determinant(m) == _det_cofactor(m)
 
 
-def test_solve_unique_round_trip():
+def _full_column_rank(m):
+    # independent of the Smith form: some maximal square minor is nonzero
+    nc = len(m[0])
+    return any(determinant([m[i] for i in rows])
+               for rows in combinations(range(len(m)), nc))
+
+
+def test_solve_integer_round_trip():
+    """b = M*x for random integer M, square and overdetermined: a full
+    column rank M gives exactly x back, any other M is refused."""
     rng = random.Random(12)
-    seen_invertible = 0
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = _random_matrix(rng, n, n, 5)
-        units = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-        if determinant(m) == 0:
+    solved = {0: 0, 1: 0}
+    for _ in range(120):
+        nc = rng.randint(1, 4)
+        extra = rng.choice((0, rng.randint(1, 3)))
+        m = _random_matrix(rng, nc + extra, nc, 5)
+        x = [rng.randint(-30, 30) for _ in range(nc)]
+        b = [sum(a * c for a, c in zip(row, x)) for row in m]
+        if not _full_column_rank(m):
             with pytest.raises(ValueError):
-                solve_unique(m, units[0])
+                solve_integer(m, b)
             continue
-        seen_invertible += 1
-        # the solutions for the unit vectors are the columns of the inverse
-        inv = [list(col) for col in zip(*(solve_unique(m, e) for e in units))]
-        prod = mat_mul(m, inv)
-        assert all(prod[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
-    assert seen_invertible > 30
+        assert solve_integer(m, b) == x
+        solved[extra > 0] += 1
+    assert min(solved.values()) > 30
 
 
-def test_solve_unique_overdetermined():
-    # 3 equations, 2 unknowns, consistent
+def test_solve_integer_refusals():
+    with pytest.raises(ValueError, match="rank-deficient"):
+        solve_integer([[1, 2], [2, 4]], [3, 6])
+    with pytest.raises(ValueError, match="rank-deficient"):
+        solve_integer([[1, 1]], [1])  # underdetermined
     a = [[1, 0], [0, 1], [1, 1]]
-    b = [Fraction(2), Fraction(3), Fraction(5)]
-    assert solve_unique(a, b) == [Fraction(2), Fraction(3)]
-    with pytest.raises(ValueError):
-        solve_unique(a, [Fraction(2), Fraction(3), Fraction(6)])
-    with pytest.raises(ValueError):
-        solve_unique([[1, 1]], [Fraction(1)])  # underdetermined
+    assert solve_integer(a, [2, 3, 5]) == [2, 3]
+    with pytest.raises(ValueError, match="no integer solution"):
+        solve_integer(a, [2, 3, 6])  # inconsistent
+    with pytest.raises(ValueError, match="no integer solution"):
+        solve_integer([[2]], [1])  # solvable over Q only
 
 
 def test_smith_normal_form_random_properties():
@@ -128,7 +138,7 @@ def test_ragged_matrices_rejected():
 
 def test_smith_normal_form_reference_embedding():
     e = reference_embedding()
-    _, d, _ = smith_normal_form(e.rows())
+    _, d, _ = smith_normal_form(e.matrix)
     assert [d[i][i] for i in range(4)] == [1, 1, 1, 2]
 
 

@@ -72,7 +72,10 @@ def test_restrict_form_lattice_guard():
 def test_polarization_types():
     assert polarization_type(reference_form_b()) == PolarizationType(1, 1)
     assert polarization_type(_restricted_form()) == PolarizationType(1, 2)
-    assert polarization_type(reference_form_b().scaled(2)) == PolarizationType(2, 2)
+    fb = reference_form_b()
+    doubled = AlternatingForm(fb.lattice,
+                              tuple(tuple(2 * x for x in r) for r in fb.matrix))
+    assert polarization_type(doubled) == PolarizationType(2, 2)
 
 
 def test_polarization_type_rank_guard():

@@ -11,8 +11,8 @@ from irrfib.errors import IncompatibleLattice, InvalidTwist
 from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                             torsion_subgroup)
 from irrfib.linalg import determinant, mat_mul
-from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
-                                 restrict_form)
+from irrfib.polarization import (AlternatingForm, kernel_K_L,
+                                 phi_two_torsion_data, restrict_form)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, ProductPoint,
                           SpecialAbelianSurface, _origin_cases_on_grid,
@@ -72,8 +72,10 @@ def _square_roots(chi):
 def test_surface_validation():
     e = reference_embedding()
     fb = reference_form_b()
+    doubled = AlternatingForm(fb.lattice,
+                              tuple(tuple(2 * x for x in r) for r in fb.matrix))
     with pytest.raises(ValueError):
-        SpecialAbelianSurface(e, fb, restrict_form(fb.scaled(2), e))
+        SpecialAbelianSurface(e, fb, restrict_form(doubled, e))
     from irrfib.lattice import SublatticeEmbedding
     identity = SublatticeEmbedding(
         reference_lattice_b(), reference_lattice_a(),
@@ -313,7 +315,7 @@ def moved_surface(seed):
     assert abs(determinant(g)) == 1
     e = reference_embedding()
     moved = SublatticeEmbedding(e.ambient, Lattice(4, ("g1", "g2", "g3", "g4")),
-                                mat_mul(e.rows(), g))
+                                mat_mul(e.matrix, g))
     fb = reference_form_b()
     return SpecialAbelianSurface(moved, fb, restrict_form(fb, moved))
 
