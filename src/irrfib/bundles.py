@@ -7,7 +7,6 @@ of (Q/Z)^2, optionally extended by free formal generators so that a
 "general point p" can be manipulated exactly.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import (ContradictsXiao, InvalidRank, InvalidShape,
@@ -21,7 +20,7 @@ class EllipticPoint(Record):
     free: tuple = ()  # ((generator name, integer coefficient), ...)
 
     def __post_init__(self):
-        coords = tuple(reduce_mod1(Fraction(c)) for c in self.coords)
+        coords = tuple(reduce_mod1(c) for c in self.coords)
         if len(coords) != 2:
             raise ValueError("a curve point has two lattice coordinates")
         merged = {}

@@ -18,9 +18,8 @@ from .intersection import (DivisorClass, IntersectionLattice, KernelCurve,
                            degree_vs_product_polarization, dot, kernel_dot,
                            kernel_dot_oracle, nef_violation_certificate,
                            pen6_lattice)
-from .invariants import (genus_bound_rank_one, isotriviality_obstruction,
-                         isotrivial_examples, nonisotrivial_examples, slope,
-                         unbounded_family)
+from .invariants import (example_record, genus_bound_rank_one,
+                         isotriviality_obstruction, slope, unbounded_family)
 from .lattice import parse_rational, sublattice_index
 from .polarization import kernel_K_L, phi_two_torsion_data, polarization_type
 from .report import Report, render
@@ -91,7 +90,7 @@ def cmd_appendix(args):
     rep.check("polarization kernel invariant factors", [2, 2],
               list(kl.invariant_factors))
     rep.check("polarization kernel points", [list(p) for p in _KL_POINTS],
-              [[str(c) for c in x.coords] for x in kl.elements()])
+              [x.texts() for x in kl.elements()])
 
     rep.check("restriction kernel", ["chiB1*chiB4", "trivial"],
               sorted(display_name(c) for c in kernel_of_restriction(e, 2)))
@@ -109,7 +108,7 @@ def cmd_appendix(args):
     rep.check("two-torsion image", _IMAGE_NAMES,
               sorted(display_name(c) for c in image2))
     rep.check("two-torsion kernel points", [list(p) for p in _KL_POINTS],
-              sorted([str(c) for c in x.coords] for x in kernel2))
+              sorted(x.texts() for x in kernel2))
 
     sweep = classification_sweep(s)
     rep.results["admissible_pairs"] = len(sweep.rows)
@@ -156,8 +155,7 @@ def cmd_example(args):
     if args.n is not None:
         raise UsageError("--n only applies to family-fn")
     rep = Report("example %s" % ex_id, inputs={"id": ex_id})
-    table = {e.id: e for e in isotrivial_examples() + nonisotrivial_examples()}
-    record = table[ex_id]
+    record = example_record(ex_id)
     rep.results["record"] = record
     rep.check("chi", 1, record.invariants.chi)
     rep.checks.extend(record.checks)

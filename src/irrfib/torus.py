@@ -85,6 +85,14 @@ def psi_image(s, x):
     return ProductPoint((b[0], b[2]), (b[1], b[3]))
 
 
+# every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
+_CASE_SETS = tuple(frozenset(c for c in range(1, 5) if mask >> (c - 1) & 1)
+                   for mask in range(16))
+# the cases whose component lies over the second, or the first, factor
+_SECOND_SIDE = frozenset((1, 2))
+_FIRST_SIDE = frozenset((3, 4))
+
+
 def _origin_cases(n, e1, e2):
     """The lemma's four cases, from the two factor coordinates of psi(x).
 
@@ -92,8 +100,8 @@ def _origin_cases(n, e1, e2):
     of tau_i and 1; the half-period tau_i/2 is (n // 2, 0) when n is even.
     """
     half = (n // 2, 0) if n % 2 == 0 else None
-    hits = (e2 == (0, 0), e2 == half, e1 == (0, 0), e1 == half)
-    return frozenset(case for case, hit in enumerate(hits, 1) if hit)
+    return _CASE_SETS[(e2 == (0, 0)) | (e2 == half) << 1
+                      | (e1 == (0, 0)) << 2 | (e1 == half) << 3]
 
 
 def reducible_through_origin(y):
@@ -171,7 +179,7 @@ def _origin_cases_on_grid(s, x, n):
     x is an n-torsion point: over the denominator n it has numerators k,
     and psi(x) has numerators E*k mod n, E the embedding matrix.
     """
-    k = x.nums_over(n)
+    k = x.nums if x.n == n else x.nums_over(n)
     b = [sum(map(mul, row, k)) % n for row in s.embedding.matrix]
     return _origin_cases(n, (b[0], b[2]), (b[1], b[3]))
 
@@ -185,8 +193,8 @@ def classify_origin_singularity_oracle(s, Q, Qhalf):
     saw_side = False
     for x in translation_points_for_twist(s, Qhalf, 4):
         cases = _origin_cases_on_grid(s, x, 4)
-        second_side = bool(cases & {1, 2})
-        first_side = bool(cases & {3, 4})
+        second_side = not _SECOND_SIDE.isdisjoint(cases)
+        first_side = not _FIRST_SIDE.isdisjoint(cases)
         if second_side and first_side:
             return SINGULARITY_NODE
         saw_side = saw_side or second_side or first_side
@@ -267,8 +275,8 @@ def classification_report(s, Q, Qhalf):
     witnesses = [x for x in phi_L_fibres(s.form_A, 4).get(Qhalf, ())
                  if _origin_cases_on_grid(s, x, 4)]
     return {
-        "Q": Q.values,
-        "Qhalf": Qhalf.values,
+        "Q": Q.texts(),
+        "Qhalf": Qhalf.texts(),
         "singularity": closed,
         "singularity_oracle": oracle,
         "rf_pair": list(rf_pair(closed)),
@@ -332,7 +340,7 @@ def character_name(chi):
 
 def display_name(chi):
     """Table name of chi, or its comma-joined values when it has none."""
-    return character_name(chi) or ",".join(str(v) for v in chi.values)
+    return character_name(chi) or ",".join(chi.texts())
 
 
 def parse_character(text, lattice):

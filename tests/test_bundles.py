@@ -159,6 +159,13 @@ def test_omega_twisted_shape_guard():
         h0_omega_twisted_minus_fibre(
             atiyah_bundle(2, generic_point("p")), elliptic_origin(),
             elliptic_origin())
+    # one trivial summand and one ample part, but a flat summand of rank 2
+    rank_two_flat = BundleDecomposition((
+        IndecomposableBundle(1, 0, elliptic_origin()),
+        atiyah_bundle(1, generic_point("p")),
+        IndecomposableBundle(2, 0, elliptic_origin())))
+    with pytest.raises(InvalidShape, match="not a pushforward normal form"):
+        jump_h1(rank_two_flat, elliptic_origin())
 
 
 def test_ample_part_is_line():
@@ -187,6 +194,7 @@ def test_jump_h1():
 def test_xiao_structure():
     shape = xiao_structure(3, 4, 2, 1)
     assert shape == XiaoShape(1, 2, 1)
+    assert xiao_structure(2, 4, 2, 1) == XiaoShape(1, 1, 1)  # least genus
     assert xiao_structure(5, 4, 2, 1).semistable_rank == 4
     with pytest.raises(NotApplicable):
         xiao_structure(3, Fraction(7, 2), 2, 1)

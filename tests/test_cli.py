@@ -190,6 +190,7 @@ def test_intersect_with_fixture_file(capsys, tmp_path):
         '{"basis_labels": "ab", "gram": [[0, 1], [1, 0]]}',
         '{"basis_labels": ["a", "a"], "gram": [[0, 1], [1, 0]]}',
         '{"basis_labels": ["a", 2], "gram": [[0, 1], [1, 0]]}',
+        '{"basis_labels": ["a", "b", "c"], "gram": [[0, 1, 0], [1, 0, 0]]}',
     ]
     for text in bad:
         fixture.write_text(text)
@@ -216,6 +217,10 @@ def test_bundle_cohomology(capsys):
     code, doc, _ = run_json(capsys, "bundle", "h1", "--g", "3", "--r", "1",
                             "--torsion", "1/3,0")
     assert doc["results"]["h1"] == 1
+    # the least fibre genus: O plus the degree-1 line bundle at p
+    code, doc, _ = run_json(capsys, "bundle", "h0", "--g", "2", "--r", "1")
+    assert code == 0
+    assert doc["results"]["h0"] == 2
 
 
 def test_bundle_jump(capsys):
@@ -694,6 +699,19 @@ def test_well_formed_commands_import_no_argparse():
     assert _run("import irrfib.cli, sys; print(sorted(%s & set(sys.modules)))"
                 % names) == "[]\n"
     for argv in (["appendix", "--json"], ["classify", "--sweep"], [*SLOPE]):
+        out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
+                   "print(sorted(%s & set(sys.modules)))" % (argv, names))
+        assert out.endswith("\n[]\n"), argv
+
+
+def test_verify_and_oracle_commands_import_no_fractions():
+    # fractions costs ~3 ms and ~0.6 MB per process through decimal; these
+    # commands print only integers and grid coordinates
+    names = "{'fractions', 'decimal'}"
+    assert _run("import irrfib.cli, sys; print(sorted(%s & set(sys.modules)))"
+                % names) == "[]\n"
+    for argv in (["appendix", "--json"], ["classify", "--sweep"],
+                 ["intersect", "--pq=1,2", "--pq=3,-4", "--m", "50"]):
         out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
                    "print(sorted(%s & set(sys.modules)))" % (argv, names))
         assert out.endswith("\n[]\n"), argv

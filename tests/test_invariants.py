@@ -7,7 +7,7 @@ from irrfib.invariants import (ExampleSurface, FibrationRecord,
                                NO_OBSTRUCTION, NOT_ISOTRIVIAL,
                                NOT_ISOTRIVIAL_IF_NOT_ISOGENOUS,
                                SurfaceInvariants, albanese_base_check,
-                               double_cover_fibre_genus,
+                               double_cover_fibre_genus, example_record,
                                genus_bound_rank_one, isotrivial_examples,
                                isotriviality_obstruction,
                                nonisotrivial_examples, slope,
@@ -112,6 +112,11 @@ def test_unbounded_family():
 def test_isotrivial_database():
     surfaces = {s.id: s for s in isotrivial_examples()}
     assert set(surfaces) == {"pen-1", "pen-4", "pen-5", "pen-6"}
+    # each record is built alone by id, and an unknown id is refused
+    for sid, s in surfaces.items():
+        assert example_record(sid) == s
+    with pytest.raises(ValueError):
+        example_record("pen-9")
     k2 = {sid: s.invariants.K2 for sid, s in surfaces.items()}
     assert k2 == {"pen-1": 8, "pen-4": 4, "pen-5": 4, "pen-6": 5}
     orders = {sid: s.fibrations[0].group_order for sid, s in surfaces.items()}

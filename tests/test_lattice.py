@@ -136,6 +136,15 @@ def test_ragged_matrices_rejected():
         smith_normal_form(ragged)
 
 
+def test_one_row_and_empty_matrices():
+    assert smith_normal_form([[2, 4]]) == ([[1]], [[2, 0]], [[1, -2], [0, 1]])
+    assert integer_kernel_basis([[1, 2]]) == [[-2, 1]]
+    assert integer_kernel_basis([[2, 4, 6]]) == [[-2, 1, 0], [-3, 0, 1]]
+    assert determinant([]) == 1
+    assert mat_mul([], [[1]]) == []
+    assert mat_mul([[1, 2]], []) == []
+
+
 def test_smith_normal_form_reference_embedding():
     e = reference_embedding()
     _, d, _ = smith_normal_form(e.matrix)
@@ -168,6 +177,7 @@ def test_lattice_validation():
         Lattice(3, ("a", "b"))  # label count mismatch
     with pytest.raises(ValueError):
         Lattice(0, ())
+    assert Lattice(1, ("x",)).rank == 1
 
 
 def test_torsion_point_arithmetic():
@@ -190,6 +200,11 @@ def test_embedding_validation_and_index():
         SublatticeEmbedding(reference_lattice_b(), reference_lattice_a(),
                             ((1, 0, 0, 0), (0, 1, 0, 0),
                              (0, 0, 0, 0), (0, 0, 0, 0)))  # rank 2 only
+    # a wrong row count alone, and a wrong row length alone, are refused
+    amb, sub = Lattice(2, ("a", "b")), Lattice(1, ("u",))
+    for matrix in (((1,),), ((1, 0), (0, 1))):
+        with pytest.raises(ValueError, match="ambient.rank x sub.rank"):
+            SublatticeEmbedding(amb, sub, matrix)
 
 
 def test_sublattice_index_requires_square():

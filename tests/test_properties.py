@@ -1,5 +1,6 @@
 """Property tests: the Smith form, K(L), the polarization type, the phi_L
-fibres and reduction mod 1, on generated inputs.
+fibres, reduction mod 1 and the printed grid coordinates, on generated
+inputs.
 
 Examples are derandomized and not stored, so every run tests the same ones.
 The module is skipped when hypothesis is not installed.
@@ -14,7 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrfib.lattice import Lattice, reduce_mod1
+from irrfib.characters import Character
+from irrfib.lattice import Lattice, TorsionPoint, reduce_mod1
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
 from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_fibres,
                                  polarization_type)
@@ -121,3 +123,21 @@ def test_reduce_mod1(x):
     if 0 <= x < 1:
         assert r == x
     assert reduce_mod1(r) == r
+
+
+@st.composite
+def grid_elements(draw):
+    """An order n and four numerators in [0, n)."""
+    n = draw(st.integers(1, 60))
+    return n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=4,
+                                  max_size=4)))
+
+
+@settings(bounded, max_examples=100)
+@given(grid_elements(), st.sampled_from((TorsionPoint, Character)))
+def test_texts_print_the_fraction_views(grid, cls):
+    n, nums = grid
+    x = cls.from_grid(n, nums, lattice=LATTICE)
+    view = x.coords if cls is TorsionPoint else x.values
+    assert x.texts() == [str(c) for c in view]
+    assert x.texts() == [str(Fraction(k, n)) for k in nums]
