@@ -27,10 +27,10 @@ from .intersection import (DivisorClass, IntersectionLattice, KernelCurve,
                            kernel_dot_oracle, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
 from .invariants import (ExampleSurface, FibrationRecord, SurfaceInvariants,
-                         albanese_base_check, double_cover_fibre_genus,
-                         example_record, genus_bound_rank_one,
-                         isotrivial_examples, isotriviality_obstruction,
-                         nonisotrivial_examples, slope, unbounded_family)
+                         double_cover_fibre_genus, example_record,
+                         genus_bound_rank_one, isotrivial_examples,
+                         isotriviality_obstruction, nonisotrivial_examples,
+                         slope, unbounded_family)
 from .lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                       TorsionPoint, origin, quotient_group, sublattice_index,
                       torsion_subgroup)

@@ -3,10 +3,14 @@
 Every subcommand emits a Report: echoed inputs, results, and a list of
 named checks. Exit status: 0 all checks pass, 2 a check failed, 64 usage
 error, 65 domain error (the raising error class is printed).
+
+The command line is the table COMMANDS, which parse_argv alone reads as
+argparse would, but refusing abbreviated flags and a bare "--".
 """
 
 import json
 import os
+import re
 import sys
 from types import SimpleNamespace
 
@@ -23,7 +27,9 @@ from .invariants import (example_record, genus_bound_rank_one,
 from .lattice import parse_rational, sublattice_index
 from .polarization import kernel_K_L, phi_two_torsion_data, polarization_type
 from .report import Report, render
-from .torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
+from .torus import (REFERENCE_EXTENDABLE_NAMES, REFERENCE_IMAGE_NAMES,
+                    REFERENCE_KL_POINTS, REFERENCE_MODULI_ROWS,
+                    REFERENCE_NEW_NAMES, REFERENCE_VERDICT_COUNTS,
                     build_reference_surface, classification_report,
                     classification_sweep, display_name, parse_character,
                     reference_lattice_a, rf_pair)
@@ -31,14 +37,10 @@ from .torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
 EXAMPLE_IDS = ("pen-1", "pen-4", "pen-5", "pen-6",
                "k26-d2", "k5-3", "k6-4", "family-fn")
 
-_KL_POINTS = (("0", "0", "0", "0"), ("0", "0", "0", "1/2"),
-              ("0", "1/2", "0", "0"), ("0", "1/2", "0", "1/2"))
-_EXTENDABLE_NAMES = sorted(("trivial", "chiA1", "chiA2", "chiA3", "chiA5",
-                            "chiA1*chiA5", "chiA2*chiA5", "chiA3*chiA5"))
-_NEW_NAMES = tuple("eps%d" % i for i in range(1, 9))
-_IMAGE_NAMES = sorted(("trivial", "chiA1", "chiA2*chiA5", "chiA3*chiA5"))
 # the oracle tests every cell of (Z/m)^2; the cap keeps its cost bounded
 MAX_ORACLE_MODULUS = 64
+# a --spec or --fixture file is read to at most this many bytes
+MAX_FILE_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -89,25 +91,25 @@ def cmd_appendix(args):
     kl = kernel_K_L(s.form_A)
     rep.check("polarization kernel invariant factors", [2, 2],
               list(kl.invariant_factors))
-    rep.check("polarization kernel points", [list(p) for p in _KL_POINTS],
+    rep.check("polarization kernel points", REFERENCE_KL_POINTS,
               [x.texts() for x in kl.elements()])
 
     rep.check("restriction kernel", ["chiB1*chiB4", "trivial"],
               sorted(display_name(c) for c in kernel_of_restriction(e, 2)))
 
     extendable, new = two_torsion_character_tables(e)
-    expected_new = sorted(_NEW_NAMES)
+    expected_new = sorted(REFERENCE_NEW_NAMES)
     if args.corrupt:
         expected_new = expected_new[:-1] + ["eps8-corrupted"]
-    rep.check("extendable character table", _EXTENDABLE_NAMES,
+    rep.check("extendable character table", REFERENCE_EXTENDABLE_NAMES,
               sorted(display_name(c) for c in extendable))
     rep.check("new character table", expected_new,
               sorted(display_name(c) for c in new))
 
     kernel2, image2 = phi_two_torsion_data(s.form_A)
-    rep.check("two-torsion image", _IMAGE_NAMES,
+    rep.check("two-torsion image", REFERENCE_IMAGE_NAMES,
               sorted(display_name(c) for c in image2))
-    rep.check("two-torsion kernel points", [list(p) for p in _KL_POINTS],
+    rep.check("two-torsion kernel points", REFERENCE_KL_POINTS,
               sorted(x.texts() for x in kernel2))
 
     sweep = classification_sweep(s)
@@ -208,12 +210,19 @@ def cmd_bounds(args):
     return rep
 
 
+def _read_json(path):
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError("%s is longer than %d bytes" % (path, MAX_FILE_BYTES))
+    return json.loads(data)
+
+
 def _load_lattice(fixture):
     if fixture in (None, "pen6"):
         return pen6_lattice()
     try:
-        with open(fixture) as handle:
-            data = json.load(handle)
+        data = _read_json(fixture)
         if not isinstance(data["basis_labels"], list):
             raise ValueError("basis_labels must be a list")
         return IntersectionLattice(data["basis_labels"], data["gram"])
@@ -259,12 +268,9 @@ def cmd_intersect(args):
 def _bundle_spec(args):
     spec = {}
     if args.spec:
-        text = args.spec
         try:
-            if not text.lstrip().startswith("{"):
-                with open(text) as handle:
-                    text = handle.read()
-            spec = json.loads(text)
+            spec = (json.loads(args.spec) if args.spec.lstrip().startswith("{")
+                    else _read_json(args.spec))
         except (OSError, ValueError) as exc:
             raise UsageError("cannot load bundle spec: %s" % exc)
         if not isinstance(spec, dict):
@@ -333,8 +339,8 @@ def _arg(name, **kwargs):
     return name, kwargs
 
 
-# The command line, declared once and read by both parsers: per command,
-# its handler's name (so a rebound handler is called), help and arguments.
+# The command line, declared once: per command, its handler's name (so a
+# rebound handler is called), help and arguments.
 COMMANDS = {
     "appendix": ("cmd_appendix", "run the full reference-surface verification",
                  (_arg("--corrupt", action="store_true", default=False, help=
@@ -360,8 +366,8 @@ COMMANDS = {
              "--pq), at most %d" % MAX_ORACLE_MODULUS),
         _arg("--class", dest="cls", action="append",
              help="divisor class coefficients 'a,b,...' (give twice)"),
-        _arg("--fixture", help="path to a JSON lattice fixture "
-             "({basis_labels, gram}); default: pen6"))),
+        _arg("--fixture", help="path to a JSON {basis_labels, gram}; "
+             "default: pen6"))),
     "bundle": ("cmd_bundle", "pushforward decomposition queries", (
         _arg("action", choices=("h0", "h1", "jump", "r-criterion")),
         _arg("--spec", help="JSON {g, r, p, torsion[]} inline or path"),
@@ -379,95 +385,104 @@ COMMANDS = {
              help="classify every admissible pair"))),
 }
 
-
-def build_parser():
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-            sys.exit(64)
-
-        def _get_values(self, action, arg_strings):
-            # before Python 3.13, argparse strips the "--" of "--chi=--" and
-            # hands the option an empty list instead of reporting no value
-            value = super()._get_values(action, arg_strings)
-            if action.nargs is None and value == []:
-                self.error("argument %s: expected one argument"
-                           % "/".join(action.option_strings))
-            return value
-
-    parser = _Parser(prog="irrfib",
-                     description="Exact invariants of polarized abelian "
-                                 "surfaces and irrational fibrations.")
-    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-    for command, (handler, text, arguments) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        p.add_argument("--json", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="emit the report as canonical JSON")
-        for name, kwargs in arguments:
-            p.add_argument(name, **kwargs)
-        p.set_defaults(handler=globals()[handler])
-    return parser
+# the flags of every command, and of irrfib before the command
+_COMMON = dict((_arg("-h", action="help"), _arg("--help", action="help"),
+                _arg("--json", action="store_true")))
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _parse_exact(argv):
-    """build_parser().parse_args(argv), read from COMMANDS without argparse;
-    None where argparse must answer: help, errors, an unknown or abbreviated
-    flag, a separate value starting with "-" or the value "--" after "=" (which
-    argparse before 3.13 strips), or a single-valued flag given twice."""
-    tokens, json = iter(argv), False
-    command = next(tokens, None)
-    while command == "--json":
-        command, json = next(tokens, None), True
-    if command not in COMMANDS:
-        return None
-    handler, _, arguments = COMMANDS[command]
-    table, seen = dict(arguments), set()
-    # a token without a leading "-" is the value of the positional, if any
-    bare = next((name for name in table if not name.startswith("-")), "-")
-    ns = {kw.get("dest", name): kw.get("default") for name, kw in arguments}
-    ns.update(command=command, handler=globals()[handler], json=json)
+def _is_flag(token, table):
+    """Whether a token is a flag, not a value: as in argparse, "-", negative
+    numbers and tokens with spaces are values, but not -hX or --known=X."""
+    if token[:1] != "-" or token == "-":
+        return False
+    return (token.partition("=")[0] in table or token.startswith("-h")
+            or not _NEGATIVE.match(token) and " " not in token)
+
+
+def parse_argv(argv):
+    """Read argv by COMMANDS, left to right: a command's namespace, or the
+    help text -h/--help asks for. A malformed argv raises UsageError: a bad
+    or missing value at once, an unknown or missing argument at the end."""
+    table = dict(_COMMON, command=dict(choices=COMMANDS))
+    ns, seen, unknown = {"json": False}, set(), []
+    tokens = iter(argv)
     for token in tokens:
-        name, eq, value = (token.partition("=") if token.startswith("-")
-                           else (bare, "=", token))
-        kw = table.get(name, {})
-        action, dest = kw.get("action"), kw.get("dest", name)
-        if token == "--json" or token == name and action == "store_true":
-            ns[kw.get("dest", "json")] = True
+        if _is_flag(token, table):
+            name, eq, value = token.partition("=")
+        else:  # the positional's value, while it is free
+            name = next((n for n in table if n[0] != "-" and n not in seen),
+                        None)
+            eq, value = "=", token
+        kw = table.get(name)
+        if kw is None:
+            unknown.append(token)
             continue
-        value = value if eq else next(tokens, "-")
-        if not kw or action == "store_true" or value == "--" or (
-                value.startswith("-") and not eq) or (
-                name in seen and action != "append"):
-            return None
-        seen.add(name)
+        action, dest = kw.get("action"), kw.get("dest", name)
+        if action in ("help", "store_true"):
+            if eq:
+                raise UsageError("argument %s: takes no value" % name)
+            if action == "help":
+                return _help(ns.get("command"))
+            ns[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "--")
+        if value == "--" or not eq and _is_flag(value, table):
+            raise UsageError("argument %s: expected one argument" % name)
         try:
             value = kw.get("type", str)(value)
         except ValueError:
-            return None
-        if value not in kw.get("choices", (value,)):
-            return None
+            raise UsageError("argument %s: invalid value: %r" % (name, value))
+        choices = kw.get("choices", (value,))
+        if value not in choices:
+            raise UsageError("argument %s: invalid choice: %r (choose from %s)"
+                             % (name, value, ", ".join(map(repr, choices))))
+        seen.add(name)
+        if name == "command":
+            handler, _, arguments = COMMANDS[value]
+            table = {**_COMMON, **dict(arguments)}
+            ns.update({k.get("dest", n): k.get("default")
+                       for n, k in arguments}, handler=globals()[handler])
         ns[dest] = (ns[dest] or []) + [value] if action == "append" else value
-    if any(name not in seen and (name == bare or kw.get("required"))
-           for name, kw in arguments):
-        return None
+    missing = [n for n, kw in table.items()
+               if n not in seen and (n[0] != "-" or kw.get("required"))]
+    if missing:
+        raise UsageError("missing arguments: %s" % ", ".join(missing))
+    if unknown:
+        raise UsageError("unrecognized arguments: %s" % " ".join(unknown))
     return SimpleNamespace(**ns)
 
 
+def _help(command):
+    """The text of -h: irrfib's commands, or one command's arguments."""
+    usage, rows, arguments = command or "COMMAND", [], ()
+    if command is None:
+        text = ("Exact invariants of polarized abelian surfaces and "
+                "irrational fibrations.")
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, text, arguments = COMMANDS[command]
+    for name, kw in arguments:  # as --flag, --flag VALUE or {choice,...}
+        spelled = ("{%s}" % ",".join(kw["choices"]) if "choices" in kw
+                   else kw.get("dest", name).upper())
+        if name[0] == "-":
+            spelled = (name if kw.get("action") == "store_true"
+                       else name + " " + spelled)
+        rows.append((spelled, kw.get("help", "")))
+        if name[0] != "-" or kw.get("required"):
+            usage += " " + spelled
+    rows += [("-h, --help", "show this help and exit"),
+             ("--json", "emit the report as canonical JSON")]
+    lines = ["usage: irrfib %s [options]" % usage, "", text, ""]
+    return "\n".join(lines + [("  %-20s %s" % row).rstrip() for row in rows])
+
+
 def main(argv=None):
-    args = _parse_exact(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 0
     try:
-        report = args.handler(args)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        # -h/--help gives the text to print, a command its report
+        report = args if isinstance(args, str) else args.handler(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 64
@@ -475,7 +490,7 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 65
     try:
-        text = render(report, args.json)
+        text = report if isinstance(report, str) else render(report, args.json)
     except ValueError as exc:  # an int too long for str() (4300 digits)
         print("error: ValueError: %s" % exc, file=sys.stderr)
         return 65
@@ -485,7 +500,7 @@ def main(argv=None):
         # the reader is gone, but the work was done and checked: keep its
         # status, and send stdout to devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if report.passed else 2
+    return 0 if isinstance(report, str) or report.passed else 2
 
 
 if __name__ == "__main__":

@@ -123,11 +123,6 @@ def double_cover_fibre_genus(g_base, branch_points):
     return g
 
 
-def albanese_base_check(q_surface, g_base):
-    """Irrational fibrations here only occur over an elliptic base."""
-    return q_surface == 2 and g_base == 1
-
-
 def unbounded_family(n):
     """The n-th member of the self-product double-cover family.
 
@@ -207,49 +202,38 @@ def example_record(ex_id):
     """The database record with this id, built alone; ranks re-derived when
     possible."""
     if ex_id == "pen-1":
-        split_note = ("abelian cover group: the pushforward splits into line "
-                      "bundles, so r = 1")
+        fibration = FibrationRecord(
+            1, 3, True, 1, group_order=4, ramification=(2, 2),
+            annotations=("abelian cover group: the pushforward splits into "
+                         "line bundles, so r = 1",))
         return ExampleSurface(
             id="pen-1",
             invariants=SurfaceInvariants(2, 2, 8, 1),
             curve_genera=(3, 3), group_name="Z/2 x Z/2",
-            fibrations=(
-                FibrationRecord(1, 3, True, 1, group_order=4,
-                                ramification=(2, 2),
-                                annotations=(split_note,)),
-                FibrationRecord(1, 3, True, 1, group_order=4,
-                                ramification=(2, 2),
-                                annotations=(split_note,))),
+            fibrations=(fibration, fibration),
             annotations=("stored rank: derivation needs the character "
                          "theory of the cover, out of scope",))
     if ex_id == "pen-4":
-        genus_note = "gF = 2 forces r = 1"
+        fibration = FibrationRecord(1, 2, True, 1, group_order=2,
+                                    ramification=(2, 2),
+                                    annotations=("gF = 2 forces r = 1",))
         return ExampleSurface(
             id="pen-4",
             invariants=SurfaceInvariants(2, 2, 4, 1),
             curve_genera=(2, 2), group_name="Z/2",
-            fibrations=(
-                FibrationRecord(1, 2, True, 1, group_order=2,
-                                ramification=(2, 2),
-                                annotations=(genus_note,)),
-                FibrationRecord(1, 2, True, 1, group_order=2,
-                                ramification=(2, 2),
-                                annotations=(genus_note,))))
+            fibrations=(fibration, fibration))
     if ex_id == "pen-5":
         r5, checks5 = _pen5_ranks()
         return ExampleSurface(
             id="pen-5",
             invariants=SurfaceInvariants(2, 2, 4, 1),
             curve_genera=(3, 3), group_name="Q8 or D8",
-            fibrations=(
-                FibrationRecord(1, 3, True, r5[0], group_order=8,
+            fibrations=tuple(
+                FibrationRecord(1, 3, True, r, group_order=8,
                                 ramification=(2,),
                                 annotations=("rank re-derived from the "
-                                             "slope-4 splitting",)),
-                FibrationRecord(1, 3, True, r5[1], group_order=8,
-                                ramification=(2,),
-                                annotations=("rank re-derived from the "
-                                             "slope-4 splitting",))),
+                                             "slope-4 splitting",))
+                for r in r5),
             checks=checks5)
     if ex_id == "pen-6":
         r6, checks6 = _pen6_ranks()
@@ -257,19 +241,17 @@ def example_record(ex_id):
             id="pen-6",
             invariants=SurfaceInvariants(2, 2, 5, 1),
             curve_genera=(3, 3), group_name="S3",
-            fibrations=(
-                FibrationRecord(1, 3, True, r6[0], group_order=6,
+            fibrations=tuple(
+                FibrationRecord(1, 3, True, r, group_order=6,
                                 ramification=(3,),
                                 annotations=("rank re-derived from the nef "
-                                             "violation certificate",)),
-                FibrationRecord(1, 3, True, r6[1], group_order=6,
-                                ramification=(3,),
-                                annotations=("rank re-derived from the nef "
-                                             "violation certificate",))),
+                                             "violation certificate",))
+                for r in r6),
             checks=checks6)
     if ex_id == "k26-d2":
-        member_note = ("rank of the ample part depends on the member: see "
-                       "the origin-singularity classification")
+        fibration = FibrationRecord(1, 3, False, annotations=(
+            "rank of the ample part depends on the member: see the "
+            "origin-singularity classification",))
         k26 = SurfaceInvariants(2, 2, 6, 1, albanese_degree=2,
                                 ample_canonical=True)
         verdict, _ = isotriviality_obstruction(k26.K2, k26.chi,
@@ -281,9 +263,7 @@ def example_record(ex_id):
                           verdict),),
             polarization=(1, 2),
             moduli_dims=(("Ia", 4), ("Ib", 4), ("II", 3)),
-            fibrations=(
-                FibrationRecord(1, 3, False, annotations=(member_note,)),
-                FibrationRecord(1, 3, False, annotations=(member_note,))),
+            fibrations=(fibration, fibration),
             annotations=(
                 "double cover of a special (1,2)-polarized surface, "
                 "branch divisor with a point of multiplicity 4",
@@ -291,30 +271,24 @@ def example_record(ex_id):
                 "canonical class ample for the general member; the strict "
                 "numerical window then rules out isotriviality"))
     if ex_id == "k5-3":
+        fibration = FibrationRecord(1, 3, False, annotations=("rank open",))
         return ExampleSurface(
             id="k5-3",
             invariants=SurfaceInvariants(2, 2, 5, 1, albanese_degree=3),
             polarization=(1, 2),
-            fibrations=(
-                FibrationRecord(1, 3, False,
-                                annotations=("rank open",)),
-                FibrationRecord(1, 3, False,
-                                annotations=("rank open",))),
+            fibrations=(fibration, fibration),
             annotations=(
                 "triple cover branched over a divisor with an ordinary "
                 "quadruple point; a degree-2 isogeny to a product "
                 "of elliptic curves gives the two fibrations",
                 "rank of the ample part not determined"))
     if ex_id == "k6-4":
+        fibration = FibrationRecord(1, 4, False, annotations=("rank open",))
         return ExampleSurface(
             id="k6-4",
             invariants=SurfaceInvariants(2, 2, 6, 1, albanese_degree=4),
             polarization=(1, 3),
-            fibrations=(
-                FibrationRecord(1, 4, False,
-                                annotations=("rank open",)),
-                FibrationRecord(1, 4, False,
-                                annotations=("rank open",))),
+            fibrations=(fibration, fibration),
             annotations=(
                 "quadruple cover branched over a divisor with six ordinary "
                 "cusps; a degree-3 isogeny to a product of elliptic "

@@ -228,8 +228,15 @@ def admissible_pairs(s):
     return [(q * q, q) for q in admissible_qhalf(s)]
 
 
-# The sweep's table on the reference surface: verdict counts, and pair counts
-# per "moduli type/verdict" row.
+# The paper's tables for the reference surface, checked by `irrfib appendix`
+REFERENCE_KL_POINTS = [["0", "0", "0", "0"], ["0", "0", "0", "1/2"],
+                       ["0", "1/2", "0", "0"], ["0", "1/2", "0", "1/2"]]
+REFERENCE_EXTENDABLE_NAMES = sorted((
+    "trivial", "chiA1", "chiA2", "chiA3", "chiA5",
+    "chiA1*chiA5", "chiA2*chiA5", "chiA3*chiA5"))
+REFERENCE_NEW_NAMES = tuple("eps%d" % i for i in range(1, 9))
+REFERENCE_IMAGE_NAMES = sorted(("trivial", "chiA1", "chiA2*chiA5",
+                                "chiA3*chiA5"))
 REFERENCE_VERDICT_COUNTS = {"node": 1, "smooth_point": 12, "none": 50}
 REFERENCE_MODULI_ROWS = {"Ia/none": 8, "Ia/smooth_point": 4, "Ib/node": 1,
                          "Ib/none": 2, "II/none": 40, "II/smooth_point": 8}

@@ -6,8 +6,8 @@ from irrfib.errors import (InvalidBranching, NotApplicable, UndefinedSlope)
 from irrfib.invariants import (ExampleSurface, FibrationRecord,
                                NO_OBSTRUCTION, NOT_ISOTRIVIAL,
                                NOT_ISOTRIVIAL_IF_NOT_ISOGENOUS,
-                               SurfaceInvariants, albanese_base_check,
-                               double_cover_fibre_genus, example_record,
+                               SurfaceInvariants, double_cover_fibre_genus,
+                               example_record,
                                genus_bound_rank_one, isotrivial_examples,
                                isotriviality_obstruction,
                                nonisotrivial_examples, slope,
@@ -61,12 +61,6 @@ def test_double_cover_fibre_genus():
         double_cover_fibre_genus(1, -2)
     with pytest.raises(InvalidBranching):
         double_cover_fibre_genus(0, 0)
-
-
-def test_albanese_base_check():
-    assert albanese_base_check(2, 1)
-    assert not albanese_base_check(2, 2)
-    assert not albanese_base_check(3, 1)
 
 
 def test_surface_invariants_validation():
@@ -159,7 +153,7 @@ def test_nonisotrivial_database():
     for s in surfaces.values():
         for f in s.fibrations:
             assert f.isotrivial is False
-            assert albanese_base_check(s.invariants.q, f.gC)
+            assert (s.invariants.q, f.gC) == (2, 1)  # an elliptic base
 
 
 def test_example_surface_serialization():
