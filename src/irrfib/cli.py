@@ -62,12 +62,12 @@ def _parse_point(text):
         raise UsageError("bad point coordinates: %r" % text)
 
 
-def _parse_int_vector(text, length=None):
+def _parse_int_vector(text, length):
     try:
         v = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError("bad integer vector: %r" % text)
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise UsageError("expected %d comma-separated integers" % length)
     return v
 
@@ -210,12 +210,19 @@ def cmd_bounds(args):
     return rep
 
 
+def _parse_json(data, source):
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("%s is nested too deeply" % source) from None
+
+
 def _read_json(path):
     with open(path, "rb") as handle:
         data = handle.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
         raise ValueError("%s is longer than %d bytes" % (path, MAX_FILE_BYTES))
-    return json.loads(data)
+    return _parse_json(data, path)
 
 
 def _load_lattice(fixture):
@@ -269,7 +276,8 @@ def _bundle_spec(args):
     spec = {}
     if args.spec:
         try:
-            spec = (json.loads(args.spec) if args.spec.lstrip().startswith("{")
+            spec = (_parse_json(args.spec, "--spec")
+                    if args.spec.lstrip().startswith("{")
                     else _read_json(args.spec))
         except (OSError, ValueError) as exc:
             raise UsageError("cannot load bundle spec: %s" % exc)

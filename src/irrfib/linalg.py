@@ -5,6 +5,13 @@ routine copies its input or only reads it. The Smith normal form returns the
 transforms (U, D, V) with U*M*V = D, which the quotient-group, kernel and
 linear-system computations need; the pivot rule is deterministic (smallest
 absolute value, ties row-major) so outputs are reproducible.
+
+One elimination loop gives the divisibility chain too: a diagonal position is
+finished only when its pivot divides every entry of the block below and to
+the right of it, so each later pivot is a multiple of it. Otherwise the
+offending row is added to the pivot row, and the next column step leaves a
+nonzero remainder smaller than the pivot. A remainder is always re-pivoted
+on, so |pivot| falls at least every second pass, and the loop ends.
 """
 
 from operator import mul
@@ -63,20 +70,6 @@ def _min_pivot(a, t, nr, nc):
     return best
 
 
-def _swap_rows(a, u, i, j):
-    if i != j:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-
 def _row_sub(a, u, dst, src, q):
     if q:
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
@@ -92,13 +85,17 @@ def _col_sub(a, v, dst, src, q):
 
 
 def _clear_position(a, u, v, t, nr, nc):
-    """Euclid at diagonal position t until row t and column t are clean."""
+    """Euclid at diagonal position t until row t and column t are clean and
+    the pivot divides the block below and to the right of it."""
     while True:
         piv = _min_pivot(a, t, nr, nc)
         if piv is None:
             return False
-        _swap_rows(a, u, t, piv[0])
-        _swap_cols(a, v, t, piv[1])
+        i, j = piv  # swap it to (t, t)
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
         p = a[t][t]
         for r in range(t + 1, nr):
             _row_sub(a, u, r, t, a[r][t] // p)
@@ -108,7 +105,12 @@ def _clear_position(a, u, v, t, nr, nc):
             _col_sub(a, v, c, t, a[t][c] // p)
         if any(a[t][c] for c in range(t + 1, nc)):
             continue
-        return True
+        for r in range(t + 1, nr):
+            if any(a[r][c] % p for c in range(t + 1, nc)):
+                _row_sub(a, u, t, r, -1)  # row_t += row_r, then re-pivot
+                break
+        else:
+            return True
 
 
 def smith_normal_form(m):
@@ -128,20 +130,6 @@ def smith_normal_form(m):
     for t in range(k):
         if not _clear_position(a, u, v, t, nr, nc):
             break
-    # enforce the divisibility chain; each fix only touches a 2x2 block
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if x == 0 and y != 0:
-                _swap_rows(a, u, i, i + 1)
-                _swap_cols(a, v, i, i + 1)
-                changed = True
-            elif x != 0 and y % x != 0:
-                _col_sub(a, v, i, i + 1, -1)  # col_i += col_{i+1}
-                _clear_position(a, u, v, i, nr, nc)
-                changed = True
     for i in range(k):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]

@@ -152,6 +152,9 @@ def test_intersect_errors(capsys):
     assert code == 64
     code, _, _ = run(capsys, "intersect")
     assert code == 64
+    code, _, err = run(capsys, "intersect", "--class", "1,2", "--class", "1")
+    assert code == 64
+    assert "expected 5 comma-separated integers" in err
     # the oracle's cost grows with m^2, so the modulus is capped at 64
     for m in ("65", "200"):
         code, _, err = run(capsys, "intersect", "--pq", "1,2", "--pq", "1,0",
@@ -193,13 +196,15 @@ def test_intersect_with_fixture_file(capsys, tmp_path):
         '{"basis_labels": ["a", "a"], "gram": [[0, 1], [1, 0]]}',
         '{"basis_labels": ["a", 2], "gram": [[0, 1], [1, 0]]}',
         '{"basis_labels": ["a", "b", "c"], "gram": [[0, 1, 0], [1, 0, 0]]}',
+        '{"basis_labels": ' + "[" * 100_000,  # deeper than json can recurse
     ]
     for text in bad:
         fixture.write_text(text)
         code, _, err = run(capsys, "intersect", "--fixture", str(fixture),
                            "--class", "1,0", "--class", "0,1")
         assert code == 64, text
-        assert "cannot load lattice fixture" in err, text
+        assert err.startswith("usage error: cannot load lattice fixture"), text
+        assert err.count("\n") == 1, text
     # --fixture belongs to intersect alone
     for argv in (("appendix", "--fixture", "nowhere.json"),
                  ("slope", "--k2", "8", "--chi", "1", "--gc", "2", "--gf", "3",
@@ -320,10 +325,11 @@ def test_bundle_errors(capsys, tmp_path):
                  '{"g": 3, "r": true}', '{"g": 3, "r": "1"}',
                  '{"g": 3, "r": 1, "torsion": 5}',
                  '{"g": 3, "r": 1, "torsion": ["1e5000,0"]}',
-                 '{"g": 3, "r": 1, "torsion": ["1/3,0"], "p": "1E5,0"}'):
+                 '{"g": 3, "r": 1, "torsion": ["1/3,0"], "p": "1E5,0"}',
+                 '{"g": ' + "[" * 100_000):  # deeper than json can recurse
         code, _, err = run(capsys, "bundle", "h0", "--spec", spec)
         assert code == 64, spec
-        assert "usage error" in err, spec
+        assert err.startswith("usage error: ") and err.count("\n") == 1, spec
     path = tmp_path / "spec.json"
     for text in ('[3, 1]', '"g"', '7'):
         path.write_text(text)
@@ -382,6 +388,22 @@ def test_classify_sweep(capsys):
     assert doc["results"]["verdict_counts"] == {
         "node": 1, "smooth_point": 12, "none": 50}
     assert all(c["pass"] for c in doc["checks"])
+
+
+def test_classify_sweep_fails_when_the_routes_disagree(capsys, monkeypatch):
+    import irrfib.torus
+    oracle = irrfib.torus.classify_origin_singularity_oracle
+
+    def flipped(s, Q, Qhalf):
+        verdict = oracle(s, Q, Qhalf)
+        return "none" if verdict == "node" else verdict
+
+    monkeypatch.setattr(irrfib.torus, "classify_origin_singularity_oracle",
+                        flipped)
+    code, out, err = run(capsys, "classify", "--sweep")
+    assert code == 2
+    assert "FAIL classification routes agree" in out
+    assert err == ""
 
 
 def test_usage_without_command(capsys):

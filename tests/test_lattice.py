@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -10,8 +11,8 @@ from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                             TorsionPoint, origin, parse_rational,
                             quotient_group, reduce_mod1, sublattice_index,
                             torsion_subgroup)
-from irrfib.linalg import (determinant, integer_kernel_basis, mat_mul,
-                           smith_normal_form, solve_integer)
+from irrfib.linalg import (determinant, identity_matrix, integer_kernel_basis,
+                           mat_mul, smith_normal_form, solve_integer)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
                           reference_lattice_b)
 
@@ -80,12 +81,18 @@ def test_solve_integer_refusals():
         solve_integer([[2]], [1])  # solvable over Q only
 
 
+# a divisibility repair pass after the elimination once left D[2][3] = 2 and
+# D[1][2] = 3 off the diagonal of these two
+UNCHAINED = ([[2, 3, -4, -3], [-2, -4, 4, 3], [0, 0, 4, 0], [2, -1, 4, -4]],
+             [[-12, -6, -12, 0], [-7, 0, 6, -7], [11, 0, -9, 8]])
+
+
 def test_smith_normal_form_random_properties():
     rng = random.Random(20260814)
-    for _ in range(80):
-        nr = rng.randint(1, 4)
-        nc = rng.randint(1, 4)
-        m = _random_matrix(rng, nr, nc)
+    randoms = [_random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+               for _ in range(80)]
+    for m in [*UNCHAINED, *randoms]:
+        nr, nc = len(m), len(m[0])
         u, d, v = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == d
         for i in range(nr):
@@ -177,6 +184,8 @@ def test_lattice_validation():
         Lattice(3, ("a", "b"))  # label count mismatch
     with pytest.raises(ValueError):
         Lattice(0, ())
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Lattice(2, ("a", "a"))
     assert Lattice(1, ("x",)).rank == 1
 
 
@@ -235,6 +244,41 @@ def test_quotient_group_trivial_for_unimodular():
     g = quotient_group(e)
     assert g.order() == 1
     assert g.elements() == []
+
+
+def _random_embedding(rng, n):
+    """G1 * diag * G2 with G1, G2 unimodular, a nonsingular n x n matrix:
+    its diagonal factors, drawn from 1, 2, 3, 4 and 6 in any order, need
+    not form a divisibility chain."""
+    def unimodular():
+        g = identity_matrix(n)
+        for _ in range(8 if n > 1 else 0):
+            (i, j), k = rng.sample(range(n), 2), rng.randint(-2, 2)
+            g[i] = [a + k * b for a, b in zip(g[i], g[j])]
+            g[i], g[j] = g[j], g[i]
+        return g
+    d = [[rng.choice((1, 2, 3, 4, 6)) * (i == j) for j in range(n)]
+         for i in range(n)]
+    return mat_mul(mat_mul(unimodular(), d), unimodular())
+
+
+def test_quotient_group_elements_lie_in_the_ambient_lattice():
+    """Each element x of ambient/sub, in sub coordinates, has M*x integral,
+    and there are |det M| distinct ones."""
+    rng = random.Random(107)
+    matrices = [UNCHAINED[0]] + [_random_embedding(rng, rng.randint(1, 4))
+                                 for _ in range(100)]
+    for m in matrices:
+        n = len(m)
+        e = SublatticeEmbedding(Lattice(n, tuple("ab%d" % i for i in range(n))),
+                                Lattice(n, tuple("s%d" % i for i in range(n))),
+                                m)
+        g = quotient_group(e)
+        assert g.order() == sublattice_index(e), m
+        elems = g.elements()  # empty for the trivial group
+        assert len(elems) == (g.order() if g.generators else 0), m
+        for x in elems:
+            assert all(sum(map(mul, row, x.nums)) % x.n == 0 for row in m), m
 
 
 def test_finite_abelian_group_validation():

@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfib.characters import Character
@@ -20,6 +20,7 @@ from irrfib.lattice import Lattice, TorsionPoint, reduce_mod1
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
 from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_fibres,
                                  polarization_type)
+from test_lattice import UNCHAINED
 
 LATTICE = Lattice(4, ("e1", "e2", "e3", "e4"))
 
@@ -66,6 +67,8 @@ def unimodular(draw):
 
 @bounded
 @given(matrices())
+@example(UNCHAINED[0])
+@example(UNCHAINED[1])
 def test_smith_normal_form_properties(m):
     u, d, v = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d

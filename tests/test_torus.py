@@ -74,8 +74,10 @@ def test_surface_validation():
     fb = reference_form_b()
     doubled = AlternatingForm(fb.lattice,
                               tuple(tuple(2 * x for x in r) for r in fb.matrix))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restriction of form_B"):
         SpecialAbelianSurface(e, fb, restrict_form(doubled, e))
+    with pytest.raises(ValueError, match=r"type \(1,2\)"):
+        SpecialAbelianSurface(e, doubled, restrict_form(doubled, e))
     from irrfib.lattice import SublatticeEmbedding
     identity = SublatticeEmbedding(
         reference_lattice_b(), reference_lattice_a(),
@@ -207,6 +209,23 @@ def test_routes_agree_everywhere(surface, sweep):
     for row in sweep.rows:
         assert row.closed == row.oracle, row.Qhalf.values
     assert sweep.mismatches == []
+
+
+def test_a_route_mismatch_names_the_pair_and_both_verdicts(surface, sweep,
+                                                          monkeypatch):
+    node = next(row for row in sweep.rows if row.closed == SINGULARITY_NODE)
+    oracle = irrfib.torus.classify_origin_singularity_oracle
+
+    def flipped(s, Q, Qhalf):
+        verdict = oracle(s, Q, Qhalf)
+        return SINGULARITY_NONE if verdict == SINGULARITY_NODE else verdict
+
+    monkeypatch.setattr(irrfib.torus, "classify_origin_singularity_oracle",
+                        flipped)
+    assert classification_sweep(surface).mismatches == [
+        {"Qhalf": display_name(node.Qhalf), "closed": SINGULARITY_NODE,
+         "oracle": SINGULARITY_NONE}]
+    assert display_name(node.Qhalf) == "chiA1"
 
 
 def test_order_four_roots_of_the_node_character(surface):
