@@ -12,7 +12,7 @@ from .bundles import (BundleDecomposition, EllipticPoint,
                       atiyah_bundle, elliptic_origin, generic_point, h0, h1,
                       h0_omega_twisted_minus_fibre, jump_h1,
                       pushforward_decomposition, twist, xiao_structure)
-from .characters import (Character, character_product, kernel_of_restriction,
+from .characters import (Character, kernel_of_restriction,
                          restrict_character, torsion_characters,
                          trivial_character, two_torsion_character_tables)
 from .errors import (ContradictsXiao, DegenerateEmbedding, DegenerateForm,

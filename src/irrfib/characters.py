@@ -21,7 +21,7 @@ class Character(OnGrid, Record):
     _views = ("values",)
 
     def __mul__(self, other):
-        return character_product(self, other)
+        return self._plus(other, "characters")
 
     @property
     def is_trivial(self):
@@ -48,10 +48,6 @@ def torsion_characters(lattice, n):
         raise InvalidOrder("torsion order must be a positive integer")
     return [Character.from_grid(n, k, lattice=lattice)
             for k in product(range(n), repeat=lattice.rank)]
-
-
-def character_product(a, b):
-    return a._plus(b, "characters")
 
 
 def restrict_character(chi, e):

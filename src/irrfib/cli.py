@@ -130,10 +130,10 @@ def _sweep_checks(rep, sweep):
 def _family_report(command, n):
     if n < 1:
         raise UsageError("--n must be a positive integer")
-    rec = unbounded_family(n)
+    rec, checks = unbounded_family(n)
     rep = Report(command, inputs={"n": n})
     rep.results["record"] = rec
-    rep.checks.extend(rec.checks)
+    rep.checks.extend(checks)
     return rep
 
 
@@ -157,10 +157,10 @@ def cmd_example(args):
     if args.n is not None:
         raise UsageError("--n only applies to family-fn")
     rep = Report("example %s" % ex_id, inputs={"id": ex_id})
-    record = example_record(ex_id)
+    record, checks = example_record(ex_id)
     rep.results["record"] = record
     rep.check("chi", 1, record.invariants.chi)
-    rep.checks.extend(record.checks)
+    rep.checks.extend(checks)
     if ex_id in ("pen-1", "pen-4"):
         _bound_checks(rep, record)
     if ex_id == "k26-d2":

@@ -4,8 +4,8 @@ Slope, the isotriviality windows, the genus bound for a line-bundle ample
 part, Riemann-Hurwitz for double covers, the unbounded family generator,
 and fixed records for the known surfaces with p_g = q = 2. Where a record's
 rank admits an independent derivation (slope structure, nef violation),
-the constructor re-runs it instead of trusting the stored number, and the
-record carries the derivation's named checks (outside its JSON form).
+the constructor re-runs it instead of trusting the stored number, and
+returns the derivation's named checks beside the record.
 """
 
 from .bundles import (ample_part_is_line, generic_point,
@@ -14,7 +14,7 @@ from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
 from .intersection import (KernelCurve, degree_vs_product_polarization,
                            derive_pen6_pairings, dot, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
-from .record import Record, encode, field
+from .record import Record, encode
 from .report import Check
 
 NO_OBSTRUCTION = "no_obstruction"
@@ -46,7 +46,6 @@ class FibrationRecord(Record):
     group_order: int = None
     ramification: tuple = None
     annotations: tuple = ()
-    checks: tuple = field(default=(), compare=False)  # derivation Checks
 
     def __post_init__(self):
         object.__setattr__(self, "annotations", tuple(self.annotations))
@@ -75,7 +74,6 @@ class ExampleSurface(Record):
     polarization: tuple = None
     moduli_dims: tuple = None  # ((type, dimension), ...)
     annotations: tuple = ()
-    checks: tuple = field(default=(), compare=False)  # derivation Checks
 
     def to_json(self):
         return dict(super().to_json(), moduli_dims=encode(
@@ -128,8 +126,9 @@ def unbounded_family(n):
 
     Fibre genus n^2 + 2 and ample-part rank n^2 + 1, so the ranks are
     unbounded in n. Slope and splitting structure are re-checked on every
-    call; the family is non-isotrivial by construction even though the
-    numerical window is silent at K2 = 4.
+    call and the checks come back beside the record; the family is
+    non-isotrivial by construction even though the numerical window is
+    silent at K2 = 4.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -151,8 +150,7 @@ def unbounded_family(n):
         annotations=("fibre genus n^2 + 2 at n = %d" % n,
                      "slope 4; splitting re-derived",
                      "non-isotrivial by construction; the K2 = 4 "
-                     "numerical window gives no obstruction"),
-        checks=checks)
+                     "numerical window gives no obstruction")), checks
 
 
 def _pen5_ranks():
@@ -199,8 +197,8 @@ def _pen6_ranks():
 
 
 def example_record(ex_id):
-    """The database record with this id, built alone; ranks re-derived when
-    possible."""
+    """The database record with this id, built alone, and the checks of its
+    derivations: ranks are re-derived when possible."""
     if ex_id == "pen-1":
         fibration = FibrationRecord(
             1, 3, True, 1, group_order=4, ramification=(2, 2),
@@ -212,7 +210,7 @@ def example_record(ex_id):
             curve_genera=(3, 3), group_name="Z/2 x Z/2",
             fibrations=(fibration, fibration),
             annotations=("stored rank: derivation needs the character "
-                         "theory of the cover, out of scope",))
+                         "theory of the cover, out of scope",)), ()
     if ex_id == "pen-4":
         fibration = FibrationRecord(1, 2, True, 1, group_order=2,
                                     ramification=(2, 2),
@@ -221,7 +219,7 @@ def example_record(ex_id):
             id="pen-4",
             invariants=SurfaceInvariants(2, 2, 4, 1),
             curve_genera=(2, 2), group_name="Z/2",
-            fibrations=(fibration, fibration))
+            fibrations=(fibration, fibration)), ()
     if ex_id == "pen-5":
         r5, checks5 = _pen5_ranks()
         return ExampleSurface(
@@ -233,8 +231,7 @@ def example_record(ex_id):
                                 ramification=(2,),
                                 annotations=("rank re-derived from the "
                                              "slope-4 splitting",))
-                for r in r5),
-            checks=checks5)
+                for r in r5)), checks5
     if ex_id == "pen-6":
         r6, checks6 = _pen6_ranks()
         return ExampleSurface(
@@ -246,8 +243,7 @@ def example_record(ex_id):
                                 ramification=(3,),
                                 annotations=("rank re-derived from the nef "
                                              "violation certificate",))
-                for r in r6),
-            checks=checks6)
+                for r in r6)), checks6
     if ex_id == "k26-d2":
         fibration = FibrationRecord(1, 3, False, annotations=(
             "rank of the ample part depends on the member: see the "
@@ -259,8 +255,6 @@ def example_record(ex_id):
         return ExampleSurface(
             id="k26-d2",
             invariants=k26,
-            checks=(Check("isotriviality obstruction", NOT_ISOTRIVIAL,
-                          verdict),),
             polarization=(1, 2),
             moduli_dims=(("Ia", 4), ("Ib", 4), ("II", 3)),
             fibrations=(fibration, fibration),
@@ -269,7 +263,8 @@ def example_record(ex_id):
                 "branch divisor with a point of multiplicity 4",
                 "the two fibre classes meet in 4 points",
                 "canonical class ample for the general member; the strict "
-                "numerical window then rules out isotriviality"))
+                "numerical window then rules out isotriviality")), (
+            Check("isotriviality obstruction", NOT_ISOTRIVIAL, verdict),)
     if ex_id == "k5-3":
         fibration = FibrationRecord(1, 3, False, annotations=("rank open",))
         return ExampleSurface(
@@ -281,7 +276,7 @@ def example_record(ex_id):
                 "triple cover branched over a divisor with an ordinary "
                 "quadruple point; a degree-2 isogeny to a product "
                 "of elliptic curves gives the two fibrations",
-                "rank of the ample part not determined"))
+                "rank of the ample part not determined")), ()
     if ex_id == "k6-4":
         fibration = FibrationRecord(1, 4, False, annotations=("rank open",))
         return ExampleSurface(
@@ -293,15 +288,15 @@ def example_record(ex_id):
                 "quadruple cover branched over a divisor with six ordinary "
                 "cusps; a degree-3 isogeny to a product of elliptic "
                 "curves gives the two fibrations",
-                "rank of the ample part not determined"))
+                "rank of the ample part not determined")), ()
     raise ValueError("no example record %r" % ex_id)
 
 
 def isotrivial_examples():
     """The four isotrivial standard fixtures, ranks re-derived when possible."""
-    return [example_record(i) for i in ("pen-1", "pen-4", "pen-5", "pen-6")]
+    return [example_record(x)[0] for x in ("pen-1", "pen-4", "pen-5", "pen-6")]
 
 
 def nonisotrivial_examples():
     """Double, triple and quadruple Albanese covers with two fibrations."""
-    return [example_record(i) for i in ("k26-d2", "k5-3", "k6-4")]
+    return [example_record(i)[0] for i in ("k26-d2", "k5-3", "k6-4")]

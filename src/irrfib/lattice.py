@@ -176,6 +176,7 @@ def sublattice_index(e):
 
 
 class FiniteAbelianGroup(Record):
+    lattice: Lattice  # the elements are torsion points of its torus
     invariant_factors: tuple
     generators: tuple  # TorsionPoints, aligned with the factors
 
@@ -190,16 +191,17 @@ class FiniteAbelianGroup(Record):
                 raise ValueError("invariant factors must be >= 2")
             if g.order() != d:
                 raise ValueError("generator order must equal its factor")
+            if g.lattice != self.lattice:
+                raise IncompatibleLattice("generator on another lattice")
 
     def order(self):
         return prod(self.invariant_factors)
 
     def elements(self):
         """All elements of the span, sorted by coordinates: by numerators
-        over one denominator, the group's exponent."""
-        if not self.generators:
-            return []
-        lat = self.generators[0].lattice
+        over one denominator, the group's exponent. The trivial group's one
+        element is the origin."""
+        lat = self.lattice
         big = lcm(*self.invariant_factors)
         gens = [g.nums_over(big) for g in self.generators]
         pts = {tuple(sum(k * g[j] for k, g in zip(ks, gens)) % big
@@ -220,7 +222,7 @@ def quotient_group(e):
     pairs = sorted((di, tuple(x % di for x in col))
                    for di, col in zip(diagonal(d), transpose(v)) if di > 1)
     return FiniteAbelianGroup(
-        tuple(di for di, _ in pairs),
+        e.sub, tuple(di for di, _ in pairs),
         tuple(TorsionPoint.from_grid(di, k, lattice=e.sub) for di, k in pairs))
 
 

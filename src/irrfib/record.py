@@ -3,8 +3,8 @@
 A Record subclass declares its fields as annotations, in order; a value in
 the class body is the field's default. The fields are read once, when the
 subclass is created, and all subclasses share one constructor (which ends
-by calling the __post_init__ hook), equality and hashing over the compared
-fields, and repr. A record refuses assignment and deletion, and keeps its
+by calling the __post_init__ hook), equality and hashing over the fields,
+and repr. A record refuses assignment and deletion, and keeps its
 hash once computed: the generic methods are slower than generated ones, and
 the kept hash more than pays for that. dataclasses generates them instead,
 compiling code for every class and importing inspect, which was about half
@@ -12,8 +12,7 @@ the cost of `import irrfib.cli`.
 
 The JSON form of a value is written here once. encode() turns it into plain
 JSON types, rationals as "p/q" strings, and a record's to_json() is the dict
-of its encoded compared fields, so a compare=False field stays out of JSON
-as it stays out of equality. Six records override it: TorsionPoint,
+of its encoded fields. Six records override it: TorsionPoint,
 DivisorClass, KernelCurve and PolarizationType are lists, ExampleSurface's
 moduli_dims is a dict, and a Check adds its "pass". An override returns
 plain JSON types too.
@@ -21,8 +20,6 @@ plain JSON types too.
 
 import sys
 from operator import attrgetter
-
-_MISSING = object()
 
 
 def encode(value):
@@ -49,35 +46,16 @@ class FrozenRecordError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 
-class field:
-    """A field that compare=False keeps out of equality and hashing."""
-
-    __slots__ = ("default", "compare")
-
-    def __init__(self, *, default=_MISSING, compare=True):
-        self.default = default
-        self.compare = compare
-
-
 class Record:
     _fields = ()     # field names, in declaration order
     _defaults = {}   # field name -> default value
-    _compared = ()   # the fields not declared with compare=False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults, compared = {}, []
-        for name in cls._fields:
-            default = cls.__dict__.get(name, _MISSING)
-            if not isinstance(default, field) or default.compare:
-                compared.append(name)
-            if isinstance(default, field):
-                default = default.default
-            if default is not _MISSING:
-                cls._defaults[name] = default
-        cls._compared = tuple(compared)
-        cls._key = attrgetter(*compared)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -126,7 +104,7 @@ class Record:
         return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def to_json(self):
-        return {name: encode(getattr(self, name)) for name in self._compared}
+        return {name: encode(getattr(self, name)) for name in self._fields}
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(

@@ -166,7 +166,7 @@ def test_criterion_07_kernel_degrees():
               "at slope exactly 4")
 def test_criterion_08_family():
     for n in range(1, 21):
-        rec = unbounded_family(n)
+        rec, _ = unbounded_family(n)
         assert rec.gF == n * n + 2
         assert rec.r == n * n + 1
         assert slope(4, 1, 1, rec.gF) == 4

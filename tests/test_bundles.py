@@ -166,6 +166,17 @@ def test_omega_twisted_shape_guard():
         IndecomposableBundle(2, 0, elliptic_origin())))
     with pytest.raises(InvalidShape, match="not a pushforward normal form"):
         jump_h1(rank_two_flat, elliptic_origin())
+    # normal-form summands, but two trivial ones, a repeated torsion one, or
+    # a flat one with a free part
+    flat = [IndecomposableBundle(1, 0, x) for x in (
+        elliptic_origin(), _torsion(THIRD, 0), generic_point("q"))]
+    ample = atiyah_bundle(1, generic_point("p"))
+    for summands, reason in (
+            ((flat[0], flat[0], ample), "exactly one trivial summand"),
+            ((flat[0], ample, flat[1], flat[1]), "distinct and finite"),
+            ((flat[0], ample, flat[2]), "distinct and finite")):
+        with pytest.raises(InvalidShape, match=reason):
+            jump_h1(BundleDecomposition(summands), elliptic_origin())
 
 
 def test_ample_part_is_line():

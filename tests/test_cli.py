@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrfib import cli
+from irrfib.bundles import (ample_part_is_line, generic_point,
+                            pushforward_decomposition)
 from irrfib.cli import (COMMANDS, EXAMPLE_IDS, MAX_FILE_BYTES, UsageError,
                         main, parse_argv)
+from irrfib.errors import IrrfibError
+from irrfib.intersection import pen6_lattice, serrano_canonical_pen6
 from test_golden import CASES
 from test_record import _run
 
@@ -343,6 +347,28 @@ def test_bundle_errors(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 64, argv
         assert "usage error" in err, argv
+
+
+@pytest.mark.parametrize("target, value, call, argv", [
+    ("irrfib.bundles.h0_omega_twisted_minus_fibre", lambda *args: 0,
+     lambda: ample_part_is_line(
+         pushforward_decomposition(2, 1, generic_point("p"), ())),
+     # --g 3 --r 1 needs its one torsion summand to get past the shape check
+     ("bundle", "r-criterion", "--g", "3", "--r", "1", "--torsion", "1/3,0")),
+    ("irrfib.intersection.PEN6_CANONICAL", (2, 2, 2, 2, 2),
+     lambda: serrano_canonical_pen6(pen6_lattice()), ("example", "pen-6"))],
+    ids=("twisted-canonical-probe", "serrano-identity"))
+def test_a_disagreeing_internal_probe_is_a_domain_error(
+        capsys, monkeypatch, target, value, call, argv):
+    """A second route that disagrees raises IrrfibError itself, and the
+    command reports it as exit 65 on one line, with no traceback."""
+    monkeypatch.setattr(target, value)
+    with pytest.raises(IrrfibError) as raised:
+        call()
+    assert type(raised.value) is IrrfibError
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err.splitlines() == ["error: IrrfibError: %s" % raised.value]
 
 
 def test_classify_single(capsys):

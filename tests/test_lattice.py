@@ -243,7 +243,7 @@ def test_quotient_group_trivial_for_unimodular():
                              (0, 0, 1, 0), (0, 0, 0, 1)))
     g = quotient_group(e)
     assert g.order() == 1
-    assert g.elements() == []
+    assert g.elements() == [origin(e.sub)]
 
 
 def _random_embedding(rng, n):
@@ -275,8 +275,9 @@ def test_quotient_group_elements_lie_in_the_ambient_lattice():
                                 m)
         g = quotient_group(e)
         assert g.order() == sublattice_index(e), m
-        elems = g.elements()  # empty for the trivial group
-        assert len(elems) == (g.order() if g.generators else 0), m
+        elems = g.elements()
+        assert len(elems) == g.order(), m
+        assert elems[0] == origin(e.sub), m
         for x in elems:
             assert all(sum(map(mul, row, x.nums)) % x.n == 0 for row in m), m
 
@@ -284,12 +285,16 @@ def test_quotient_group_elements_lie_in_the_ambient_lattice():
 def test_finite_abelian_group_validation():
     lat = reference_lattice_a()
     half = TorsionPoint(lat, (Fraction(1, 2), 0, 0, 0))
+    assert FiniteAbelianGroup(lat, (2,), (half,)).elements() == [
+        origin(lat), half]
     with pytest.raises(ValueError):
-        FiniteAbelianGroup((2, 2), (half,))  # generator count mismatch
+        FiniteAbelianGroup(lat, (2, 2), (half,))  # generator count mismatch
     with pytest.raises(ValueError):
-        FiniteAbelianGroup((1,), (origin(lat),))  # factor < 2
+        FiniteAbelianGroup(lat, (1,), (origin(lat),))  # factor < 2
     with pytest.raises(ValueError):
-        FiniteAbelianGroup((4,), (half,))  # order mismatch
+        FiniteAbelianGroup(lat, (4,), (half,))  # order mismatch
+    with pytest.raises(IncompatibleLattice):  # a generator on another lattice
+        FiniteAbelianGroup(reference_lattice_b(), (2,), (half,))
 
 
 def test_parse_rational():

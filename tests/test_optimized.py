@@ -23,6 +23,24 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_no_unused_imports_in_the_library():
+    """A name a module imports is read somewhere in that module: what a
+    deletion leaves behind is found here. __init__.py imports to export."""
+    found = []
+    for path in sorted((SRC / "irrfib").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        used = {n.id for n in nodes if isinstance(n, ast.Name)}
+        found += [
+            "%s:%d %s" % (path.name, node.lineno, name)
+            for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for name in [(alias.asname or alias.name).partition(".")[0]]
+            if name not in used]
+    assert found == []
+
+
 # One fresh process per golden: in process, every case shares one fibre
 # table, so a cache that leaked between commands would not show there.
 @pytest.mark.parametrize("golden", sorted(CASES))

@@ -1,8 +1,8 @@
 """The record contract every irrfib value type keeps.
 
-Records are frozen, compare and hash by their compared fields, never equal
-an instance of another class, encode to JSON by those same fields, and cost
-no `dataclasses` import.
+Records are frozen, compare and hash by their fields, never equal an
+instance of another class, encode to JSON by those same fields, and cost no
+`dataclasses` import.
 """
 
 import importlib
@@ -23,8 +23,7 @@ from irrfib.bundles import (BundleDecomposition, IndecomposableBundle,
                             atiyah_bundle, elliptic_origin, generic_point,
                             xiao_structure)
 from irrfib.intersection import KernelCurve, pen6_lattice
-from irrfib.invariants import (ExampleSurface, FibrationRecord,
-                               nonisotrivial_examples, unbounded_family)
+from irrfib.invariants import FibrationRecord, example_record
 from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.record import Record, encode
 from irrfib.report import Check, Report
@@ -48,7 +47,7 @@ def _samples():
     sweep = classification_sweep(s)
     k_l = kernel_K_L(s.form_A)
     pen6 = pen6_lattice()
-    example = nonisotrivial_examples()[0]
+    example, checks = example_record("k26-d2")
     p = generic_point("p")
     return [
         s.embedding.sub, s.embedding, s.form_A, polarization_type(s.form_A),
@@ -59,7 +58,7 @@ def _samples():
         BundleDecomposition((IndecomposableBundle(1, 0, elliptic_origin()),
                              atiyah_bundle(2, p))),
         xiao_structure(3, Fraction(4), 2, 1),
-        example, example.invariants, example.fibrations[0], example.checks[0],
+        example, example.invariants, example.fibrations[0], checks[0],
     ]
 
 
@@ -107,39 +106,19 @@ def test_different_classes_never_compare_equal():
     assert Twin(1, 2) == Twin(1, 2)
 
 
-def _compared(record):
-    """The fields not declared with compare=False."""
-    return {name for name in record._fields
-            if getattr(vars(type(record)).get(name), "compare", True)}
-
-
 @pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)
 def test_json_form_is_the_compared_fields(record):
     doc = json.loads(json.dumps(encode(record)))
     assert doc == record.to_json()
     if isinstance(doc, dict):
         extra = {"pass"} if isinstance(record, Check) else set()
-        assert set(doc) == _compared(record) | extra
+        assert set(doc) == set(record._fields) | extra
 
 
 def test_six_records_override_the_json_form():
     overriding = {c.__name__ for c in RECORD_CLASSES if "to_json" in vars(c)}
     assert overriding == {"TorsionPoint", "DivisorClass", "KernelCurve",
                           "PolarizationType", "ExampleSurface", "Check"}
-
-
-def test_checks_stay_out_of_equality_and_hashing():
-    example = nonisotrivial_examples()[0]
-    fibration = unbounded_family(2)
-    for record in (example, fibration):
-        assert record.checks
-        bare = type(record)(**{n: getattr(record, n) for n in record._fields
-                               if n != "checks"})
-        assert bare.checks == ()
-        assert bare == record
-        assert hash(bare) == hash(record)
-    assert isinstance(example, ExampleSurface)
-    assert isinstance(fibration, FibrationRecord)
 
 
 def test_reports_are_mutable_and_unshared():
