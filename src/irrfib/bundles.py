@@ -8,6 +8,7 @@ of (Q/Z)^2, optionally extended by free formal generators so that a
 """
 
 from math import lcm
+from operator import index
 
 from .errors import (ContradictsXiao, InvalidRank, InvalidShape,
                      InvalidTorsionList, IrrfibError, NotApplicable)
@@ -25,7 +26,7 @@ class EllipticPoint(Record):
             raise ValueError("a curve point has two lattice coordinates")
         merged = {}
         for name, coeff in self.free:
-            merged[name] = merged.get(name, 0) + int(coeff)
+            merged[name] = merged.get(name, 0) + index(coeff)
         free = tuple(sorted((n, c) for n, c in merged.items() if c != 0))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "free", free)

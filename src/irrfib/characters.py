@@ -1,9 +1,9 @@
 """Torsion characters of lattices and restriction along finite-index embeddings.
 
-A character is stored additively, on the integer grid: numerator k_j over
-its order n means basis vector j maps to exp(2*pi*i*k_j/n). Products and
-restriction are integer linear algebra mod n; the Fraction values are a
-view, and the +-1 display of 2-torsion characters a formatting concern.
+A character is stored additively, on the integer grid, as (lattice, n, nums):
+numerator k_j means basis vector j maps to exp(2*pi*i*k_j/n). Products and
+restriction are integer linear algebra mod n; the Fraction values are a view
+rebuilt on access, and the +-1 display of 2-torsion ones a formatting concern.
 """
 
 from itertools import product
@@ -17,8 +17,9 @@ from .record import Record
 
 class Character(OnGrid, Record):
     lattice: Lattice
-    values: tuple
-    _views = ("values",)
+    n: int
+    nums: tuple
+    values = property(OnGrid._fractions)
 
     def __mul__(self, other):
         return self._plus(other, "characters")
@@ -39,14 +40,14 @@ class Character(OnGrid, Record):
 
 
 def trivial_character(lattice):
-    return Character.from_grid(1, (0,) * lattice.rank, lattice=lattice)
+    return Character(lattice, 1, (0,) * lattice.rank)
 
 
 def torsion_characters(lattice, n):
     """All characters killed by n, in lexicographic value order."""
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
-    return [Character.from_grid(n, k, lattice=lattice)
+    return [Character(lattice, n, k)
             for k in product(range(n), repeat=lattice.rank)]
 
 
@@ -58,9 +59,8 @@ def restrict_character(chi, e):
     """
     if chi.lattice != e.ambient:
         raise IncompatibleLattice("character does not live on the ambient lattice")
-    n = chi.n
-    nums = tuple(sum(map(mul, col, chi.nums)) % n for col in zip(*e.matrix))
-    return Character.from_grid(n, nums, lattice=e.sub)
+    return Character(e.sub, chi.n, tuple(sum(map(mul, col, chi.nums))
+                                         for col in zip(*e.matrix)))
 
 
 def kernel_of_restriction(e, n):

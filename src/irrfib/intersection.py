@@ -9,6 +9,7 @@ brute-force counting oracle kept deliberately separate from the closed form.
 
 from itertools import product
 from math import gcd
+from operator import index
 
 from .errors import (IncompatibleLattice, InvalidModulus, IrrfibError,
                      NonPrimitive)
@@ -50,7 +51,7 @@ class DivisorClass(Record):
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) != self.lattice.rank:
             raise ValueError("coefficient vector must match the basis")
 
@@ -189,8 +190,8 @@ class KernelCurve(Record):
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "p", index(self.p))
+        object.__setattr__(self, "q", index(self.q))
         if gcd(self.p, self.q) != 1:
             raise NonPrimitive("(p, q) must be coprime")
 

@@ -2,17 +2,17 @@
 
 Lattices carry no complex structure at all: every computation downstream
 depends only on the integral data, so a lattice is just a rank and a tuple
-of basis labels. Torsion points, like characters, are int numerators mod
-their order n (OnGrid), and their printed coordinates are read straight off
-those numerators. `fractions` is imported only where a rational is parsed
-or computed (parse_rational, reduce_mod1, the OnGrid constructor and its
-Fraction views): through `decimal` it costs ~3 ms and ~0.6 MB per process,
-and a command that only prints grid elements never loads it.
+of basis labels. Torsion points, like characters, are (lattice, n, nums):
+int numerators mod their order n (OnGrid), and their printed coordinates are
+read straight off those numerators. `fractions` is imported only where a
+rational is parsed or computed (parse_rational, reduce_mod1, from_fractions
+and the Fraction views): through `decimal` it costs ~3 ms and ~0.6 MB per
+process, and a command that only prints grid elements never loads it.
 """
 
 from itertools import product
 from math import gcd, lcm, prod
-from operator import attrgetter
+from operator import index
 
 from .errors import DegenerateEmbedding, IncompatibleLattice, InvalidOrder
 from .linalg import determinant, diagonal, smith_normal_form, transpose
@@ -40,49 +40,39 @@ def parse_rational(text):
 class OnGrid:
     """A torsion element held as int numerators `nums` mod its order `n`.
 
-    The fields named in `_views` hold `_size` Fraction coordinates each: the
-    constructor turns them into the grid, and each is rebuilt from it once,
-    on first access. Equality and hashing use the other fields, n and nums.
+    The constructor reduces the numerators mod n and then to lowest terms,
+    so n is the element's order and nums are in [0, n). from_fractions is
+    the one way in from rational coordinates, and the Fraction views
+    (.values, .coords, .e1, .e2) are rebuilt from the grid on each access.
     Elements of a lattice's torus also add and scale here.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*(name for name in cls._fields
-                                if name not in cls._views), "n", "nums")
-
     @classmethod
-    def from_grid(cls, n, nums, **fields):
-        """The element with numerators nums, already reduced mod n."""
-        g = gcd(n, *nums)
-        self = object.__new__(cls)
-        self.__dict__.update(fields, n=n // g, nums=nums if g == 1 else
-                             tuple(k // g for k in nums))
-        return self
+    def from_fractions(cls, values, **fields):
+        """The element whose coordinates are the rationals values, mod 1."""
+        from fractions import Fraction
+        values = [Fraction(v) for v in values]
+        n = lcm(*(v.denominator for v in values))
+        return cls(n=n, nums=tuple(int(v * n) for v in values), **fields)
 
     @property
     def _size(self):
         return self.lattice.rank
 
     def __post_init__(self):
-        views = [self.__dict__.pop(name) for name in self._views]
-        if any(len(view) != self._size for view in views):
-            raise ValueError("%s needs %d coordinates in %s" % (
-                type(self).__name__, self._size, " and ".join(self._views)))
-        from fractions import Fraction
-        values = [Fraction(v) for view in views for v in view]
-        n = lcm(*(v.denominator for v in values))
-        self.__dict__.update(n=n, nums=tuple(int(v * n) % n for v in values))
+        n = self.n
+        if n < 1 or len(self.nums) != self._size:
+            raise ValueError("%s needs an order n >= 1 and %d numerators" % (
+                type(self).__name__, self._size))
+        nums = tuple(k % n for k in self.nums)
+        g = gcd(n, *nums)
+        if g > 1:
+            n, nums = n // g, tuple(k // g for k in nums)
+        self.__dict__.update(n=n, nums=nums)
 
-    def __getattr__(self, name):
-        # reached only while the view is not yet in the instance dict
-        if name not in self._views:
-            raise AttributeError(name)
+    def _fractions(self, part=slice(None)):
         from fractions import Fraction
-        i, size = self._views.index(name), self._size
-        view = self.__dict__[name] = tuple(
-            Fraction(k, self.n) for k in self.nums[i * size:(i + 1) * size])
-        return view
+        return tuple(Fraction(k, self.n) for k in self.nums[part])
 
     def texts(self):
         """Each coordinate as str(Fraction(k, n)) prints it, read off the
@@ -103,12 +93,10 @@ class OnGrid:
             raise IncompatibleLattice("%s on different lattices" % what)
         n = lcm(self.n, other.n)
         nums = zip(self.nums_over(n), other.nums_over(n))
-        return self.from_grid(n, tuple((x + y) % n for x, y in nums),
-                              lattice=self.lattice)
+        return type(self)(self.lattice, n, tuple(x + y for x, y in nums))
 
     def scale(self, k):
-        return self.from_grid(self.n, tuple(k * c % self.n for c in self.nums),
-                              lattice=self.lattice)
+        return type(self)(self.lattice, self.n, tuple(k * c for c in self.nums))
 
 
 class Lattice(Record):
@@ -125,8 +113,9 @@ class Lattice(Record):
 
 class TorsionPoint(OnGrid, Record):
     lattice: Lattice
-    coords: tuple
-    _views = ("coords",)
+    n: int
+    nums: tuple
+    coords = property(OnGrid._fractions)
 
     def __add__(self, other):
         return self._plus(other, "points")
@@ -143,7 +132,7 @@ class TorsionPoint(OnGrid, Record):
 
 
 def origin(lattice):
-    return TorsionPoint.from_grid(1, (0,) * lattice.rank, lattice=lattice)
+    return TorsionPoint(lattice, 1, (0,) * lattice.rank)
 
 
 class SublatticeEmbedding(Record):
@@ -153,7 +142,7 @@ class SublatticeEmbedding(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
-                           tuple(tuple(int(x) for x in row) for row in self.matrix))
+                           tuple(tuple(map(index, row)) for row in self.matrix))
         if len(self.matrix) != self.ambient.rank or any(
                 len(row) != self.sub.rank for row in self.matrix):
             raise ValueError("matrix must be ambient.rank x sub.rank")
@@ -164,10 +153,8 @@ class SublatticeEmbedding(Record):
 def _require_square_full_rank(e):
     if e.ambient.rank != e.sub.rank:
         raise DegenerateEmbedding("embedding is not square")
-    det = determinant(e.matrix)
-    if det == 0:
-        raise DegenerateEmbedding("embedding matrix is singular")
-    return det
+    # nonzero: a SublatticeEmbedding has full column rank
+    return determinant(e.matrix)
 
 
 def sublattice_index(e):
@@ -182,7 +169,7 @@ class FiniteAbelianGroup(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "invariant_factors",
-                           tuple(int(d) for d in self.invariant_factors))
+                           tuple(map(index, self.invariant_factors)))
         object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.invariant_factors) != len(self.generators):
             raise ValueError("one generator per invariant factor")
@@ -207,7 +194,7 @@ class FiniteAbelianGroup(Record):
         pts = {tuple(sum(k * g[j] for k, g in zip(ks, gens)) % big
                      for j in range(lat.rank))
                for ks in product(*(range(d) for d in self.invariant_factors))}
-        return [TorsionPoint.from_grid(big, p, lattice=lat) for p in sorted(pts)]
+        return [TorsionPoint(lat, big, p) for p in sorted(pts)]
 
 
 def quotient_group(e):
@@ -223,12 +210,12 @@ def quotient_group(e):
                    for di, col in zip(diagonal(d), transpose(v)) if di > 1)
     return FiniteAbelianGroup(
         e.sub, tuple(di for di, _ in pairs),
-        tuple(TorsionPoint.from_grid(di, k, lattice=e.sub) for di, k in pairs))
+        tuple(TorsionPoint(e.sub, di, k) for di, k in pairs))
 
 
 def torsion_subgroup(lattice, n):
     """All n-torsion points (1/n)L / L, in lexicographic coordinate order."""
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
-    return [TorsionPoint.from_grid(n, k, lattice=lattice)
+    return [TorsionPoint(lattice, n, k)
             for k in product(range(n), repeat=lattice.rank)]

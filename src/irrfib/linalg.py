@@ -14,7 +14,7 @@ nonzero remainder smaller than the pivot. A remainder is always re-pivoted
 on, so |pivot| falls at least every second pass, and the loop ends.
 """
 
-from operator import mul
+from operator import index, mul
 
 
 def identity_matrix(n):
@@ -123,7 +123,7 @@ def smith_normal_form(m):
     nc = len(m[0]) if nr else 0
     if any(len(row) != nc for row in m):
         raise ValueError("rows must have equal length")
-    a = [[int(x) for x in row] for row in m]
+    a = [list(map(index, row)) for row in m]
     u = identity_matrix(nr)
     v = identity_matrix(nc)
     k = min(nr, nc)

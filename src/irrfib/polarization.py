@@ -7,7 +7,7 @@ computed as the quotient of the dual lattice of the form by the lattice.
 
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import index, mul
 from types import MappingProxyType
 
 from .characters import Character, trivial_character
@@ -25,7 +25,7 @@ class AlternatingForm(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
-                           tuple(tuple(int(x) for x in row) for row in self.matrix))
+                           tuple(tuple(map(index, row)) for row in self.matrix))
         n = self.lattice.rank
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("matrix must be rank x rank")
@@ -76,7 +76,7 @@ def phi_L_on_point(f, x):
         raise IncompatibleLattice("point does not live on the form's lattice")
     values = tuple(sum(m_ij * xj for m_ij, xj in zip(row, x.coords) if m_ij)
                    for row in f.matrix)
-    return Character(f.lattice, values)
+    return Character.from_fractions(values, lattice=f.lattice)
 
 
 def kernel_K_L(f):
@@ -112,9 +112,8 @@ def phi_L_fibres(f, n):
     fibres = {}
     for k in product(range(n), repeat=lat.rank):
         key = tuple(sum(map(mul, row, k)) % n for row in f.matrix)
-        fibres.setdefault(key, []).append(
-            TorsionPoint.from_grid(n, k, lattice=lat))
-    return MappingProxyType({Character.from_grid(n, key, lattice=lat): tuple(xs)
+        fibres.setdefault(key, []).append(TorsionPoint(lat, n, k))
+    return MappingProxyType({Character(lat, n, key): tuple(xs)
                              for key, xs in fibres.items()})
 
 

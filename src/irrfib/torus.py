@@ -40,10 +40,12 @@ class SpecialAbelianSurface(Record):
 
 
 class ProductPoint(OnGrid, Record):
-    e1: tuple  # (coefficient of tau1, coefficient of 1) mod 1
-    e2: tuple
-    _views = ("e1", "e2")
-    _size = 2
+    # numerators of (tau1, 1) on the first factor, then (tau2, 1) on the second
+    n: int
+    nums: tuple
+    _size = 4
+    e1 = property(lambda self: self._fractions(slice(0, 2)))
+    e2 = property(lambda self: self._fractions(slice(2, 4)))
 
 
 def reference_lattice_b():
@@ -82,7 +84,7 @@ def psi_image(s, x):
     if x.lattice != s.embedding.sub:
         raise IncompatibleLattice("point must be in sublattice coordinates")
     b = [sum(row[j] * x.coords[j] for j in range(4)) for row in s.embedding.matrix]
-    return ProductPoint((b[0], b[2]), (b[1], b[3]))
+    return ProductPoint.from_fractions((b[0], b[2], b[1], b[3]))
 
 
 # every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
@@ -354,10 +356,8 @@ def parse_character(text, lattice):
     """Parse "chiA2*chiA5", "eps3", "trivial", or a raw "0,1/2,0,1/4" vector."""
     text = text.strip()
     if "," in text:
-        values = tuple(parse_rational(part) for part in text.split(","))
-        if len(values) != lattice.rank:
-            raise ValueError("expected %d coordinates" % lattice.rank)
-        return Character(lattice, values)
+        return Character.from_fractions(
+            map(parse_rational, text.split(",")), lattice=lattice)
     if lattice not in _TABLES:
         raise ValueError("names are only defined on the reference lattices")
     table = _TABLES[lattice][0]
@@ -365,5 +365,5 @@ def parse_character(text, lattice):
     for part in text.split("*"):
         if part not in table:
             raise ValueError("unknown character name: %r" % part)
-        out = out * Character.from_grid(2, table[part], lattice=lattice)
+        out = out * Character(lattice, 2, table[part])
     return out

@@ -32,6 +32,8 @@ def test_point_arithmetic():
     assert (-g).free == (("p", -1),)
     with pytest.raises(ValueError):
         EllipticPoint((0, 0, 0))
+    with pytest.raises(TypeError):  # a free coefficient that is not an integer
+        EllipticPoint((0, 0), (("p", Fraction(1, 2)),))
 
 
 def test_bundle_validation():

@@ -19,7 +19,8 @@ HALF = Fraction(1, 2)
 
 def test_character_normalization_and_ops():
     lat = reference_lattice_a()
-    chi = Character(lat, (Fraction(5, 4), 0, Fraction(-1, 2), 0))
+    chi = Character.from_fractions((Fraction(5, 4), 0, Fraction(-1, 2), 0),
+                                   lattice=lat)
     assert chi.values == (Fraction(1, 4), 0, HALF, 0)
     assert chi.order() == 4
     assert not chi.is_two_torsion
@@ -30,12 +31,12 @@ def test_character_normalization_and_ops():
     assert two.pm_vector() == (-1, 1, 1, 1)
     with pytest.raises(IncompatibleLattice):
         chi * trivial_character(reference_lattice_b())
-    third = Character(lat, (Fraction(1, 3), 0, 0, 0))
+    third = Character.from_fractions((Fraction(1, 3), 0, 0, 0), lattice=lat)
     assert not third.is_two_torsion
     assert third.pm_vector() is None
     assert third.order() == 3
     with pytest.raises(ValueError):
-        Character(lat, (0, 0))
+        Character(lat, 1, (0, 0))
 
 
 def test_torsion_character_counts():
@@ -51,11 +52,11 @@ def test_restriction_frozen_examples():
     amb = e.ambient
     # the two ambient characters cutting out the second elliptic factor
     # restrict to the same sub character: the embedding glues them
-    a = restrict_character(Character(amb, (0, 0, HALF, 0)), e)
-    b = restrict_character(Character(amb, (0, 0, 0, HALF)), e)
+    a = restrict_character(Character(amb, 2, (0, 0, 1, 0)), e)
+    b = restrict_character(Character(amb, 2, (0, 0, 0, 1)), e)
     assert a.values == (0, 0, HALF, 0)
     assert a == b
-    c = restrict_character(Character(amb, (HALF, 0, 0, 0)), e)
+    c = restrict_character(Character(amb, 2, (1, 0, 0, 0)), e)
     assert c.values == (HALF, HALF, 0, 0)
     with pytest.raises(IncompatibleLattice):
         restrict_character(a, e)

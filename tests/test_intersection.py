@@ -28,6 +28,8 @@ def test_lattice_validation():
     lat = IntersectionLattice(("a", "b"), ((2, 1), (1, 2)))
     with pytest.raises(ValueError):
         DivisorClass(lat, (1, 2, 3))
+    with pytest.raises(TypeError):  # a coefficient that is not an integer
+        DivisorClass(lat, (1, 0.5))
     other = IntersectionLattice(("c", "d"), ((2, 1), (1, 2)))
     with pytest.raises(IncompatibleLattice):
         dot(lat.basis_class("a"), other.basis_class("c"))
@@ -93,6 +95,8 @@ def test_kernel_curve_validation():
         KernelCurve(2, 4)
     with pytest.raises(NonPrimitive):
         KernelCurve(0, 0)
+    with pytest.raises(TypeError):  # a degree that is not an integer
+        KernelCurve("2", 1)
     KernelCurve(1, 0)
     KernelCurve(0, -1)
 

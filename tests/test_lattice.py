@@ -141,6 +141,8 @@ def test_ragged_matrices_rejected():
         determinant(ragged)
     with pytest.raises(ValueError):
         smith_normal_form(ragged)
+    with pytest.raises(TypeError):  # an entry that is not an integer
+        smith_normal_form([[1.5]])
 
 
 def test_one_row_and_empty_matrices():
@@ -191,13 +193,14 @@ def test_lattice_validation():
 
 def test_torsion_point_arithmetic():
     lat = reference_lattice_b()
-    x = TorsionPoint(lat, (Fraction(3, 2), 0, Fraction(-1, 4), 0))
+    x = TorsionPoint.from_fractions((Fraction(3, 2), 0, Fraction(-1, 4), 0),
+                                   lattice=lat)
     assert x.coords == (Fraction(1, 2), 0, Fraction(3, 4), 0)
     assert x.order() == 4
     assert (x + (-x)).is_origin
     assert x.scale(4).is_origin
     assert not x.is_origin
-    y = TorsionPoint(reference_lattice_a(), (0, 0, 0, 0))
+    y = TorsionPoint(reference_lattice_a(), 1, (0, 0, 0, 0))
     with pytest.raises(IncompatibleLattice):
         x + y
 
@@ -214,6 +217,8 @@ def test_embedding_validation_and_index():
     for matrix in (((1,),), ((1, 0), (0, 1))):
         with pytest.raises(ValueError, match="ambient.rank x sub.rank"):
             SublatticeEmbedding(amb, sub, matrix)
+    with pytest.raises(TypeError):  # an entry that is not an integer
+        SublatticeEmbedding(amb, sub, ((1.5,), (0,)))
 
 
 def test_sublattice_index_requires_square():
@@ -284,7 +289,7 @@ def test_quotient_group_elements_lie_in_the_ambient_lattice():
 
 def test_finite_abelian_group_validation():
     lat = reference_lattice_a()
-    half = TorsionPoint(lat, (Fraction(1, 2), 0, 0, 0))
+    half = TorsionPoint(lat, 2, (1, 0, 0, 0))
     assert FiniteAbelianGroup(lat, (2,), (half,)).elements() == [
         origin(lat), half]
     with pytest.raises(ValueError):
@@ -295,6 +300,8 @@ def test_finite_abelian_group_validation():
         FiniteAbelianGroup(lat, (4,), (half,))  # order mismatch
     with pytest.raises(IncompatibleLattice):  # a generator on another lattice
         FiniteAbelianGroup(reference_lattice_b(), (2,), (half,))
+    with pytest.raises(TypeError):  # a factor that is not an integer
+        FiniteAbelianGroup(lat, (2.0,), (half,))
 
 
 def test_parse_rational():

@@ -23,21 +23,44 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def _defined_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_no_unused_imports_in_the_library():
-    """A name a module imports is read somewhere in that module: what a
-    deletion leaves behind is found here. __init__.py imports to export."""
-    found = []
-    for path in sorted((SRC / "irrfib").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        used = {n.id for n in nodes if isinstance(n, ast.Name)}
-        found += [
-            "%s:%d %s" % (path.name, node.lineno, name)
-            for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-            for name in [(alias.asname or alias.name).partition(".")[0]]
-            if name not in used]
+    """A name a module imports is read somewhere in that module, and a
+    private name a module defines at its top level is read somewhere in the
+    library: what a deletion leaves behind is found here. __init__.py
+    imports to export."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "irrfib").glob("*.py"))}
+    reads = {name: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+                   | {n.attr for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute)}
+             for name, tree in trees.items()}
+    found = [
+        "%s:%d %s" % (name, node.lineno, imported)
+        for name, tree in trees.items() if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for imported in [(alias.asname or alias.name).partition(".")[0]]
+        if imported not in reads[name]]
+    read_anywhere = set().union(*reads.values())
+    found += [
+        "%s:%d %s" % (name, node.lineno, defined)
+        for name, tree in trees.items() for node in tree.body
+        for defined in _defined_names(node)
+        if defined.startswith("_") and not defined.endswith("__")
+        and defined not in read_anywhere]
     assert found == []
 
 

@@ -48,6 +48,10 @@ def test_form_validation():
     bad[0][1] = 1  # not skew: missing the -1 mirror
     with pytest.raises(ValueError):
         AlternatingForm(lat, tuple(tuple(r) for r in bad))
+    halves = [[0] * 4 for _ in range(4)]
+    halves[0][2], halves[2][0] = 1.5, -1.5  # skew, but not integral
+    with pytest.raises(TypeError):
+        AlternatingForm(lat, tuple(tuple(r) for r in halves))
 
 
 def test_polarization_type_validation():
@@ -108,10 +112,11 @@ def test_phi_L_values():
         ((0, Fraction(1, 2), 0, 0), (0, 0, 0, 0)),
     ]
     for coords, values in table:
-        chi = phi_L_on_point(f, TorsionPoint(lat, coords))
+        x = TorsionPoint.from_fractions(coords, lattice=lat)
+        chi = phi_L_on_point(f, x)
         assert chi.values == tuple(Fraction(v) for v in values)
     with pytest.raises(IncompatibleLattice):
-        phi_L_on_point(f, TorsionPoint(reference_form_b().lattice, (0,) * 4))
+        phi_L_on_point(f, TorsionPoint(reference_form_b().lattice, 1, (0,) * 4))
 
 
 def test_phi_L_is_a_homomorphism():

@@ -7,6 +7,7 @@ The module is skipped when hypothesis is not installed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -130,17 +131,24 @@ def test_reduce_mod1(x):
 
 @st.composite
 def grid_elements(draw):
-    """An order n and four numerators in [0, n)."""
+    """An order n and four numerators, negative ones and ones of n or more
+    included, with a common factor with n as often as not."""
     n = draw(st.integers(1, 60))
-    return n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=4,
-                                  max_size=4)))
+    g = draw(st.sampled_from((1, 2, 3, 6)))
+    return n * g, tuple(g * k for k in draw(st.lists(
+        st.integers(-3 * n, 3 * n), min_size=4, max_size=4)))
 
 
 @settings(bounded, max_examples=100)
 @given(grid_elements(), st.sampled_from((TorsionPoint, Character)))
 def test_texts_print_the_fraction_views(grid, cls):
     n, nums = grid
-    x = cls.from_grid(n, nums, lattice=LATTICE)
+    x = cls(LATTICE, n, nums)
+    fractions = [Fraction(k, n) for k in nums]
+    assert x == cls.from_fractions(fractions, lattice=LATTICE)
     view = x.coords if cls is TorsionPoint else x.values
     assert x.texts() == [str(c) for c in view]
-    assert x.texts() == [str(Fraction(k, n)) for k in nums]
+    assert x.texts() == [str(reduce_mod1(c)) for c in fractions]
+    # n is the order: the least multiplier taking every coordinate to 0
+    assert x.n == x.order() == lcm(*(c.denominator for c in view))
+    assert all(0 <= k < x.n for k in x.nums)

@@ -24,6 +24,7 @@ from irrfib.bundles import (BundleDecomposition, IndecomposableBundle,
                             xiao_structure)
 from irrfib.intersection import KernelCurve, pen6_lattice
 from irrfib.invariants import FibrationRecord, example_record
+from irrfib.lattice import OnGrid
 from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.record import Record, encode
 from irrfib.report import Check, Report
@@ -52,7 +53,7 @@ def _samples():
     return [
         s.embedding.sub, s.embedding, s.form_A, polarization_type(s.form_A),
         s, k_l, k_l.generators[0], sweep.rows[0].Q, sweep.rows[0], sweep,
-        ProductPoint((Fraction(1, 2), 0), (0, Fraction(1, 4))),
+        ProductPoint(4, (2, 0, 0, 1)),
         pen6, pen6.basis_class(pen6.basis_labels[0]), KernelCurve(1, 2),
         p, atiyah_bundle(2, p),
         BundleDecomposition((IndecomposableBundle(1, 0, elliptic_origin()),
@@ -80,6 +81,12 @@ def test_equal_fields_give_equal_records(record):
     if not isinstance(record, UNHASHABLE):
         assert hash(twin) == hash(record)
     assert pickle.loads(pickle.dumps(record)) == record
+    # a record stores exactly its declared fields, whatever has been read
+    for name in dir(record):
+        getattr(record, name)
+    assert set(vars(record)) - {"_hash"} == set(record._fields)
+    if isinstance(record, OnGrid):
+        assert b"fractions" not in pickle.dumps(record)
 
 
 @pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)
