@@ -8,9 +8,7 @@ The command line is the table COMMANDS, which parse_argv alone reads as
 argparse would, but refusing abbreviated flags and a bare "--".
 """
 
-import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -211,6 +209,7 @@ def cmd_bounds(args):
 
 
 def _parse_json(data, source):
+    import json  # with re and enum behind it: only --spec and --fixture pay
     try:
         return json.loads(data)
     except RecursionError:
@@ -396,7 +395,18 @@ COMMANDS = {
 # the flags of every command, and of irrfib before the command
 _COMMON = dict((_arg("-h", action="help"), _arg("--help", action="help"),
                 _arg("--json", action="store_true")))
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_negative_number(token):
+    r"""re.match(r"^-\d+$|^-\d*\.\d+$", token) without re: \d is any
+    Unicode decimal digit (str.isdecimal), and $ also matches before a final
+    newline."""
+    if token[:1] != "-":
+        return False
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
 
 def _is_flag(token, table):
@@ -405,7 +415,7 @@ def _is_flag(token, table):
     if token[:1] != "-" or token == "-":
         return False
     return (token.partition("=")[0] in table or token.startswith("-h")
-            or not _NEGATIVE.match(token) and " " not in token)
+            or not _is_negative_number(token) and " " not in token)
 
 
 def parse_argv(argv):

@@ -7,7 +7,7 @@ computed as the quotient of the dual lattice of the form by the lattice.
 
 from functools import lru_cache
 from itertools import product
-from operator import index, mul
+from operator import add, index
 from types import MappingProxyType
 
 from .characters import Character, trivial_character
@@ -95,26 +95,42 @@ def kernel_K_L(f):
 
 
 @lru_cache(maxsize=None)
-def phi_L_fibres(f, n):
-    """Each character phi_L(x) of an n-torsion point x, mapped to its fibre.
+def phi_L_grid(f, n):
+    """phi_L on n-torsion as bare numerators: character -> its fibre.
 
     The one enumeration of (1/n)L/L behind every question about phi_L on
     n-torsion points. It runs on the integer grid (Z/n)^rank: the point k/n
     has character numerators M*k mod n, with M the form's matrix, and points
-    are grouped by those. Keys and points are built straight from their
-    numerators, with no Fraction in between. Fibres are tuples in
-    lexicographic coordinate order and the map is read-only, so callers
+    are grouped by those. Keys are the characters' numerators over n, in the
+    order their first point appears; each fibre is the tuple of its points'
+    numerators k, in lexicographic order. The map is read-only, so callers
     cannot change the cached table.
     """
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
-    lat = f.lattice
+    rank = f.lattice.rank
+    # M*k for every k in lexicographic order, a column multiple at a time
+    sums = [(0,) * rank]
+    for column in zip(*f.matrix):
+        multiples = [tuple(v * c % n for c in column) for v in range(n)]
+        sums = [tuple(map(add, s, m)) for s in sums for m in multiples]
     fibres = {}
-    for k in product(range(n), repeat=lat.rank):
-        key = tuple(sum(map(mul, row, k)) % n for row in f.matrix)
-        fibres.setdefault(key, []).append(TorsionPoint(lat, n, k))
-    return MappingProxyType({Character(lat, n, key): tuple(xs)
-                             for key, xs in fibres.items()})
+    for k, key in zip(product(range(n), repeat=rank), sums):
+        fibres.setdefault(tuple([x % n for x in key]), []).append(k)
+    return MappingProxyType({key: tuple(ks) for key, ks in fibres.items()})
+
+
+@lru_cache(maxsize=None)
+def phi_L_fibres(f, n):
+    """Each character phi_L(x) of an n-torsion point x, mapped to its fibre.
+
+    The records view of phi_L_grid: the same keys and fibres, in the same
+    order, as Characters and tuples of TorsionPoints, read-only.
+    """
+    lat = f.lattice
+    return MappingProxyType({
+        Character(lat, n, key): tuple(TorsionPoint(lat, n, k) for k in ks)
+        for key, ks in phi_L_grid(f, n).items()})
 
 
 def phi_two_torsion_data(f):

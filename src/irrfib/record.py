@@ -15,7 +15,8 @@ JSON types, rationals as "p/q" strings, and a record's to_json() is the dict
 of its encoded fields. Six records override it: TorsionPoint,
 DivisorClass, KernelCurve and PolarizationType are lists, ExampleSurface's
 moduli_dims is a dict, and a Check adds its "pass". An override returns
-plain JSON types too.
+plain JSON types too: None, bools, ints, strs, lists and dicts with str
+keys, which is all report.canonical_json has to write.
 """
 
 import sys

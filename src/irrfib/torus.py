@@ -7,16 +7,15 @@ translated reducible members pass through the origin, and a two-route verdict
 """
 
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
-from .lattice import (Lattice, OnGrid, SublatticeEmbedding, parse_rational,
-                      sublattice_index)
+from .lattice import (Lattice, OnGrid, SublatticeEmbedding, TorsionPoint,
+                      parse_rational, sublattice_index)
 from .linalg import integer_kernel_basis
-from .polarization import (AlternatingForm, phi_L_fibres, polarization_type,
-                           restrict_form)
+from .polarization import (AlternatingForm, phi_L_fibres, phi_L_grid,
+                           polarization_type, restrict_form)
 from .record import Record
 
 SINGULARITY_NONE = "none"
@@ -121,6 +120,14 @@ def translation_points_for_twist(s, xi, n_bound):
     return set(phi_L_fibres(s.form_A, n_bound).get(xi, ()))
 
 
+def _fibre_numerators(s, chi, n):
+    """The numerators over n of the n-torsion points x with phi_L(x) = chi,
+    a character on the sublattice; empty when chi is not in the image."""
+    if n % chi.n:
+        return ()
+    return phi_L_grid(s.form_A, n).get(chi.nums_over(n), ())
+
+
 @lru_cache(maxsize=None)
 def _factor_period_kernels(s):
     """Period generators of the two elliptic subtori, in sub coordinates.
@@ -145,9 +152,12 @@ def _check_pair(s, Q, Qhalf):
     lat = s.embedding.sub
     if Q.lattice != lat or Qhalf.lattice != lat:
         raise IncompatibleLattice("characters must live on the sublattice")
-    if Q not in phi_L_fibres(s.form_A, 2):
+    if not _fibre_numerators(s, Q, 2):
         raise InvalidTwist("Q must be in the image of phi on 2-torsion")
-    if Qhalf * Qhalf != Q:
+    # Qhalf^2 = Q: over Qhalf's order n, twice its numerators are Q's mod n
+    n = Qhalf.n
+    if n % Q.n or any((2 * k - j) % n
+                      for k, j in zip(Qhalf.nums, Q.nums_over(n))):
         raise InvalidTwist("Qhalf must be a square root of Q")
     if Q.is_trivial and Qhalf.is_trivial:
         raise InvalidTwist("the trivial pair is excluded")
@@ -175,13 +185,12 @@ def classify_origin_singularity(s, Q, Qhalf):
     return SINGULARITY_NONE
 
 
-def _origin_cases_on_grid(s, x, n):
+def _origin_cases_on_grid(s, k, n):
     """reducible_through_origin(psi_image(s, x)), computed on integers.
 
-    x is an n-torsion point: over the denominator n it has numerators k,
-    and psi(x) has numerators E*k mod n, E the embedding matrix.
+    k are the numerators over n of the n-torsion point x, and psi(x) has
+    numerators E*k mod n, E the embedding matrix.
     """
-    k = x.nums if x.n == n else x.nums_over(n)
     b = [sum(map(mul, row, k)) % n for row in s.embedding.matrix]
     return _origin_cases(n, (b[0], b[2]), (b[1], b[3]))
 
@@ -193,8 +202,8 @@ def classify_origin_singularity_oracle(s, Q, Qhalf):
     """
     _check_pair(s, Q, Qhalf)
     saw_side = False
-    for x in translation_points_for_twist(s, Qhalf, 4):
-        cases = _origin_cases_on_grid(s, x, 4)
+    for k in _fibre_numerators(s, Qhalf, 4):
+        cases = _origin_cases_on_grid(s, k, 4)
         second_side = not _SECOND_SIDE.isdisjoint(cases)
         first_side = not _FIRST_SIDE.isdisjoint(cases)
         if second_side and first_side:
@@ -215,19 +224,29 @@ def moduli_type(s, Q, Qhalf):
     _check_pair(s, Q, Qhalf)
     if not Q.is_trivial:
         return "II"
-    return "Ib" if Qhalf in phi_L_fibres(s.form_A, 2) else "Ia"
+    return "Ib" if _fibre_numerators(s, Qhalf, 2) else "Ia"
 
 
 def admissible_qhalf(s):
-    """The 63 nontrivial characters realizable as phi_L(x) on 4-torsion."""
-    chars = [c for c in phi_L_fibres(s.form_A, 4) if not c.is_trivial]
-    # in value order: over one common denominator, numerators sort alike
-    big = lcm(*(c.n for c in chars))
-    return sorted(chars, key=lambda c: c.nums_over(big))
+    """The 63 nontrivial characters realizable as phi_L(x) on 4-torsion,
+    in value order: numerators over the one denominator 4 sort alike."""
+    lat = s.form_A.lattice
+    return [Character(lat, 4, key) for key in sorted(phi_L_grid(s.form_A, 4))
+            if any(key)]
 
 
 def admissible_pairs(s):
-    return [(q * q, q) for q in admissible_qhalf(s)]
+    """(Qhalf^2, Qhalf) for every admissible Qhalf, in admissible_qhalf's
+    order. A square is 2-torsion, so the 63 pairs share a few Q's: each is
+    built once, from numerators over 4."""
+    squares = {}
+    pairs = []
+    for q in admissible_qhalf(s):
+        nums = tuple(2 * k for k in q.nums_over(4))
+        if nums not in squares:
+            squares[nums] = Character(q.lattice, 4, nums)
+        pairs.append((squares[nums], q))
+    return pairs
 
 
 # The paper's tables for the reference surface, checked by `irrfib appendix`
@@ -281,8 +300,9 @@ def classification_report(s, Q, Qhalf):
     closed = classify_origin_singularity(s, Q, Qhalf)
     oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
     # the fibre is already in coordinate order
-    witnesses = [x for x in phi_L_fibres(s.form_A, 4).get(Qhalf, ())
-                 if _origin_cases_on_grid(s, x, 4)]
+    witnesses = [TorsionPoint(s.form_A.lattice, 4, k)
+                 for k in _fibre_numerators(s, Qhalf, 4)
+                 if _origin_cases_on_grid(s, k, 4)]
     return {
         "Q": Q.texts(),
         "Qhalf": Qhalf.texts(),

@@ -2,12 +2,13 @@ import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfib import cli
@@ -791,6 +792,26 @@ def _occurrence(data, name, action, value):
     return [name, data.draw(value)]
 
 
+# argparse's test for a token that is a negative number, not a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@given(st.one_of(st.text(st.sampled_from("-.019\n \u0663\u00b2\u2155e"),
+                         max_size=8), st.text(max_size=6)))
+@settings(max_examples=500, deadline=None)
+@example("-\u0663")   # an Arabic-Indic digit is a decimal digit
+@example("-5\n")      # $ matches before a final newline
+@example("-5\n\n")
+@example("-1.")
+@example("-.5")
+@example("-1.5.2")
+@example("-1e3")
+@example("-\u00b2")   # a superscript two is a digit, but not a decimal one
+def test_negative_number_test_matches_argparse_pattern(token):
+    assert cli._is_negative_number(token) \
+        == bool(_NEGATIVE_NUMBER.match(token))
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_exact_parser_matches_argparse_on_the_table_grammar(data):
@@ -863,8 +884,10 @@ def test_well_formed_commands_import_no_argparse():
 
 def test_verify_and_oracle_commands_import_no_fractions():
     # fractions costs ~3 ms and ~0.6 MB per process through decimal; these
-    # commands print only integers and grid coordinates
-    names = "{'fractions', 'decimal'}"
+    # commands print only integers and grid coordinates. json, with re and
+    # enum behind it, costs ~2.5 ms even where site has loaded re, and they
+    # read no JSON
+    names = "{'fractions', 'decimal', 'json', 're', 'enum'}"
     assert _run("import irrfib.cli, sys; print(sorted(%s & set(sys.modules)))"
                 % names) == "[]\n"
     for argv in (["appendix", "--json"], ["classify", "--sweep"],
@@ -872,3 +895,42 @@ def test_verify_and_oracle_commands_import_no_fractions():
         out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
                    "print(sorted(%s & set(sys.modules)))" % (argv, names))
         assert out.endswith("\n[]\n"), argv
+
+
+def test_json_loads_only_to_read_spec_or_fixture(tmp_path):
+    # slope's value is a Fraction, and fractions itself imports re and enum
+    out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
+               "print('json' in sys.modules)" % [*SLOPE, "--json"])
+    assert out.endswith("\nFalse\n")
+    # JSON input still parses, and JSON nested deeper than json can recurse
+    # is still a usage error, inline and in a file
+    spec = '{"g": 3, "r": 1, "torsion": ["1/3,0"]}'
+    deep = '{"g": ' + "[" * 100_000
+    (tmp_path / "spec.json").write_text(spec)
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "lat.json").write_text(
+        '{"basis_labels": ["a", "b"], "gram": [[0, 1], [1, 0]]}')
+    for argv, status in (
+            (["bundle", "h0", "--spec", spec], 0),
+            (["bundle", "h0", "--spec", str(tmp_path / "spec.json")], 0),
+            (["intersect", "--fixture", str(tmp_path / "lat.json"),
+              "--class", "1,0", "--class", "0,1"], 0),
+            (["bundle", "h0", "--spec", str(tmp_path / "deep.json")], 64),
+            (["bundle", "h0", "--spec", None], 64)):
+        # None stands for the deep inline spec, read from stdin
+        out = _run("import irrfib.cli, sys; sys.stderr = sys.stdout; "
+                   "print(irrfib.cli.main([sys.stdin.read() if a is None "
+                   "else a for a in %r]))" % argv, data=deep.encode())
+        assert out.endswith("\n%d\n" % status), argv
+        assert ("usage error: cannot load" in out) == (status == 64), argv
+
+
+def test_importing_the_cli_loads_every_module_of_the_package():
+    """The traced benchmark imports irrfib.cli and then looks each layer's
+    module up in sys.modules: a module loaded later would crash every traced
+    request."""
+    out = _run("import irrfib.cli, pkgutil, sys; names = [m.name for m in "
+               "pkgutil.iter_modules(irrfib.__path__, 'irrfib.')]; "
+               "print(len(names), [n for n in names if n not in sys.modules])")
+    count, missing = out.split(" ", 1)
+    assert int(count) >= 12 and missing == "[]\n"

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -11,7 +12,8 @@ from irrfib.errors import IncompatibleLattice, InvalidTwist
 from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                             torsion_subgroup)
 from irrfib.linalg import determinant, mat_mul
-from irrfib.polarization import (AlternatingForm, kernel_K_L,
+from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_fibres,
+                                 phi_L_grid, phi_L_on_point,
                                  phi_two_torsion_data, restrict_form)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, ProductPoint,
@@ -130,7 +132,7 @@ def test_oracle_integer_cases_match_psi_image(surface, seed):
     s = surface if seed is None else moved_surface(seed)
     seen = set()
     for x in torsion_subgroup(s.embedding.sub, 4):
-        cases = _origin_cases_on_grid(s, x, 4)
+        cases = _origin_cases_on_grid(s, x.nums_over(4), 4)
         assert cases == reducible_through_origin(psi_image(s, x))
         seen.add(cases)
     assert {frozenset({1, 3}), frozenset({2, 4}), frozenset()} <= seen
@@ -184,9 +186,10 @@ def test_oracle_groups_the_cases_into_sides(surface, monkeypatch, coords,
     """Cases 1 and 2 put a component over one side, 3 and 4 over the other:
     a fibre of one hand-built point, whatever pair it is handed for."""
     x = TorsionPoint.from_fractions(coords, lattice=surface.embedding.sub)
-    assert _origin_cases_on_grid(surface, x, 4) == frozenset(cases)
-    monkeypatch.setattr(irrfib.torus, "translation_points_for_twist",
-                        lambda s, xi, n_bound: {x})
+    k = x.nums_over(4)
+    assert _origin_cases_on_grid(surface, k, 4) == frozenset(cases)
+    monkeypatch.setattr(irrfib.torus, "_fibre_numerators",
+                        lambda s, chi, n: (k,))
     Q, Qhalf = admissible_pairs(surface)[0]
     assert classify_origin_singularity_oracle(surface, Q, Qhalf) == verdict
 
@@ -355,6 +358,43 @@ def test_classification_is_basis_independent(seed):
                                     SINGULARITY_NONE: 50}
     assert Counter((row.moduli_type, row.closed)
                    for row in sweep.rows) == MODULI_ROWS
+
+
+def index_two_surface(a):
+    """The surface on the sublattice {x : a.x even} of the reference product
+    lattice, a a nonzero vector mod 2; a = (0, 0, 1, 1) is the reference."""
+    i = a.index(1)
+    columns = [[2 * (r == i) for r in range(4)] if j == i else
+               [(r == j) - (r == i) * a[j] for r in range(4)]
+               for j in range(4)]
+    e = SublatticeEmbedding(reference_lattice_b(), reference_lattice_a(),
+                            tuple(zip(*columns)))
+    fb = reference_form_b()
+    return SpecialAbelianSurface(e, fb, restrict_form(fb, e))
+
+
+@pytest.mark.parametrize("a", [a for a in product((0, 1), repeat=4) if any(a)],
+                         ids=lambda a: "".join(map(str, a)))
+def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
+    """On all 15 surfaces the library accepts on an index-2 sublattice, the
+    numerator grids equal the Fraction routes at every 4-torsion point: the
+    oracle's cases equal psi_image's, and the fibres phi_L_on_point's. (The
+    two routes' verdicts still part on all but the reference: not pinned.)"""
+    s = index_two_surface(a)
+    f, lat = s.form_A, s.embedding.sub
+    assert all(sum(map(mul, a, col)) % 2 == 0 for col in zip(*s.embedding.matrix))
+    grid, fibres = {}, {}
+    for x in torsion_subgroup(lat, 4):
+        k = x.nums_over(4)
+        assert _origin_cases_on_grid(s, k, 4) \
+            == reducible_through_origin(psi_image(s, x))
+        chi = phi_L_on_point(f, x)
+        grid.setdefault(chi.nums_over(4), []).append(k)
+        fibres.setdefault(chi, []).append(x)
+    assert list(phi_L_grid(f, 4).items()) \
+        == [(key, tuple(ks)) for key, ks in grid.items()]
+    assert list(phi_L_fibres(f, 4).items()) \
+        == [(chi, tuple(xs)) for chi, xs in fibres.items()]
 
 
 def test_classification_report_shape(surface):
