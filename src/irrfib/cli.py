@@ -8,6 +8,7 @@ The command line is the table COMMANDS, which parse_argv alone reads as
 argparse would, but refusing abbreviated flags and a bare "--".
 """
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -521,5 +522,14 @@ def main(argv=None):
     return 0 if isinstance(report, str) or report.passed else 2
 
 
+def run():
+    """Entry of a command's process: main(), then gc.freeze(), so that the
+    collections at shutdown skip a heap the OS frees anyway. main(argv)
+    never freezes: in a long-lived process it would pin the heap."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

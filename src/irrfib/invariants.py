@@ -82,11 +82,11 @@ class ExampleSurface(Record):
 
 def slope(K2, chi, gC, gF):
     """Relative canonical degree over the modified Euler characteristic."""
-    from fractions import Fraction
     base = (gC - 1) * (gF - 1)
     delta = chi - base
     if delta == 0:
         raise UndefinedSlope("chi - (gC-1)(gF-1) = 0")
+    from fractions import Fraction
     return Fraction(K2 - 8 * base, delta)
 
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import random
@@ -849,12 +850,15 @@ def test_help_and_error_text_matches_its_golden(capsys):
             case["code"], case["stdout"], case["stderr"]), case["argv"]
 
 
+def _cli_env(**extra):
+    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
 # A block-buffered stdout fails at the flush, an unbuffered one in print
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_keeps_the_exit_status(unbuffered):
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
-               PYTHONUNBUFFERED=unbuffered)
+    env = _cli_env(PYTHONUNBUFFERED=unbuffered)
     for argv, status in ((("example", "pen-5"), 0), (("appendix",), 0),
                          (("appendix", "--corrupt"), 2), (("-h",), 0)):
         read_end, write_end = os.pipe()
@@ -866,6 +870,78 @@ def test_closed_stdout_keeps_the_exit_status(unbuffered):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (status, b""), argv
+
+
+# one argv for each exit status of the contract
+STATUS_ARGV = {
+    0: ("bounds", "--k2", "4", "--chi", "1"),
+    2: ("appendix", "--corrupt"),
+    64: ("example", "nope"),
+    65: ("slope", "--k2", "8", "--chi", "2", "--gc", "2", "--gf", "3"),
+}
+
+
+@pytest.mark.parametrize("status", sorted(STATUS_ARGV))
+def test_run_is_main_then_one_freeze(capsys, monkeypatch, status):
+    # the recorder stands in for gc.freeze: this process is never frozen
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+    monkeypatch.setattr(sys, "argv", ["irrfib", *STATUS_ARGV[status]])
+    assert cli.run() == status
+    assert len(freezes) == 1
+    printed = capsys.readouterr()
+    assert run(capsys, *STATUS_ARGV[status]) == (status, *printed)
+
+
+def test_main_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    for argv in STATUS_ARGV.values():
+        main(list(argv))
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(SRC.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"irrfib": "irrfib.cli:run"}
+
+
+@pytest.mark.parametrize("status", sorted(STATUS_ARGV))
+def test_a_process_prints_what_main_prints(capsys, tmp_path, status):
+    # to a file, stdout is block-buffered
+    with open(tmp_path / "out", "wb") as handle:
+        proc = subprocess.run(
+            [sys.executable, "-m", "irrfib.cli", *STATUS_ARGV[status]],
+            env=_cli_env(), stdout=handle, stderr=subprocess.PIPE,
+            timeout=120)
+    code, out, err = run(capsys, *STATUS_ARGV[status])
+    assert code == status
+    assert (proc.returncode, (tmp_path / "out").read_bytes(), proc.stderr) \
+        == (code, out.encode(), err.encode())
+
+
+def test_atexit_hooks_run_after_the_entry(tmp_path):
+    code = ("import atexit, runpy, sys; atexit.register(print, 'atexit ran'); "
+            "sys.argv = ['irrfib', *%r]; "
+            "runpy.run_module('irrfib.cli', run_name='__main__')"
+            % (STATUS_ARGV[0],))
+    with open(tmp_path / "out", "wb") as handle:
+        proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                              stdout=handle, stderr=subprocess.PIPE,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "out").read_text().endswith("\natexit ran\n")
+
+
+def test_a_profiler_still_prints_its_stats():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "irrfib.cli",
+         *STATUS_ARGV[0]], env=_cli_env(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert "function calls" in proc.stdout.decode()
+    assert "Ordered by" in proc.stdout.decode()
 
 
 def test_well_formed_commands_import_no_argparse():
@@ -895,6 +971,11 @@ def test_verify_and_oracle_commands_import_no_fractions():
         out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
                    "print(sorted(%s & set(sys.modules)))" % (argv, names))
         assert out.endswith("\n[]\n"), argv
+    # an undefined slope is refused before a Fraction is built
+    out = _run("import irrfib.cli, sys; sys.stderr = sys.stdout; "
+               "print(irrfib.cli.main(%r), sorted(%s & set(sys.modules)))"
+               % (STATUS_ARGV[65], names))
+    assert out.endswith("\n65 []\n")
 
 
 def test_json_loads_only_to_read_spec_or_fixture(tmp_path):
