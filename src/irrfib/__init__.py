@@ -36,9 +36,9 @@ from .lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
                       torsion_subgroup)
 from .linalg import smith_normal_form
 from .polarization import (AlternatingForm, PolarizationType, kernel_K_L,
-                           phi_L_fibres, phi_L_on_point, phi_two_torsion_data,
+                           phi_L_on_point, phi_two_torsion_data,
                            polarization_type, restrict_form)
-from .torus import (ProductPoint, SpecialAbelianSurface, admissible_pairs,
+from .torus import (SpecialAbelianSurface, admissible_pairs,
                     build_reference_surface, character_name,
                     classification_report, classification_sweep,
                     classify_origin_singularity,

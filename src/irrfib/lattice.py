@@ -43,7 +43,7 @@ class OnGrid:
     The constructor reduces the numerators mod n and then to lowest terms,
     so n is the element's order and nums are in [0, n). from_fractions is
     the one way in from rational coordinates, and the Fraction views
-    (.values, .coords, .e1, .e2) are rebuilt from the grid on each access.
+    (.values, .coords) are rebuilt from the grid on each access.
     Elements of a lattice's torus also add and scale here.
     """
 
@@ -55,24 +55,20 @@ class OnGrid:
         n = lcm(*(v.denominator for v in values))
         return cls(n=n, nums=tuple(int(v * n) for v in values), **fields)
 
-    @property
-    def _size(self):
-        return self.lattice.rank
-
     def __post_init__(self):
-        n = self.n
-        if n < 1 or len(self.nums) != self._size:
+        n, rank = self.n, self.lattice.rank
+        if n < 1 or len(self.nums) != rank:
             raise ValueError("%s needs an order n >= 1 and %d numerators" % (
-                type(self).__name__, self._size))
+                type(self).__name__, rank))
         nums = tuple(k % n for k in self.nums)
         g = gcd(n, *nums)
         if g > 1:
             n, nums = n // g, tuple(k // g for k in nums)
         self.__dict__.update(n=n, nums=nums)
 
-    def _fractions(self, part=slice(None)):
+    def _fractions(self):
         from fractions import Fraction
-        return tuple(Fraction(k, self.n) for k in self.nums[part])
+        return tuple(Fraction(k, self.n) for k in self.nums)
 
     def texts(self):
         """Each coordinate as str(Fraction(k, n)) prints it, read off the

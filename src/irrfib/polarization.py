@@ -10,7 +10,7 @@ from itertools import product
 from operator import add, index
 from types import MappingProxyType
 
-from .characters import Character, trivial_character
+from .characters import Character
 from .errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                      InvalidRank)
 from .lattice import Lattice, SublatticeEmbedding, TorsionPoint, quotient_group
@@ -120,22 +120,11 @@ def phi_L_grid(f, n):
     return MappingProxyType({key: tuple(ks) for key, ks in fibres.items()})
 
 
-@lru_cache(maxsize=None)
-def phi_L_fibres(f, n):
-    """Each character phi_L(x) of an n-torsion point x, mapped to its fibre.
-
-    The records view of phi_L_grid: the same keys and fibres, in the same
-    order, as Characters and tuples of TorsionPoints, read-only.
-    """
-    lat = f.lattice
-    return MappingProxyType({
-        Character(lat, n, key): tuple(TorsionPoint(lat, n, k) for k in ks)
-        for key, ks in phi_L_grid(f, n).items()})
-
-
 def phi_two_torsion_data(f):
     """(kernel, image) of phi_L on the 2-torsion points."""
     if determinant(f.matrix) == 0:
         raise DegenerateForm("form is degenerate")
-    fibres = phi_L_fibres(f, 2)
-    return set(fibres[trivial_character(f.lattice)]), set(fibres)
+    lat = f.lattice
+    grid = phi_L_grid(f, 2)
+    return ({TorsionPoint(lat, 2, k) for k in grid[(0,) * lat.rank]},
+            {Character(lat, 2, key) for key in grid})

@@ -11,11 +11,11 @@ from operator import mul
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
-from .lattice import (Lattice, OnGrid, SublatticeEmbedding, TorsionPoint,
+from .lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                       parse_rational, sublattice_index)
 from .linalg import integer_kernel_basis
-from .polarization import (AlternatingForm, phi_L_fibres, phi_L_grid,
-                           polarization_type, restrict_form)
+from .polarization import (AlternatingForm, phi_L_grid, polarization_type,
+                           restrict_form)
 from .record import Record
 
 SINGULARITY_NONE = "none"
@@ -36,15 +36,6 @@ class SpecialAbelianSurface(Record):
         t = polarization_type(self.form_A)
         if (t.d1, t.d2) != (1, 2):
             raise ValueError("restricted form must have type (1,2)")
-
-
-class ProductPoint(OnGrid, Record):
-    # numerators of (tau1, 1) on the first factor, then (tau2, 1) on the second
-    n: int
-    nums: tuple
-    _size = 4
-    e1 = property(lambda self: self._fractions(slice(0, 2)))
-    e2 = property(lambda self: self._fractions(slice(2, 4)))
 
 
 def reference_lattice_b():
@@ -79,11 +70,14 @@ def build_reference_surface():
 
 
 def psi_image(s, x):
-    """Image of a sub-torus point under the degree-2 isogeny, split by factor."""
+    """Image of a sub-torus point under the degree-2 isogeny: the point E*x
+    of the ambient torus, E the embedding matrix."""
     if x.lattice != s.embedding.sub:
         raise IncompatibleLattice("point must be in sublattice coordinates")
-    b = [sum(row[j] * x.coords[j] for j in range(4)) for row in s.embedding.matrix]
-    return ProductPoint.from_fractions((b[0], b[2], b[1], b[3]))
+    coords = x.coords
+    return TorsionPoint.from_fractions(
+        [sum(map(mul, row, coords)) for row in s.embedding.matrix],
+        lattice=s.embedding.ambient)
 
 
 # every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
@@ -94,12 +88,15 @@ _SECOND_SIDE = frozenset((1, 2))
 _FIRST_SIDE = frozenset((3, 4))
 
 
-def _origin_cases(n, e1, e2):
-    """The lemma's four cases, from the two factor coordinates of psi(x).
+def _origin_cases(n, b):
+    """The lemma's four cases, from the ambient numerators b mod n of psi(x).
 
-    A factor coordinate is (t, c), the numerators mod n of the coefficients
-    of tau_i and 1; the half-period tau_i/2 is (n // 2, 0) when n is even.
+    The ambient basis is (lambda1, lambda2, mu1, mu2), and factor i has the
+    periods lambda_i = tau_i and mu_i = 1, so its coordinate is the pair
+    (b[i - 1], b[i + 1]). The half-period tau_i/2 is (n // 2, 0) when n is
+    even.
     """
+    e1, e2 = (b[0], b[2]), (b[1], b[3])
     half = (n // 2, 0) if n % 2 == 0 else None
     return _CASE_SETS[(e2 == (0, 0)) | (e2 == half) << 1
                       | (e1 == (0, 0)) << 2 | (e1 == half) << 3]
@@ -112,20 +109,23 @@ def reducible_through_origin(y):
     factor coordinate of psi(x) is 0 or the half-period tau_i/2; the four
     cases follow the lemma's numbering.
     """
-    return _origin_cases(y.n, y.nums[:2], y.nums[2:])
+    return _origin_cases(y.n, y.nums)
 
 
 def translation_points_for_twist(s, xi, n_bound):
     """All n_bound-torsion points x with phi_L(x) = xi (possibly empty)."""
-    return set(phi_L_fibres(s.form_A, n_bound).get(xi, ()))
+    lat = s.embedding.sub
+    if xi.lattice != lat:
+        raise IncompatibleLattice("character must live on the sublattice")
+    return {TorsionPoint(lat, n_bound, k)
+            for k in _fibre_numerators(s, xi, n_bound)}
 
 
 def _fibre_numerators(s, chi, n):
     """The numerators over n of the n-torsion points x with phi_L(x) = chi,
     a character on the sublattice; empty when chi is not in the image."""
-    if n % chi.n:
-        return ()
-    return phi_L_grid(s.form_A, n).get(chi.nums_over(n), ())
+    grid = phi_L_grid(s.form_A, n)  # refuses an order n below 1
+    return () if n % chi.n else grid.get(chi.nums_over(n), ())
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +191,8 @@ def _origin_cases_on_grid(s, k, n):
     k are the numerators over n of the n-torsion point x, and psi(x) has
     numerators E*k mod n, E the embedding matrix.
     """
-    b = [sum(map(mul, row, k)) % n for row in s.embedding.matrix]
-    return _origin_cases(n, (b[0], b[2]), (b[1], b[3]))
+    return _origin_cases(n, [sum(map(mul, row, k)) % n
+                             for row in s.embedding.matrix])
 
 
 def classify_origin_singularity_oracle(s, Q, Qhalf):

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from irrfib.characters import Character
 from irrfib.errors import (DegenerateEmbedding, IncompatibleLattice,
                            InvalidOrder)
 from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
@@ -189,6 +190,17 @@ def test_lattice_validation():
     with pytest.raises(ValueError, match="pairwise distinct"):
         Lattice(2, ("a", "a"))
     assert Lattice(1, ("x",)).rank == 1
+
+
+@pytest.mark.parametrize("cls", [TorsionPoint, Character],
+                         ids=lambda cls: cls.__name__)
+def test_grid_elements_refuse_a_bad_order_or_length(cls):
+    lat = reference_lattice_a()
+    with pytest.raises(ValueError, match="4 numerators"):
+        cls(lat, 1, (0, 0, 0, 0, 0))
+    for n in (0, -4):  # an order below 1
+        with pytest.raises(ValueError, match="order n >= 1"):
+            cls(lat, n, (0, 0, 0, 0))
 
 
 def test_torsion_point_arithmetic():

@@ -7,7 +7,7 @@ from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                            InvalidRank)
 from irrfib.lattice import Lattice, TorsionPoint, torsion_subgroup
 from irrfib.polarization import (AlternatingForm, PolarizationType,
-                                 kernel_K_L, phi_L_fibres, phi_L_on_point,
+                                 kernel_K_L, phi_L_grid, phi_L_on_point,
                                  phi_two_torsion_data, polarization_type,
                                  restrict_form)
 from irrfib.torus import (reference_embedding, reference_form_b,
@@ -157,17 +157,14 @@ def _pointwise_fibres(f, n):
 
 
 def _assert_matches_pointwise(f, n):
-    grid = phi_L_fibres(f, n)
-    reference = _pointwise_fibres(f, n)
-    assert list(grid) == list(reference)
-    for chi, xs in grid.items():
-        assert xs == reference[chi]
-        assert all(type(v) is Fraction for v in chi.values)
-        assert all(type(c) is Fraction for x in xs for c in x.coords)
+    """phi_L_grid against the reference, compared by numerators over n."""
+    assert list(phi_L_grid(f, n).items()) == [
+        (chi.nums_over(n), tuple(x.nums_over(n) for x in xs))
+        for chi, xs in _pointwise_fibres(f, n).items()]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_phi_L_fibres_matches_pointwise_reference(n):
+def test_phi_L_grid_matches_pointwise_reference(n):
     """The integer grid gives the same keys, in the same order, and the same
     fibres as phi_L_on_point over torsion_subgroup, on the forms of A and B."""
     _assert_matches_pointwise(_restricted_form(), n)
@@ -175,7 +172,7 @@ def test_phi_L_fibres_matches_pointwise_reference(n):
 
 
 @pytest.mark.parametrize("seed", BASIS_SEEDS[::10])
-def test_phi_L_fibres_matches_pointwise_reference_in_moved_bases(seed):
+def test_phi_L_grid_matches_pointwise_reference_in_moved_bases(seed):
     """form_A in random GL4(Z) bases of A has large, negative entries."""
     f = moved_surface(seed).form_A
     assert min(v for row in f.matrix for v in row) < -2
@@ -183,6 +180,6 @@ def test_phi_L_fibres_matches_pointwise_reference_in_moved_bases(seed):
         _assert_matches_pointwise(f, n)
 
 
-def test_phi_L_fibres_rejects_nonpositive_order():
+def test_phi_L_grid_rejects_nonpositive_order():
     with pytest.raises(InvalidOrder):
-        phi_L_fibres(_restricted_form(), 0)
+        phi_L_grid(_restricted_form(), 0)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from irrfib.characters import Character
 from irrfib.lattice import Lattice, TorsionPoint, reduce_mod1
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
-from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_fibres,
+from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
                                  polarization_type)
 from test_lattice import UNCHAINED
 
@@ -111,9 +111,9 @@ def test_polarization_type_is_basis_independent(m, g):
 
 @settings(bounded, max_examples=10)
 @given(skew_forms, st.integers(1, 4))
-def test_phi_L_fibres_have_equal_size(m, n):
+def test_phi_L_grid_fibres_have_equal_size(m, n):
     """phi_L is a homomorphism, so every fibre is a coset of its kernel."""
-    fibres = phi_L_fibres(AlternatingForm(LATTICE, m), n)
+    fibres = phi_L_grid(AlternatingForm(LATTICE, m), n)
     assert {len(xs) for xs in fibres.values()} == {n ** 4 // len(fibres)}
     assert n ** 4 % len(fibres) == 0
 

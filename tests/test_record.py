@@ -28,8 +28,7 @@ from irrfib.lattice import OnGrid
 from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.record import Record, encode
 from irrfib.report import Check, Report
-from irrfib.torus import (ProductPoint, Sweep, build_reference_surface,
-                          classification_sweep)
+from irrfib.torus import Sweep, build_reference_surface, classification_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,7 +52,6 @@ def _samples():
     return [
         s.embedding.sub, s.embedding, s.form_A, polarization_type(s.form_A),
         s, k_l, k_l.generators[0], sweep.rows[0].Q, sweep.rows[0], sweep,
-        ProductPoint(4, (2, 0, 0, 1)),
         pen6, pen6.basis_class(pen6.basis_labels[0]), KernelCurve(1, 2),
         p, atiyah_bundle(2, p),
         BundleDecomposition((IndecomposableBundle(1, 0, elliptic_origin()),
@@ -69,7 +67,7 @@ def _rebuilt(record):
 
 
 def test_samples_cover_every_record_class():
-    assert len(RECORD_CLASSES) == 22
+    assert len(RECORD_CLASSES) == 21
     assert {type(r) for r in _samples()} == RECORD_CLASSES
 
 

@@ -8,16 +8,16 @@ import pytest
 
 import irrfib.torus
 from irrfib.characters import Character, trivial_character
-from irrfib.errors import IncompatibleLattice, InvalidTwist
+from irrfib.errors import IncompatibleLattice, InvalidOrder, InvalidTwist
 from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                             torsion_subgroup)
 from irrfib.linalg import determinant, mat_mul
-from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_fibres,
-                                 phi_L_grid, phi_L_on_point,
-                                 phi_two_torsion_data, restrict_form)
+from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
+                                 phi_L_on_point, phi_two_torsion_data,
+                                 restrict_form)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
-                          SINGULARITY_SMOOTH, ProductPoint,
-                          SpecialAbelianSurface, _origin_cases_on_grid,
+                          SINGULARITY_SMOOTH, SpecialAbelianSurface,
+                          _origin_cases_on_grid,
                           admissible_pairs, admissible_qhalf,
                           build_reference_surface,
                           character_name, classification_report,
@@ -89,39 +89,35 @@ def test_surface_validation():
         SpecialAbelianSurface(identity, fb, restrict_form(fb, identity))
 
 
-def test_product_point_validation():
-    with pytest.raises(ValueError):
-        ProductPoint(1, (0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):  # an order below 1
-        ProductPoint(0, (0, 0, 0, 0))
-    p = ProductPoint.from_fractions((Fraction(3, 2), 0, Fraction(-1, 4), 1))
-    assert p.e1 == (HALF, 0)
-    assert p.e2 == (Fraction(3, 4), 0)
-
-
 def test_psi_image_frozen(surface):
-    lat = reference_lattice_a()
+    lat, ambient = reference_lattice_a(), reference_lattice_b()
     # the fourth basis vector halved maps to a lattice point
     y = psi_image(surface, TorsionPoint(lat, 2, (0, 0, 0, 1)))
-    assert y.e1 == (0, 0) and y.e2 == (0, 0)
+    assert y.lattice == ambient and y.is_origin
     # half of the first period of the first factor
     y = psi_image(surface, TorsionPoint(lat, 2, (1, 0, 0, 0)))
-    assert y.e1 == (HALF, 0) and y.e2 == (0, 0)
+    assert y.coords == (HALF, 0, 0, 0)
+    # a quarter of mu1 - mu2
+    y = psi_image(surface, TorsionPoint(lat, 4, (0, 0, 1, 0)))
+    assert y.coords == (0, 0, Fraction(1, 4), Fraction(3, 4))
     with pytest.raises(IncompatibleLattice):
-        psi_image(surface, TorsionPoint(reference_lattice_b(), 1, (0,) * 4))
+        psi_image(surface, TorsionPoint(ambient, 1, (0,) * 4))
 
 
 def test_reducible_through_origin_cases():
+    """On ambient points (lambda1, lambda2, mu1, mu2): factor i is the pair
+    (lambda_i, mu_i), and its half-period is lambda_i / 2."""
     table = [
-        (((0, 0), (0, 0)), {1, 3}),
-        (((HALF, 0), (0, 0)), {1, 4}),
-        (((HALF, 0), (HALF, 0)), {2, 4}),
-        (((0, 0), (HALF, 0)), {2, 3}),
-        (((0, HALF), (Fraction(1, 4), 0)), set()),
-        (((0, HALF), (0, 0)), {1}),
+        ((0, 0, 0, 0), {1, 3}),
+        ((HALF, 0, 0, 0), {1, 4}),
+        ((HALF, HALF, 0, 0), {2, 4}),
+        ((0, HALF, 0, 0), {2, 3}),
+        ((0, Fraction(1, 4), HALF, 0), set()),
+        ((0, 0, HALF, 0), {1}),
     ]
-    for (e1, e2), cases in table:
-        y = ProductPoint.from_fractions(e1 + e2)
+    for coords, cases in table:
+        y = TorsionPoint.from_fractions(coords, lattice=reference_lattice_b())
+        assert y.coords == coords
         assert reducible_through_origin(y) == frozenset(cases)
 
 
@@ -149,6 +145,18 @@ def test_translation_sets(surface):
     # a character outside the image has no translation points
     outside = Character(reference_lattice_a(), 4, (0, 1, 0, 0))
     assert translation_points_for_twist(surface, outside, 4) == set()
+    # a character on another lattice is refused, trivial or not
+    b = reference_lattice_b()
+    for chi in (trivial_character(b), Character(b, 2, (1, 0, 0, 0))):
+        with pytest.raises(IncompatibleLattice):
+            translation_points_for_twist(surface, chi, 2)
+    # an order-4 character has no 2-torsion points over it, and an order
+    # below 1 is refused
+    quarter = next(q for q in admissible_qhalf(surface) if q.n == 4)
+    assert translation_points_for_twist(surface, quarter, 2) == set()
+    for n_bound in (0, -2):
+        with pytest.raises(InvalidOrder):
+            translation_points_for_twist(surface, quarter, n_bound)
 
 
 def test_returned_sets_are_fresh(surface):
@@ -377,24 +385,28 @@ def index_two_surface(a):
                          ids=lambda a: "".join(map(str, a)))
 def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     """On all 15 surfaces the library accepts on an index-2 sublattice, the
-    numerator grids equal the Fraction routes at every 4-torsion point: the
-    oracle's cases equal psi_image's, and the fibres phi_L_on_point's. (The
-    two routes' verdicts still part on all but the reference: not pinned.)"""
+    numerator grids equal the Fraction routes at every 4-torsion point:
+    psi_image is the ambient point E*k/4, the oracle's cases equal
+    psi_image's, the fibres phi_L_on_point's, and phi_two_torsion_data the
+    pointwise kernel and image. (The two routes' verdicts still part on all
+    but the reference: not pinned.)"""
     s = index_two_surface(a)
-    f, lat = s.form_A, s.embedding.sub
+    f, lat, ambient = s.form_A, s.embedding.sub, s.embedding.ambient
     assert all(sum(map(mul, a, col)) % 2 == 0 for col in zip(*s.embedding.matrix))
-    grid, fibres = {}, {}
+    grid = {}
     for x in torsion_subgroup(lat, 4):
         k = x.nums_over(4)
-        assert _origin_cases_on_grid(s, k, 4) \
-            == reducible_through_origin(psi_image(s, x))
+        y = psi_image(s, x)
+        assert y == TorsionPoint(ambient, 4, tuple(
+            sum(map(mul, row, k)) for row in s.embedding.matrix))
+        assert _origin_cases_on_grid(s, k, 4) == reducible_through_origin(y)
         chi = phi_L_on_point(f, x)
         grid.setdefault(chi.nums_over(4), []).append(k)
-        fibres.setdefault(chi, []).append(x)
     assert list(phi_L_grid(f, 4).items()) \
         == [(key, tuple(ks)) for key, ks in grid.items()]
-    assert list(phi_L_fibres(f, 4).items()) \
-        == [(chi, tuple(xs)) for chi, xs in fibres.items()]
+    two = [(x, phi_L_on_point(f, x)) for x in torsion_subgroup(lat, 2)]
+    assert phi_two_torsion_data(f) == ({x for x, chi in two if chi.is_trivial},
+                                       {chi for _, chi in two})
 
 
 def test_classification_report_shape(surface):
