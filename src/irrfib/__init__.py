@@ -31,8 +31,9 @@ from .invariants import (ExampleSurface, FibrationRecord, SurfaceInvariants,
                          genus_bound_rank_one, isotrivial_examples,
                          isotriviality_obstruction, nonisotrivial_examples,
                          slope, unbounded_family)
-from .lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
-                      TorsionPoint, origin, quotient_group, sublattice_index,
+from .lattice import (FiniteAbelianGroup, Lattice, Rational,
+                      SublatticeEmbedding, TorsionPoint, origin,
+                      parse_rational, quotient_group, sublattice_index,
                       torsion_subgroup)
 from .linalg import smith_normal_form
 from .polarization import (AlternatingForm, PolarizationType, kernel_K_L,

@@ -3,8 +3,9 @@
 Atiyah's classification is taken as axiomatic: an indecomposable bundle is
 determined by (rank, degree, determinant point), and the cohomology of the
 degree-relevant cases is a lookup. Points of the curve are torsion elements
-of (Q/Z)^2, optionally extended by free formal generators so that a
-"general point p" can be manipulated exactly.
+of (Q/Z)^2, held as int numerators over their order like torsion points,
+optionally extended by free formal generators so that a "general point p"
+can be manipulated exactly.
 """
 
 from math import lcm
@@ -12,58 +13,59 @@ from operator import index
 
 from .errors import (ContradictsXiao, InvalidRank, InvalidShape,
                      InvalidTorsionList, IrrfibError, NotApplicable)
-from .lattice import reduce_mod1
-from .record import Record
+from .lattice import Lattice, OnGrid, Rational
+from .record import Record, encode
 
 
-class EllipticPoint(Record):
-    coords: tuple
+class EllipticPoint(OnGrid, Record):
+    """A point of the curve: n, nums as on a torsion point of the period
+    lattice (lattice, a class attribute, is not a field), plus the free part.
+    from_fractions(coords, free=...) builds one from rational coordinates."""
+    n: int
+    nums: tuple
     free: tuple = ()  # ((generator name, integer coefficient), ...)
+    lattice = Lattice(2, ("1", "tau"))
+    coords = property(OnGrid._fractions)
 
     def __post_init__(self):
-        coords = tuple(reduce_mod1(c) for c in self.coords)
-        if len(coords) != 2:
-            raise ValueError("a curve point has two lattice coordinates")
+        super().__post_init__()
         merged = {}
         for name, coeff in self.free:
             merged[name] = merged.get(name, 0) + index(coeff)
-        free = tuple(sorted((n, c) for n, c in merged.items() if c != 0))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "free", free)
+        self.__dict__["free"] = tuple(
+            sorted((n, c) for n, c in merged.items() if c != 0))
 
     def __add__(self, other):
-        return EllipticPoint(
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-            self.free + other.free)
+        return self._plus(other, "points", free=self.free + other.free)
 
     def __neg__(self):
-        return EllipticPoint(tuple(-c for c in self.coords),
-                             tuple((n, -c) for n, c in self.free))
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, n):
-        return EllipticPoint(tuple(n * c for c in self.coords),
-                             tuple((name, n * c) for name, c in self.free))
+    def scale(self, k):
+        return super().scale(k, free=tuple((name, k * c)
+                                           for name, c in self.free))
 
     @property
     def is_origin(self):
-        return not self.free and all(c == 0 for c in self.coords)
+        return not self.free and self.n == 1
 
     def order(self):
         """Order in the group, or None for points with a free part."""
-        if self.free:
-            return None
-        return lcm(*(c.denominator for c in self.coords))
+        return None if self.free else self.n
+
+    def to_json(self):
+        return {"coords": self.texts(), "free": encode(self.free)}
 
 
 def elliptic_origin():
-    return EllipticPoint((0, 0))
+    return EllipticPoint(1, (0, 0))
 
 
 def generic_point(name):
-    return EllipticPoint((0, 0), ((name, 1),))
+    return EllipticPoint(1, (0, 0), ((name, 1),))
 
 
 class IndecomposableBundle(Record):
@@ -80,18 +82,17 @@ class IndecomposableBundle(Record):
         if not isinstance(self.degree, int):
             raise InvalidRank("degree must be an integer")
 
-    def sort_key(self):
-        return (self.rank, self.degree, self.det_point.coords,
-                self.det_point.free)
-
 
 class BundleDecomposition(Record):
-    summands: tuple
+    summands: tuple  # sorted by rank, degree, det_point's coords and free
 
     def __post_init__(self):
-        object.__setattr__(self, "summands",
-                           tuple(sorted(self.summands,
-                                        key=IndecomposableBundle.sort_key)))
+        # the coords compare as numerators over one common denominator
+        big = lcm(*(b.det_point.n for b in self.summands))
+        object.__setattr__(self, "summands", tuple(sorted(
+            self.summands, key=lambda b: (b.rank, b.degree,
+                                          b.det_point.nums_over(big),
+                                          b.det_point.free))))
 
     @property
     def rank(self):
@@ -235,7 +236,7 @@ def xiao_structure(gF, slope, q_surface, gC):
     Only the boundary slope admits this conclusion, and only over a base
     whose irregularity exceeds its genus by exactly one.
     """
-    if slope != 4:
+    if slope not in (4, Rational(4)):  # an int, Fraction or Rational 4
         raise NotApplicable("the splitting requires slope exactly 4")
     if q_surface - gC != 1:
         raise ContradictsXiao("need irregularity = base genus + 1")

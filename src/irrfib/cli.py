@@ -56,7 +56,7 @@ def _parse_point(text):
     if len(parts) != 2:
         raise UsageError("point must be '0', 'generic[:name]' or 'a,b'")
     try:
-        return EllipticPoint(tuple(parse_rational(p) for p in parts))
+        return EllipticPoint.from_fractions(map(parse_rational, parts))
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad point coordinates: %r" % text)
 

@@ -14,6 +14,7 @@ from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
 from .intersection import (KernelCurve, degree_vs_product_polarization,
                            derive_pen6_pairings, dot, nef_violation_certificate,
                            pen6_fibres, pen6_lattice, serrano_canonical_pen6)
+from .lattice import Rational
 from .record import Record, encode
 from .report import Check
 
@@ -81,13 +82,13 @@ class ExampleSurface(Record):
 
 
 def slope(K2, chi, gC, gF):
-    """Relative canonical degree over the modified Euler characteristic."""
+    """Relative canonical degree over the modified Euler characteristic, as
+    an exact Rational."""
     base = (gC - 1) * (gF - 1)
     delta = chi - base
     if delta == 0:
         raise UndefinedSlope("chi - (gC-1)(gF-1) = 0")
-    from fractions import Fraction
-    return Fraction(K2 - 8 * base, delta)
+    return Rational(K2 - 8 * base, delta)
 
 
 def isotriviality_obstruction(K2, chi, ample=None):
@@ -132,7 +133,6 @@ def unbounded_family(n):
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    from fractions import Fraction
     kernel_degree = degree_vs_product_polarization(KernelCurve(1, n))
     gF = double_cover_fibre_genus(1, 2 * kernel_degree)
     r = gF - 1
@@ -141,9 +141,9 @@ def unbounded_family(n):
     checks = (
         Check("fibre genus", n * n + 2, gF),
         Check("ample part rank", n * n + 1, r),
-        Check("slope", Fraction(4), slope(4, 1, 1, gF)),
+        Check("slope", Rational(4), slope(4, 1, 1, gF)),
         Check("xiao semistable rank", r,
-              xiao_structure(gF, Fraction(4), 2, 1).semistable_rank),
+              xiao_structure(gF, Rational(4), 2, 1).semistable_rank),
         Check("ample part is a line bundle", r == 1, line))
     return FibrationRecord(
         gC=1, gF=gF, isotrivial=False, r=r, decomposition=d,
@@ -155,13 +155,12 @@ def unbounded_family(n):
 
 def _pen5_ranks():
     """Both ranks and the checks that derive them."""
-    from fractions import Fraction
     # slope 4 forces the trivial + semistable splitting; with gF = 3 the
     # semistable part is the rank-2 ample summand
     s = slope(4, 1, 1, 3)
     rank = xiao_structure(3, s, 2, 1).semistable_rank
     return (rank, rank), (
-        Check("slope", Fraction(4), s),
+        Check("slope", Rational(4), s),
         Check("xiao semistable rank", 2, rank),
         Check("splitting forces rank 2", [2, 2], [rank, rank]))
 

@@ -4,10 +4,10 @@ Lattices carry no complex structure at all: every computation downstream
 depends only on the integral data, so a lattice is just a rank and a tuple
 of basis labels. Torsion points, like characters, are (lattice, n, nums):
 int numerators mod their order n (OnGrid), and their printed coordinates are
-read straight off those numerators. `fractions` is imported only where a
-rational is parsed or computed (parse_rational, reduce_mod1, from_fractions
-and the Fraction views): through `decimal` it costs ~3 ms and ~0.6 MB per
-process, and a command that only prints grid elements never loads it.
+read straight off those numerators. A parsed rational is a Rational, a
+numerator and a denominator, so no command loads `fractions` (through
+`decimal` it costs ~3 ms and ~0.5 MB per process): only the Fraction views
+(.values, .coords) of the library import it.
 """
 
 from itertools import product
@@ -19,22 +19,58 @@ from .linalg import determinant, diagonal, smith_normal_form, transpose
 from .record import Record
 
 
-def reduce_mod1(x):
-    """x mod 1 as a Fraction in [0, 1); a Fraction already there is returned."""
-    from fractions import Fraction
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    if 0 <= x.numerator < x.denominator:
-        return x
-    return x - (x.numerator // x.denominator)
+class Rational(Record):
+    """An exact rational in lowest terms, its denominator > 0; the one
+    constructor reduces it. It prints as str(Fraction) does."""
+    numerator: int
+    denominator: int = 1
+
+    def __post_init__(self):
+        p, q = index(self.numerator), index(self.denominator)
+        if q == 0:
+            raise ZeroDivisionError("a rational with denominator 0")
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        self.__dict__.update(numerator=p // g, denominator=q // g)
+
+    def to_json(self):
+        p, q = self.numerator, self.denominator
+        return str(p) if q == 1 else "%d/%d" % (p, q)
+
+
+def _is_digits(text):
+    r"""Whether text is \d+(_\d+)*: decimal digits, any Unicode ones, in
+    groups joined by single underscores, as int() reads them."""
+    return all(group.isdecimal() for group in text.split("_"))
 
 
 def parse_rational(text):
-    """Fraction(text), refusing exponent notation: "1e99999999" takes minutes."""
-    if "e" in text.lower():
-        raise ValueError("exponent notation is not accepted: %r" % text)
-    from fractions import Fraction
-    return Fraction(text)
+    """The Rational written as "p", "p/q" or a decimal "p.d" (".5" and "1."
+    too), signed or not, with whitespace around it.
+
+    This is the grammar of Fraction(text) on Python 3.11 without exponents
+    (the exact expansion of "1e99999999" takes minutes), the same on every
+    Python: 3.10's Fraction refuses underscores, and 3.12's allows spaces
+    around "/". As in Fraction, a malformed text raises ValueError, a zero
+    denominator ZeroDivisionError, and a digit run past int()'s limit
+    ValueError.
+    """
+    body = text.strip()
+    sign = -1 if body.startswith("-") else 1
+    if body.startswith(("+", "-")):
+        body = body[1:]
+    p, slash, q = body.partition("/")
+    if slash:
+        if _is_digits(p) and _is_digits(q):
+            return Rational(sign * int(p), int(q))
+    else:
+        whole, _, decimals = body.partition(".")
+        if (whole or decimals) and all(
+                _is_digits(part) for part in (whole, decimals) if part):
+            digits = decimals.replace("_", "")
+            tail = int(digits or "0")  # past the limit, before 10 ** len
+            scale = 10 ** len(digits)
+            return Rational(sign * (int(whole or "0") * scale + tail), scale)
+    raise ValueError("not a rational: %r" % text)
 
 
 class OnGrid:
@@ -44,16 +80,18 @@ class OnGrid:
     so n is the element's order and nums are in [0, n). from_fractions is
     the one way in from rational coordinates, and the Fraction views
     (.values, .coords) are rebuilt from the grid on each access.
-    Elements of a lattice's torus also add and scale here.
+    Elements of a lattice's torus also add and scale here; the result
+    keeps the element's other fields, unless they are given.
     """
 
     @classmethod
     def from_fractions(cls, values, **fields):
-        """The element whose coordinates are the rationals values, mod 1."""
-        from fractions import Fraction
-        values = [Fraction(v) for v in values]
+        """The element whose coordinates are the rationals values, mod 1:
+        ints, Fractions or Rationals, read by numerator and denominator."""
+        values = tuple(values)
         n = lcm(*(v.denominator for v in values))
-        return cls(n=n, nums=tuple(int(v * n) for v in values), **fields)
+        return cls(n=n, nums=tuple(v.numerator * (n // v.denominator)
+                                   for v in values), **fields)
 
     def __post_init__(self):
         n, rank = self.n, self.lattice.rank
@@ -84,15 +122,19 @@ class OnGrid:
     def order(self):
         return self.n
 
-    def _plus(self, other, what):
+    def _plus(self, other, what, **fields):
         if self.lattice != other.lattice:
             raise IncompatibleLattice("%s on different lattices" % what)
         n = lcm(self.n, other.n)
         nums = zip(self.nums_over(n), other.nums_over(n))
-        return type(self)(self.lattice, n, tuple(x + y for x, y in nums))
+        return self._on_grid(n, tuple(x + y for x, y in nums), fields)
 
-    def scale(self, k):
-        return type(self)(self.lattice, self.n, tuple(k * c for c in self.nums))
+    def scale(self, k, **fields):
+        return self._on_grid(self.n, tuple(k * c for c in self.nums), fields)
+
+    def _on_grid(self, n, nums, fields):
+        kept = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**kept, **fields, "n": n, "nums": nums})
 
 
 class Lattice(Record):

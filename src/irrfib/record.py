@@ -12,11 +12,12 @@ the cost of `import irrfib.cli`.
 
 The JSON form of a value is written here once. encode() turns it into plain
 JSON types, rationals as "p/q" strings, and a record's to_json() is the dict
-of its encoded fields. Six records override it: TorsionPoint,
-DivisorClass, KernelCurve and PolarizationType are lists, ExampleSurface's
-moduli_dims is a dict, and a Check adds its "pass". An override returns
-plain JSON types too: None, bools, ints, strs, lists and dicts with str
-keys, which is all report.canonical_json has to write.
+of its encoded fields. Eight records override it: TorsionPoint,
+DivisorClass, KernelCurve and PolarizationType are lists, a Rational is its
+"p/q" string, an EllipticPoint shows its numerators as "coords",
+ExampleSurface's moduli_dims is a dict, and a Check adds its "pass". An
+override returns plain JSON types too: None, bools, ints, strs, lists and
+dicts with str keys, which is all report.canonical_json has to write.
 """
 
 import sys
@@ -35,8 +36,8 @@ def encode(value):
         return [encode(v) for v in value]
     if hasattr(value, "to_json"):
         return value.to_json()
-    # a Fraction exists only once fractions is loaded, and only a command
-    # that parses or computes a rational loads it
+    # a Fraction exists only once fractions is loaded, which no command
+    # does: only the library's Fraction views (.values, .coords) import it
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(value, fractions.Fraction):
         return str(value)

@@ -22,7 +22,7 @@ from irrfib.intersection import (KernelCurve, derive_pen6_pairings, dot,
 from irrfib.invariants import (NOT_ISOTRIVIAL, genus_bound_rank_one,
                                isotrivial_examples, isotriviality_obstruction,
                                slope, unbounded_family)
-from irrfib.lattice import sublattice_index
+from irrfib.lattice import Rational, sublattice_index
 from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
                                  polarization_type)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
@@ -169,7 +169,7 @@ def test_criterion_08_family():
         rec, _ = unbounded_family(n)
         assert rec.gF == n * n + 2
         assert rec.r == n * n + 1
-        assert slope(4, 1, 1, rec.gF) == 4
+        assert slope(4, 1, 1, rec.gF) == Rational(4)
         shape = xiao_structure(rec.gF, Fraction(4), 2, 1)
         assert shape.trivial_rank == 1
         assert shape.semistable_rank == rec.r
@@ -199,7 +199,7 @@ def test_criterion_09_pen6():
 @criterion(10, "bundle cohomology: twisted degree-1 indecomposables, random "
                "negative-degree vanishing, Riemann-Roch on 200 samples")
 def test_criterion_10_bundle_cohomology():
-    points = {EllipticPoint((Fraction(a, n), Fraction(b, n)))
+    points = {EllipticPoint(n, (a, b))
               for n in range(1, 7) for a in range(n) for b in range(n)}
     assert all(p.order() <= 6 for p in points)
     for r in range(1, 11):
@@ -211,7 +211,7 @@ def test_criterion_10_bundle_cohomology():
                 assert h1(twisted) == 0
     rng = random.Random(99)
     choices = [elliptic_origin(), generic_point("p"),
-               EllipticPoint((HALF, 0)), EllipticPoint((Fraction(1, 3), 0))]
+               EllipticPoint(2, (1, 0)), EllipticPoint(3, (1, 0))]
     from irrfib.bundles import IndecomposableBundle
     for _ in range(20):
         b = IndecomposableBundle(rng.randint(1, 10), rng.randint(-9, -1),
@@ -225,14 +225,14 @@ def test_criterion_10_bundle_cohomology():
 
 @criterion(11, "jump table on a g=5, r=2 decomposition: 2 / 1 / 0")
 def test_criterion_11_jump_table():
-    t1 = EllipticPoint((Fraction(1, 5), 0))
-    t2 = EllipticPoint((0, Fraction(1, 6)))
+    t1 = EllipticPoint(5, (1, 0))
+    t2 = EllipticPoint(6, (0, 1))
     d = pushforward_decomposition(5, 2, generic_point("p"), (t1, t2))
     assert jump_h1(d, elliptic_origin()) == 2
     assert jump_h1(d, -t1) == 1
     assert jump_h1(d, -t2) == 1
-    probes = [t1, t2, t1 + t2, EllipticPoint((HALF, 0)),
-              EllipticPoint((Fraction(1, 3), Fraction(1, 3)))]
+    probes = [t1, t2, t1 + t2, EllipticPoint(2, (1, 0)),
+              EllipticPoint(3, (1, 1))]
     assert [jump_h1(d, q) for q in probes] == [0, 0, 0, 0, 0]
 
 

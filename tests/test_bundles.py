@@ -11,17 +11,23 @@ from irrfib.bundles import (BundleDecomposition, EllipticPoint,
                             pushforward_decomposition, twist, xiao_structure)
 from irrfib.errors import (ContradictsXiao, InvalidRank, InvalidShape,
                            InvalidTorsionList, NotApplicable)
+from irrfib.lattice import Rational
 
 THIRD = Fraction(1, 3)
 
 
 def _torsion(a, b):
-    return EllipticPoint((Fraction(a), Fraction(b)))
+    return EllipticPoint.from_fractions((Fraction(a), Fraction(b)))
 
 
 def test_point_arithmetic():
     p = _torsion(Fraction(1, 2), Fraction(5, 4))
+    # stored as numerators over the order, the coordinates a Fraction view
+    assert (p.n, p.nums, p.free) == (4, (2, 1), ())
     assert p.coords == (Fraction(1, 2), Fraction(1, 4))
+    assert p == EllipticPoint(8, (12, -6)) == EllipticPoint.from_fractions(
+        (Rational(-1, 2), Rational(1, 4)))
+    assert p.to_json() == {"coords": ["1/2", "1/4"], "free": []}
     assert p.order() == 4
     assert (p - p).is_origin
     assert p.scale(4).is_origin
@@ -30,10 +36,27 @@ def test_point_arithmetic():
     assert (g - g).is_origin
     assert (g + g).free == (("p", 2),)
     assert (-g).free == (("p", -1),)
+    assert (p + g.scale(3) - g).to_json() == {"coords": ["1/2", "1/4"],
+                                              "free": [["p", 2]]}
     with pytest.raises(ValueError):
-        EllipticPoint((0, 0, 0))
+        EllipticPoint.from_fractions((0, 0, 0))
+    with pytest.raises(ValueError):
+        EllipticPoint(0, (0, 0))
     with pytest.raises(TypeError):  # a free coefficient that is not an integer
-        EllipticPoint((0, 0), (("p", Fraction(1, 2)),))
+        EllipticPoint(1, (0, 0), (("p", Fraction(1, 2)),))
+
+
+def test_summands_sort_by_their_coordinates():
+    # the key compares each det_point's numerators over one denominator:
+    # the order of the coordinates as rationals, with no Fraction built
+    p = generic_point("p")
+    torsion = [_torsion(a, b) for a, b in (
+        (Fraction(5, 6), Fraction(1, 6)), (0, Fraction(3, 4)),
+        (Fraction(1, 3), 0), (Fraction(1, 3), Fraction(1, 7)))]
+    d = pushforward_decomposition(6, 1, p, torsion)
+    flat = [b.det_point.coords for b in d.summands if b.degree == 0]
+    assert flat == sorted(flat) and len(flat) == 5
+    assert d.summands[-1].det_point == p
 
 
 def test_bundle_validation():
@@ -209,8 +232,12 @@ def test_xiao_structure():
     assert shape == XiaoShape(1, 2, 1)
     assert xiao_structure(2, 4, 2, 1) == XiaoShape(1, 1, 1)  # least genus
     assert xiao_structure(5, 4, 2, 1).semistable_rank == 4
-    with pytest.raises(NotApplicable):
-        xiao_structure(3, Fraction(7, 2), 2, 1)
+    # slope's Rational 4, or an int or Fraction 4
+    for value in (Rational(4), Rational(8, 2), Fraction(4)):
+        assert xiao_structure(3, value, 2, 1) == shape
+    for value in (Fraction(7, 2), Rational(7, 2), "4"):
+        with pytest.raises(NotApplicable):
+            xiao_structure(3, value, 2, 1)
     with pytest.raises(NotApplicable):
         xiao_structure(1, 4, 2, 1)
     with pytest.raises(ContradictsXiao):

@@ -399,16 +399,28 @@ def test_classify_errors(capsys):
     assert code == 65
     assert "InvalidTwist" in err
     # a zero denominator is a usage error, for classify and example alike
-    # so is a rational in exponent notation
+    # so is a rational in exponent notation, one with a space next to "/"
+    # (which Fraction reads from Python 3.12), and a numerator past int()'s
+    # digit limit
     for argv in (("classify", "--Qhalf", "1/0,0,0,0"),
                  ("classify", "--Qhalf", "chiA1", "--Q", "0,0,0,1/0"),
                  ("example", "k26-d2", "--Qhalf", "1/0,0,0,0"),
                  ("classify", "--Qhalf", "1e5000,0,0,0"),
                  ("classify", "--Qhalf", "chiA1", "--Q", "0,0,1E5,0"),
-                 ("example", "k26-d2", "--Qhalf", "0,1.5e3,0,0")):
+                 ("example", "k26-d2", "--Qhalf", "0,1.5e3,0,0"),
+                 ("classify", "--Qhalf", "1 /2,0,0,0"),
+                 ("bundle", "h0", "--g", "3", "--r", "1", "--torsion",
+                  "1/ 3,0"),
+                 ("classify", "--Qhalf", "1" * 4301 + ",0,0,0")):
         code, _, err = run(capsys, *argv)
         assert code == 64, argv
         assert "usage error" in err, argv
+    # underscores (which Fraction reads from Python 3.11) and any Unicode
+    # decimal digits are read on every Python
+    for text in ("0,1_0/20,0,0", "0,\u0661/\u0662,0,0"):
+        code, doc, _ = run_json(capsys, "classify", "--Qhalf", text)
+        assert code == 0, text
+        assert doc["results"]["Qhalf"] == ["0", "1/2", "0", "0"], text
 
 
 def test_classify_sweep(capsys):
@@ -960,28 +972,60 @@ def test_well_formed_commands_import_no_argparse():
         assert out.endswith("\n[]\n"), argv
 
 
-def test_verify_and_oracle_commands_import_no_fractions():
-    # fractions costs ~3 ms and ~0.6 MB per process through decimal; these
-    # commands print only integers and grid coordinates. json, with re and
-    # enum behind it, costs ~2.5 ms even where site has loaded re, and they
-    # read no JSON
-    names = "{'fractions', 'decimal', 'json', 're', 'enum'}"
+# One argv per command form, then the malformed argv of the benchmark's
+# queries stream that hold a rational, a zero denominator and an undefined
+# slope: each with its exit status.
+EVERY_COMMAND_FORM = (
+    (("appendix", "--json"), 0),
+    (("classify", "--sweep"), 0),
+    (("intersect", "--pq=1,2", "--pq=3,-4", "--m", "50"), 0),
+    (("intersect", "--class", "1,0,0,0,0", "--class", "0,1,0,0,0"), 0),
+    (("bounds", "--k2", "6", "--chi", "1", "--ample", "true"), 0),
+    (SLOPE, 0),
+    (("slope", "--k2", "7", "--chi", "2", "--gc", "1", "--gf", "3"), 0),
+    (("family-fn", "--n", "4"), 0),
+    (("example", "pen-5"), 0),
+    (("example", "family-fn", "--n", "2"), 0),
+    (("example", "k26-d2", "--Qhalf", "chiA1"), 0),
+    (("bundle", "h0", "--g", "3", "--r", "2", "--p", "generic"), 0),
+    (("bundle", "h1", "--g", "4", "--r", "1", "--p", "1/2,1/3",
+      "--torsion", "1/3,0", "--torsion", "0.5,-1/4"), 0),
+    (("bundle", "jump", "--g", "3", "--r", "1", "--p", "generic:p",
+      "--torsion", "1/3,0", "--q", "2/3,0"), 0),
+    (("bundle", "r-criterion", "--spec",
+      '{"g": 3, "r": 1, "p": "1/2,0", "torsion": ["1/3,0"]}'), 0),
+    (("classify", "--Qhalf", "1/2,1/2,3/4,0"), 0),
+    (("classify", "--Qhalf", "1/2,1/2,3/4,0", "--Q", "0,0,1/2,0"), 0),
+    (("classify", "--Qhalf", "1/2,0,0"), 64),
+    (("classify", "--Qhalf", "0,0,0,1/2", "--Q", "chiA1"), 65),
+    (("bundle", "jump", "--g", "3", "--r", "1", "--torsion", "1/3,0"), 64),
+    (("classify", "--Qhalf", "1/0,0,0,0"), 64),
+    (STATUS_ARGV[65], 65),
+)
+
+
+def test_no_command_imports_fractions():
+    """fractions costs ~3 ms and ~0.5 MB per process through decimal and
+    numbers, and it imports re and enum: a command parses, keeps and prints
+    its rationals on ints. json, with re and enum behind it, costs ~2.5 ms
+    even where site has loaded re, and loads only to read a --spec."""
+    names = "{'fractions', 'decimal', 'numbers', 'json', 're', 'enum'}"
     assert _run("import irrfib.cli, sys; print(sorted(%s & set(sys.modules)))"
                 % names) == "[]\n"
-    for argv in (["appendix", "--json"], ["classify", "--sweep"],
-                 ["intersect", "--pq=1,2", "--pq=3,-4", "--m", "50"]):
-        out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
-                   "print(sorted(%s & set(sys.modules)))" % (argv, names))
-        assert out.endswith("\n[]\n"), argv
-    # an undefined slope is refused before a Fraction is built
-    out = _run("import irrfib.cli, sys; sys.stderr = sys.stdout; "
-               "print(irrfib.cli.main(%r), sorted(%s & set(sys.modules)))"
-               % (STATUS_ARGV[65], names))
-    assert out.endswith("\n65 []\n")
+    for argv, status in EVERY_COMMAND_FORM:
+        out = _run("import irrfib.cli, sys; sys.stderr = sys.stdout; "
+                   "print(irrfib.cli.main(%r), *sorted(%s & set(sys.modules)))"
+                   % (list(argv), names))
+        code, *loaded = out.splitlines()[-1].split()
+        assert int(code) == status, argv
+        if "--spec" in argv:  # json and what it imports, no more
+            assert "json" in loaded and set(loaded) <= {"json", "re", "enum"}
+        else:
+            assert loaded == [], argv
 
 
 def test_json_loads_only_to_read_spec_or_fixture(tmp_path):
-    # slope's value is a Fraction, and fractions itself imports re and enum
+    # a --json report is written without json
     out = _run("import irrfib.cli, sys; irrfib.cli.main(%r); "
                "print('json' in sys.modules)" % [*SLOPE, "--json"])
     assert out.endswith("\nFalse\n")

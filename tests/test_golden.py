@@ -19,6 +19,22 @@ CASES = {
     "classify-Qhalf-chiA1": ("classify", "--Qhalf", "chiA1"),
     "classify-Qhalf-eps1": ("classify", "--Qhalf", "eps1"),
     "family-fn-n3": ("family-fn", "--n", "3"),
+    "classify-Qhalf-vector": ("classify", "--Qhalf", "1/2,1/2,3/4,0"),
+    "slope-integral": ("slope", "--k2", "8", "--chi", "1", "--gc", "1",
+                       "--gf", "3"),
+    "slope-7-2": ("slope", "--k2", "7", "--chi", "2", "--gc", "1",
+                  "--gf", "3"),
+    "bundle-h0-rational": ("bundle", "h0", "--g", "5", "--r", "1",
+                           "--p", "1/2,1/3", "--torsion", "5/6,1/6",
+                           "--torsion", "0,3/4", "--torsion", "1/3,0"),
+    "bundle-h1-generic": ("bundle", "h1", "--g", "4", "--r", "2",
+                          "--p", "generic:p", "--torsion", "2/3,1/4"),
+    "bundle-jump-rational": ("bundle", "jump", "--g", "4", "--r", "1",
+                             "--p", "3/2,-1/4", "--torsion", "1/3,1/3",
+                             "--torsion", "0,1/2", "--q", "2/3,2/3"),
+    "bundle-r-criterion-spec": (
+        "bundle", "r-criterion", "--spec", '{"g": 4, "r": 1, "p": "1/2,1/4", '
+        '"torsion": ["1/3,0", "0,1/2"]}'),
 }
 CASES.update({"example-%s" % ex_id: ("example", ex_id)
               for ex_id in EXAMPLE_IDS})

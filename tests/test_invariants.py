@@ -12,14 +12,20 @@ from irrfib.invariants import (ExampleSurface, FibrationRecord,
                                isotriviality_obstruction,
                                nonisotrivial_examples, slope,
                                unbounded_family)
+from irrfib.lattice import Rational
+from irrfib.record import encode
 
 
 def test_slope_values():
-    assert slope(8, 1, 1, 3) == 8
-    assert slope(4, 1, 1, 3) == 4
-    assert slope(5, 1, 1, 3) == 5
-    assert slope(6, 1, 1, 4) == 6
-    assert slope(7, 2, 1, 3) == Fraction(7, 2)
+    assert slope(8, 1, 1, 3) == Rational(8)
+    assert slope(4, 1, 1, 3) == Rational(4)
+    assert slope(5, 1, 1, 3) == Rational(5)
+    assert slope(6, 1, 1, 4) == Rational(6)
+    assert slope(7, 2, 1, 3) == Rational(7, 2)
+    # in lowest terms with a positive denominator, printed as Fraction is
+    s = slope(-1, -2, 1, 1)
+    assert (s.numerator, s.denominator) == (1, 2)
+    assert encode(s) == str(Fraction(-1, -2)) == "1/2"
     with pytest.raises(UndefinedSlope):
         slope(6, 2, 2, 3)  # (gC-1)(gF-1) = chi
 

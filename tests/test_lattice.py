@@ -8,9 +8,9 @@ import pytest
 from irrfib.characters import Character
 from irrfib.errors import (DegenerateEmbedding, IncompatibleLattice,
                            InvalidOrder)
-from irrfib.lattice import (FiniteAbelianGroup, Lattice, SublatticeEmbedding,
-                            TorsionPoint, origin, parse_rational,
-                            quotient_group, reduce_mod1, sublattice_index,
+from irrfib.lattice import (FiniteAbelianGroup, Lattice, Rational,
+                            SublatticeEmbedding, TorsionPoint, origin,
+                            parse_rational, quotient_group, sublattice_index,
                             torsion_subgroup)
 from irrfib.linalg import (determinant, identity_matrix, integer_kernel_basis,
                            mat_mul, smith_normal_form, solve_integer)
@@ -177,9 +177,29 @@ def test_integer_kernel_basis_random():
 
 
 def test_reduce_mod1():
-    assert reduce_mod1(Fraction(3, 2)) == Fraction(1, 2)
-    assert reduce_mod1(Fraction(-1, 4)) == Fraction(3, 4)
-    assert reduce_mod1(Fraction(2)) == 0
+    # from_fractions reads each coordinate mod 1, given as an int, a
+    # Fraction or a Rational
+    line = Lattice(1, ("x",))
+    for value, reduced in ((Fraction(3, 2), Fraction(1, 2)),
+                           (Fraction(-1, 4), Fraction(3, 4)),
+                           (Fraction(2), 0), (-5, 0),
+                           (Rational(-7, 3), Fraction(2, 3))):
+        x = TorsionPoint.from_fractions((value,), lattice=line)
+        assert x.coords == (reduced,), value
+
+
+def test_rational_is_in_lowest_terms():
+    assert Rational(6, -8) == Rational(-3, 4)
+    assert (Rational(6, -8).numerator, Rational(6, -8).denominator) == (-3, 4)
+    assert Rational(0, -5) == Rational(0) == Rational(0, 1)
+    for p, q in ((-3, 4), (7, 1), (0, 1), (10 ** 30, 3)):
+        assert Rational(p, q).to_json() == str(Fraction(p, q))
+    with pytest.raises(ZeroDivisionError):
+        Rational(1, 0)
+    with pytest.raises(TypeError):  # an int, not a float or a string
+        Rational(1.5)
+    with pytest.raises(TypeError):
+        Rational(1, "2")
 
 
 def test_lattice_validation():
@@ -316,12 +336,34 @@ def test_finite_abelian_group_validation():
         FiniteAbelianGroup(lat, (2.0,), (half,))
 
 
+def _as_pair(x):
+    return x.numerator, x.denominator
+
+
 def test_parse_rational():
-    for text in ("3", "-1/4", "+2", " 1/2 ", "0.25", ".5", "1.", "1_000"):
-        assert parse_rational(text) == Fraction(text), text
-    for text in ("1e5", "1E5", "1.5e3", "1e-2", "x", ""):
+    for text in ("3", "-1/4", "+2", " 1/2 ", "0.25", ".5", "1.", "-0",
+                 "\t7/14\n", "-.125", "\u0661/\u0662"):
+        assert _as_pair(parse_rational(text)) == _as_pair(Fraction(text)), text
+    # Fraction reads underscores from 3.11 and spaces around "/" from 3.12:
+    # the first are accepted and the second refused on every Python
+    for text, value in (("1_000", Fraction(1000)), ("1_0/2_0", Fraction(1, 2)),
+                        ("0.2_5", Fraction(1, 4)), ("-1_2.5", Fraction(-25, 2)),
+                        ("\u0661_\u0660", Fraction(10))):
+        assert _as_pair(parse_rational(text)) == _as_pair(value), text
+    for text in ("1 /2", "1/ 2", "1 / 2", "1__0", "_1", "1_", "1_/2", "1._5",
+                 "1e5", "1E5", "1.5e3", "1e-2", "1/2e3", "x", "", " ", ".",
+                 "/2", "1/", "- 1", "+-1", "1/2/3", "1.5/2", "1/-2", "1/+2",
+                 "1.d", "0x10", "1 000", "inf", "nan", "1.2.3"):
         with pytest.raises(ValueError):
             parse_rational(text)
+    for text in ("1/0", "-0/0", "1_0/0_0"):
+        with pytest.raises(ZeroDivisionError):
+            parse_rational(text)
+    for text in ("1" * 4301, "1/" + "1" * 4301, "0." + "1" * 4301):
+        with pytest.raises(ValueError, match="limit"):  # int()'s digit limit
+            parse_rational(text)
+    value = parse_rational("-6/8")
+    assert value == Rational(-3, 4) and value.to_json() == "-3/4"
 
 
 def test_torsion_subgroup_sizes():

@@ -1,11 +1,12 @@
 """Property tests: the Smith form, K(L), the polarization type, the phi_L
-fibres, reduction mod 1 and the printed grid coordinates, on generated
-inputs.
+fibres, reduction mod 1, the printed grid coordinates and the rational
+parser, on generated inputs.
 
 Examples are derandomized and not stored, so every run tests the same ones.
 The module is skipped when hypothesis is not installed.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -13,11 +14,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irrfib.characters import Character
-from irrfib.lattice import Lattice, TorsionPoint, reduce_mod1
+from irrfib.lattice import Lattice, Rational, TorsionPoint, parse_rational
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
 from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
                                  polarization_type)
@@ -121,12 +122,58 @@ def test_phi_L_grid_fibres_have_equal_size(m, n):
 @bounded
 @given(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)))
 def test_reduce_mod1(x):
-    r = reduce_mod1(x)
+    # from_fractions reads a coordinate mod 1, alike from a Fraction and
+    # from the Rational of the same value
+    line = Lattice(1, ("x",))
+    point = TorsionPoint.from_fractions((x,), lattice=line)
+    assert point == TorsionPoint.from_fractions(
+        (Rational(x.numerator, x.denominator),), lattice=line)
+    (r,) = point.coords
     assert type(r) is Fraction and 0 <= r < 1
     assert (x - r).denominator == 1
     if 0 <= x < 1:
         assert r == x
-    assert reduce_mod1(r) == r
+    assert TorsionPoint.from_fractions((r,), lattice=line) == point
+
+
+# Texts built of what a rational is written with: ASCII and Arabic-Indic
+# digits, signs, "/", ".", exponent letters and whitespace. Underscores, and
+# spaces next to "/", are left out: Fraction reads them differently on
+# 3.10, 3.11 and 3.12 (test_lattice.test_parse_rational pins them).
+RATIONAL_PIECES = st.sampled_from(
+    ("0", "1", "7", "12", "09", "\u0661", "\u0662", "+", "-", "/", ".",
+     "e", "E", " ", "\t"))
+rational_texts = st.one_of(
+    st.lists(RATIONAL_PIECES, max_size=8).map("".join),
+    st.fractions().map(str),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3).map(str))
+
+
+@settings(bounded, max_examples=400)
+@given(rational_texts)
+@example("1/0")
+@example("-.5")
+@example("1.e3")
+@example("\u0661.\u0662")
+def test_parse_rational_reads_as_fraction(text):
+    """parse_rational(text) is Fraction(text), or raises the same error
+    class, on texts that Python 3.10 to 3.13 read alike; but an exponent,
+    which Fraction reads (and "1e1212121" for a long time), is a
+    ValueError."""
+    assume(not re.search(r"\s/|/\s", text))
+    try:
+        if "e" in text.lower():
+            raise ValueError
+        expected = Fraction(text)
+        expected = expected.numerator, expected.denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = type(exc)
+    try:
+        value = parse_rational(text)
+        got = value.numerator, value.denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        got = type(exc)
+    assert got == expected
 
 
 @st.composite
@@ -148,7 +195,7 @@ def test_texts_print_the_fraction_views(grid, cls):
     assert x == cls.from_fractions(fractions, lattice=LATTICE)
     view = x.coords if cls is TorsionPoint else x.values
     assert x.texts() == [str(c) for c in view]
-    assert x.texts() == [str(reduce_mod1(c)) for c in fractions]
+    assert x.texts() == [str(c % 1) for c in fractions]
     # n is the order: the least multiplier taking every coordinate to 0
     assert x.n == x.order() == lcm(*(c.denominator for c in view))
     assert all(0 <= k < x.n for k in x.nums)
