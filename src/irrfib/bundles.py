@@ -36,7 +36,9 @@ class EllipticPoint(OnGrid, Record):
             sorted((n, c) for n, c in merged.items() if c != 0))
 
     def __add__(self, other):
-        return self._plus(other, "points", free=self.free + other.free)
+        # a point of another lattice has no free part: _plus refuses it
+        return self._plus(other, "points",
+                          free=self.free + getattr(other, "free", ()))
 
     def __neg__(self):
         return self.scale(-1)

@@ -6,6 +6,10 @@ error, 65 domain error (the raising error class is printed).
 
 The command line is the table COMMANDS, which parse_argv alone reads as
 argparse would, but refusing abbreviated flags and a bare "--".
+
+A handler reads each library name from its module when it runs
+(torus.classification_sweep), so a command runs only the modules it
+computes with: importing irrfib registers them without running them.
 """
 
 import gc
@@ -13,25 +17,10 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .bundles import (EllipticPoint, ample_part_is_line, elliptic_origin,
-                      generic_point, h0, h1, jump_h1, pushforward_decomposition)
-from .characters import kernel_of_restriction, two_torsion_character_tables
+from . import (bundles, characters, intersection, invariants, lattice,
+               polarization, torus)
 from .errors import IrrfibError
-from .intersection import (DivisorClass, IntersectionLattice, KernelCurve,
-                           degree_vs_product_polarization, dot, kernel_dot,
-                           kernel_dot_oracle, nef_violation_certificate,
-                           pen6_lattice)
-from .invariants import (example_record, genus_bound_rank_one,
-                         isotriviality_obstruction, slope, unbounded_family)
-from .lattice import parse_rational, sublattice_index
-from .polarization import kernel_K_L, phi_two_torsion_data, polarization_type
 from .report import Report, render
-from .torus import (REFERENCE_EXTENDABLE_NAMES, REFERENCE_IMAGE_NAMES,
-                    REFERENCE_KL_POINTS, REFERENCE_MODULI_ROWS,
-                    REFERENCE_NEW_NAMES, REFERENCE_VERDICT_COUNTS,
-                    build_reference_surface, classification_report,
-                    classification_sweep, display_name, parse_character,
-                    reference_lattice_a, rf_pair)
 
 EXAMPLE_IDS = ("pen-1", "pen-4", "pen-5", "pen-6",
                "k26-d2", "k5-3", "k6-4", "family-fn")
@@ -49,14 +38,15 @@ class UsageError(Exception):
 def _parse_point(text):
     text = text.strip()
     if text == "0":
-        return elliptic_origin()
+        return bundles.elliptic_origin()
     if text == "generic" or text.startswith("generic:"):
-        return generic_point(text.partition(":")[2] or "p")
+        return bundles.generic_point(text.partition(":")[2] or "p")
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("point must be '0', 'generic[:name]' or 'a,b'")
     try:
-        return EllipticPoint.from_fractions(map(parse_rational, parts))
+        return bundles.EllipticPoint.from_fractions(
+            map(lattice.parse_rational, parts))
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad point coordinates: %r" % text)
 
@@ -71,47 +61,48 @@ def _parse_int_vector(text, length):
     return v
 
 
-def _parse_named_character(text, lattice):
+def _parse_named_character(text, reference):
     try:
-        return parse_character(text, lattice)
+        return torus.parse_character(text, reference)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad character %r: %s" % (text, exc))
 
 
 def cmd_appendix(args):
     rep = Report("appendix", inputs={"corrupt": bool(args.corrupt)})
-    s = build_reference_surface()
+    s = torus.build_reference_surface()
     e = s.embedding
 
-    rep.check("sublattice index", 2, sublattice_index(e))
-    t = polarization_type(s.form_A)
+    rep.check("sublattice index", 2, lattice.sublattice_index(e))
+    t = polarization.polarization_type(s.form_A)
     rep.check("polarization type", [1, 2], [t.d1, t.d2])
 
-    kl = kernel_K_L(s.form_A)
+    kl = polarization.kernel_K_L(s.form_A)
     rep.check("polarization kernel invariant factors", [2, 2],
               list(kl.invariant_factors))
-    rep.check("polarization kernel points", REFERENCE_KL_POINTS,
+    rep.check("polarization kernel points", torus.REFERENCE_KL_POINTS,
               [x.texts() for x in kl.elements()])
 
     rep.check("restriction kernel", ["chiB1*chiB4", "trivial"],
-              sorted(display_name(c) for c in kernel_of_restriction(e, 2)))
+              sorted(torus.display_name(c)
+                     for c in characters.kernel_of_restriction(e, 2)))
 
-    extendable, new = two_torsion_character_tables(e)
-    expected_new = sorted(REFERENCE_NEW_NAMES)
+    extendable, new = characters.two_torsion_character_tables(e)
+    expected_new = sorted(torus.REFERENCE_NEW_NAMES)
     if args.corrupt:
         expected_new = expected_new[:-1] + ["eps8-corrupted"]
-    rep.check("extendable character table", REFERENCE_EXTENDABLE_NAMES,
-              sorted(display_name(c) for c in extendable))
+    rep.check("extendable character table", torus.REFERENCE_EXTENDABLE_NAMES,
+              sorted(torus.display_name(c) for c in extendable))
     rep.check("new character table", expected_new,
-              sorted(display_name(c) for c in new))
+              sorted(torus.display_name(c) for c in new))
 
-    kernel2, image2 = phi_two_torsion_data(s.form_A)
-    rep.check("two-torsion image", REFERENCE_IMAGE_NAMES,
-              sorted(display_name(c) for c in image2))
-    rep.check("two-torsion kernel points", REFERENCE_KL_POINTS,
+    kernel2, image2 = polarization.phi_two_torsion_data(s.form_A)
+    rep.check("two-torsion image", torus.REFERENCE_IMAGE_NAMES,
+              sorted(torus.display_name(c) for c in image2))
+    rep.check("two-torsion kernel points", torus.REFERENCE_KL_POINTS,
               sorted(x.texts() for x in kernel2))
 
-    sweep = classification_sweep(s)
+    sweep = torus.classification_sweep(s)
     rep.results["admissible_pairs"] = len(sweep.rows)
     rep.check("admissible pair count", 63, len(sweep.rows))
     _sweep_checks(rep, sweep)
@@ -120,16 +111,16 @@ def cmd_appendix(args):
 
 def _sweep_checks(rep, sweep):
     rep.check("classification routes agree", [], sweep.mismatches)
-    rep.check("classification verdict counts", REFERENCE_VERDICT_COUNTS,
+    rep.check("classification verdict counts", torus.REFERENCE_VERDICT_COUNTS,
               sweep.verdict_counts)
-    rep.check("classification moduli rows", REFERENCE_MODULI_ROWS,
+    rep.check("classification moduli rows", torus.REFERENCE_MODULI_ROWS,
               sweep.moduli_rows)
 
 
 def _family_report(command, n):
     if n < 1:
         raise UsageError("--n must be a positive integer")
-    rec, checks = unbounded_family(n)
+    rec, checks = invariants.unbounded_family(n)
     rep = Report(command, inputs={"n": n})
     rep.results["record"] = rec
     rep.checks.extend(checks)
@@ -137,7 +128,8 @@ def _family_report(command, n):
 
 
 def _bound_checks(rep, record):
-    bound = genus_bound_rank_one(record.invariants.K2, record.invariants.chi)
+    inv = record.invariants
+    bound = invariants.genus_bound_rank_one(inv.K2, inv.chi)
     rep.results["rank_one_genus_bound"] = bound
     for i, f in enumerate(record.fibrations):
         if f.r == 1:
@@ -156,7 +148,7 @@ def cmd_example(args):
     if args.n is not None:
         raise UsageError("--n only applies to family-fn")
     rep = Report("example %s" % ex_id, inputs={"id": ex_id})
-    record, checks = example_record(ex_id)
+    record, checks = invariants.example_record(ex_id)
     rep.results["record"] = record
     rep.check("chi", 1, record.invariants.chi)
     rep.checks.extend(checks)
@@ -164,8 +156,9 @@ def cmd_example(args):
         _bound_checks(rep, record)
     if ex_id == "k26-d2":
         inv = record.invariants
-        rep.results["isotriviality_inequality"] = isotriviality_obstruction(
-            inv.K2, inv.chi, inv.ample_canonical)[1]
+        _, inequality = invariants.isotriviality_obstruction(
+            inv.K2, inv.chi, inv.ample_canonical)
+        rep.results["isotriviality_inequality"] = inequality
         if twist:
             rep.results["classification"] = _classified(args, rep)
     return rep
@@ -174,13 +167,14 @@ def cmd_example(args):
 def _classified(args, rep):
     if args.Qhalf is None:
         raise UsageError("--Qhalf is required when classifying")
-    lattice = reference_lattice_a()
-    qhalf = _parse_named_character(args.Qhalf, lattice)
+    reference = torus.reference_lattice_a()
+    qhalf = _parse_named_character(args.Qhalf, reference)
     q = (qhalf * qhalf if args.Q is None
-         else _parse_named_character(args.Q, lattice))
-    result = classification_report(build_reference_surface(), q, qhalf)
-    result["Q_name"] = display_name(q)
-    result["Qhalf_name"] = display_name(qhalf)
+         else _parse_named_character(args.Q, reference))
+    result = torus.classification_report(
+        torus.build_reference_surface(), q, qhalf)
+    result["Q_name"] = torus.display_name(q)
+    result["Qhalf_name"] = torus.display_name(qhalf)
     rep.check("classification routes agree", result["singularity"],
               result["singularity_oracle"])
     return result
@@ -193,7 +187,8 @@ def cmd_family(args):
 def cmd_slope(args):
     rep = Report("slope", inputs={"K2": args.k2, "chi": args.chi,
                                   "gC": args.gc, "gF": args.gf})
-    rep.results["slope"] = slope(args.k2, args.chi, args.gc, args.gf)
+    rep.results["slope"] = invariants.slope(
+        args.k2, args.chi, args.gc, args.gf)
     return rep
 
 
@@ -201,9 +196,10 @@ def cmd_bounds(args):
     ample = {"true": True, "false": False, None: None}[args.ample]
     rep = Report("bounds", inputs={"K2": args.k2, "chi": args.chi,
                                    "ample": ample})
-    rep.results["rank_one_genus_bound"] = genus_bound_rank_one(
+    rep.results["rank_one_genus_bound"] = invariants.genus_bound_rank_one(
         args.k2, args.chi)
-    verdict, inequality = isotriviality_obstruction(args.k2, args.chi, ample)
+    verdict, inequality = invariants.isotriviality_obstruction(
+        args.k2, args.chi, ample)
     rep.results["isotriviality"] = verdict
     rep.results["inequality"] = inequality
     return rep
@@ -227,12 +223,13 @@ def _read_json(path):
 
 def _load_lattice(fixture):
     if fixture in (None, "pen6"):
-        return pen6_lattice()
+        return intersection.pen6_lattice()
     try:
         data = _read_json(fixture)
         if not isinstance(data["basis_labels"], list):
             raise ValueError("basis_labels must be a list")
-        return IntersectionLattice(data["basis_labels"], data["gram"])
+        return intersection.IntersectionLattice(data["basis_labels"],
+                                                data["gram"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError("cannot load lattice fixture: %s" % exc)
 
@@ -247,28 +244,29 @@ def cmd_intersect(args):
     if args.pq:
         if len(args.pq) != 2:
             raise UsageError("need exactly two --pq pairs")
-        c1, c2 = (KernelCurve(*_parse_int_vector(t, 2)) for t in args.pq)
+        c1, c2 = (intersection.KernelCurve(*_parse_int_vector(t, 2))
+                  for t in args.pq)
         rep = Report("intersect", inputs={"pq": [c1, c2], "m": args.m})
         det = c1.p * c2.q - c1.q * c2.p
-        value = kernel_dot(c1, c2)
+        value = intersection.kernel_dot(c1, c2)
         rep.results["kernel_dot"] = value
         rep.results["degree_vs_product_polarization"] = [
-            degree_vs_product_polarization(c) for c in (c1, c2)]
+            intersection.degree_vs_product_polarization(c) for c in (c1, c2)]
         if args.m is not None:
-            count = kernel_dot_oracle(c1, c2, args.m)
+            count = intersection.kernel_dot_oracle(c1, c2, args.m)
             rep.results["oracle_count"] = count
             if det != 0 and args.m % abs(det) == 0:
                 rep.check("oracle agreement", value, count)
         return rep
     if not args.cls or len(args.cls) != 2:
         raise UsageError("need exactly two --class vectors (or two --pq)")
-    lattice = _load_lattice(args.fixture)
-    a, b = (DivisorClass(lattice, _parse_int_vector(t, lattice.rank))
+    gram = _load_lattice(args.fixture)
+    a, b = (intersection.DivisorClass(gram, _parse_int_vector(t, gram.rank))
             for t in args.cls)
     rep = Report("intersect", inputs={"fixture": args.fixture or "pen6",
                                       "classes": [a, b]})
-    rep.results["dot"] = dot(a, b)
-    rep.results["nef_violation"] = nef_violation_certificate(a, b)
+    rep.results["dot"] = intersection.dot(a, b)
+    rep.results["nef_violation"] = intersection.nef_violation_certificate(a, b)
     return rep
 
 
@@ -300,22 +298,22 @@ def cmd_bundle(args):
     if args.q is not None and args.action != "jump":
         raise UsageError("--q only applies to jump")
     g, r, p, torsion = _bundle_spec(args)
-    decomposition = pushforward_decomposition(g, r, p, torsion)
+    decomposition = bundles.pushforward_decomposition(g, r, p, torsion)
     rep = Report("bundle %s" % args.action,
                  inputs={"g": g, "r": r, "p": p, "torsion": torsion})
     rep.results["decomposition"] = decomposition
     if args.action == "h0":
-        rep.results["h0"] = h0(decomposition)
+        rep.results["h0"] = bundles.h0(decomposition)
     elif args.action == "h1":
-        rep.results["h1"] = h1(decomposition)
+        rep.results["h1"] = bundles.h1(decomposition)
     elif args.action == "jump":
         if args.q is None:
             raise UsageError("jump needs --q")
         q = _parse_point(args.q)
         rep.inputs["q"] = q
-        rep.results["jump_h1"] = jump_h1(decomposition, q)
+        rep.results["jump_h1"] = bundles.jump_h1(decomposition, q)
     else:  # r-criterion
-        line, witness = ample_part_is_line(decomposition)
+        line, witness = bundles.ample_part_is_line(decomposition)
         rep.results["ample_part_is_line"] = line
         rep.results["witness"] = witness
     return rep
@@ -326,10 +324,11 @@ def cmd_classify(args):
         if args.Q is not None or args.Qhalf is not None:
             raise UsageError("--sweep classifies every pair: no --Q/--Qhalf")
         rep = Report("classify", inputs={"sweep": True})
-        sweep = classification_sweep(build_reference_surface())
+        sweep = torus.classification_sweep(torus.build_reference_surface())
         rep.results["pairs"] = [
-            {"Qhalf": display_name(row.Qhalf), "Q": display_name(row.Q),
-             "singularity": row.closed, "rf_pair": list(rf_pair(row.closed)),
+            {"Qhalf": torus.display_name(row.Qhalf),
+             "Q": torus.display_name(row.Q), "singularity": row.closed,
+             "rf_pair": list(torus.rf_pair(row.closed)),
              "moduli_type": row.moduli_type} for row in sweep.rows]
         rep.results["verdict_counts"] = sweep.verdict_counts
         rep.results["moduli_rows"] = sweep.moduli_rows

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from irrfib.bundles import (BundleDecomposition, EllipticPoint,
                             elliptic_origin, generic_point, h0, h1,
                             h0_omega_twisted_minus_fibre, jump_h1,
                             pushforward_decomposition, twist, xiao_structure)
-from irrfib.errors import (ContradictsXiao, InvalidRank, InvalidShape,
-                           InvalidTorsionList, NotApplicable)
-from irrfib.lattice import Rational
+from irrfib.errors import (ContradictsXiao, IncompatibleLattice, InvalidRank,
+                           InvalidShape, InvalidTorsionList, NotApplicable)
+from irrfib.lattice import Lattice, Rational, origin
 
 THIRD = Fraction(1, 3)
 
@@ -44,6 +45,12 @@ def test_point_arithmetic():
         EllipticPoint(0, (0, 0))
     with pytest.raises(TypeError):  # a free coefficient that is not an integer
         EllipticPoint(1, (0, 0), (("p", Fraction(1, 2)),))
+    # a point of another lattice is refused, by both operators
+    other = origin(Lattice(2, ("a", "b")))
+    for combine in (operator.add, operator.sub):
+        for q in (p, g):
+            with pytest.raises(IncompatibleLattice):
+                combine(q, other)
 
 
 def test_summands_sort_by_their_coordinates():

@@ -1052,10 +1052,41 @@ def test_json_loads_only_to_read_spec_or_fixture(tmp_path):
         assert ("usage error: cannot load" in out) == (status == 64), argv
 
 
+# The irrfib modules whose bodies a command runs: what it computes with,
+# and what those modules import. Every command runs the first four.
+_BASE = {"cli", "errors", "record", "report"}
+_INTERSECTION = _BASE | {"intersection", "linalg"}
+_BUNDLES = _BASE | {"bundles", "lattice", "linalg"}
+_INVARIANTS = _BUNDLES | {"intersection", "invariants"}
+_TORUS = _BASE | {"characters", "lattice", "linalg", "polarization", "torus"}
+MODULES_RUN = {"appendix": _TORUS, "classify": _TORUS,
+               "intersect": _INTERSECTION, "bundle": _BUNDLES,
+               "bounds": _INVARIANTS, "slope": _INVARIANTS,
+               "family-fn": _INVARIANTS, "example": _INVARIANTS}
+
+
+def test_each_command_runs_only_the_modules_it_computes_with():
+    # a registered module whose body has not run is still of LazyLoader's
+    # module class; `example k26-d2 --Qhalf` also classifies on the torus
+    for argv, status in (*EVERY_COMMAND_FORM, (("--bogus",), 64)):
+        out = _run("import irrfib.cli, sys; sys.stderr = sys.stdout; "
+                   "code = irrfib.cli.main(%r); print(code, *sorted("
+                   "n[7:] for n, m in sys.modules.items() "
+                   "if n.startswith('irrfib.') and type(m) is type(sys)))"
+                   % (list(argv),))
+        code, *ran = out.splitlines()[-1].split()
+        assert int(code) == status, argv
+        expected = MODULES_RUN.get(argv[0], _BASE)
+        if "--Qhalf" in argv:
+            expected = expected | _TORUS
+        assert set(ran) == expected, argv
+
+
 def test_importing_the_cli_loads_every_module_of_the_package():
     """The traced benchmark imports irrfib.cli and then looks each layer's
-    module up in sys.modules: a module loaded later would crash every traced
-    request."""
+    module up in sys.modules: every module of the package is registered
+    there (its body runs on first use), or every traced request would
+    crash."""
     out = _run("import irrfib.cli, pkgutil, sys; names = [m.name for m in "
                "pkgutil.iter_modules(irrfib.__path__, 'irrfib.')]; "
                "print(len(names), [n for n in names if n not in sys.modules])")
@@ -1094,6 +1125,66 @@ def test_the_tracer_wraps_only_entry_points_the_library_has():
     missing = [(module, name) for module, name in entries
                if getattr(importlib.import_module(module), name, None) is None]
     assert missing == [("irrfib.cli", "build_parser")]
+
+
+def test_the_tracer_finds_every_entry_point_after_importing_the_cli():
+    """The tracer reads each entry point as getattr(sys.modules[module],
+    name) right after `import irrfib.cli`, in a fresh process; the first
+    getattr on a registered module runs its body."""
+    entries = [entry for entry in _traced_entry_points()
+               if entry != ("irrfib.cli", "build_parser")]
+    out = _run("import irrfib.cli, sys; print([(m, n) for m, n in %r "
+               "if getattr(sys.modules[m], n, None) is None])" % entries)
+    assert out == "[]\n"
+
+
+# the public names of the package: what dir(irrfib) lists after
+# `import irrfib`, and `from irrfib import *` binds
+PUBLIC_NAMES = """
+    AlternatingForm BundleDecomposition Character ContradictsXiao
+    DegenerateEmbedding DegenerateForm DivisorClass EllipticPoint
+    ExampleSurface FibrationRecord FiniteAbelianGroup IncompatibleLattice
+    IndecomposableBundle IntersectionLattice InvalidBranching InvalidModulus
+    InvalidOrder InvalidRank InvalidShape InvalidTorsionList InvalidTwist
+    IrrfibError KernelCurve Lattice NonPrimitive NotApplicable
+    PolarizationType Rational SpecialAbelianSurface SublatticeEmbedding
+    SurfaceInvariants TorsionPoint UndefinedSlope UnsupportedIndex XiaoShape
+    admissible_pairs ample_part_is_line atiyah_bundle build_reference_surface
+    bundles character_name characters classification_report
+    classification_sweep classify_origin_singularity
+    classify_origin_singularity_oracle degree_vs_product_polarization
+    derive_pen6_pairings display_name dot double_cover_fibre_genus
+    elliptic_origin errors example_record generic_point genus_bound_rank_one
+    h0 h0_omega_twisted_minus_fibre h1 intersection invariants
+    isotrivial_examples isotriviality_obstruction jump_h1 kernel_K_L
+    kernel_dot kernel_dot_oracle kernel_of_restriction lattice linalg
+    moduli_type nef_violation_certificate nonisotrivial_examples origin
+    parse_character parse_rational pen6_fibres pen6_lattice phi_L_on_point
+    phi_two_torsion_data polarization polarization_type psi_image
+    pushforward_decomposition quotient_group record reducible_through_origin
+    reference_lattice_a reference_lattice_b report restrict_character
+    restrict_form rf_pair serrano_canonical_pen6 slope smith_normal_form
+    sublattice_index torsion_characters torsion_subgroup torus
+    translation_points_for_twist trivial_character twist
+    two_torsion_character_tables unbounded_family xiao_structure
+""".split()
+
+
+def test_the_package_lists_and_binds_its_public_names():
+    # each name resolves to a module, or to the object its module defines
+    out = _run("""if True:
+        import irrfib, sys
+        print(*[n for n in dir(irrfib) if n[0] != "_"])
+        names = {}
+        exec("from irrfib import *", names)
+        print(*sorted(n for n in names if n[0] != "_"))
+        print(*[n for n, v in names.items() if n[0] != "_"
+                and type(v) is not type(sys)
+                and getattr(sys.modules[v.__module__], n, None) is not v])
+        """)
+    listed, bound, strays = out.split("\n")[:3]
+    assert listed.split() == bound.split() == PUBLIC_NAMES
+    assert strays == ""
 
 
 def test_the_readme_library_block_runs_as_its_comments_say():
