@@ -20,12 +20,12 @@ from .record import Record, encode
 class EllipticPoint(OnGrid, Record):
     """A point of the curve: n, nums as on a torsion point of the period
     lattice (lattice, a class attribute, is not a field), plus the free part.
-    from_fractions(coords, free=...) builds one from rational coordinates."""
+    from_fractions(coords, free=...) builds one from rational coordinates,
+    and texts() prints them back."""
     n: int
     nums: tuple
     free: tuple = ()  # ((generator name, integer coefficient), ...)
     lattice = Lattice(2, ("1", "tau"))
-    coords = property(OnGrid._fractions)
 
     def __post_init__(self):
         super().__post_init__()
@@ -238,7 +238,7 @@ def xiao_structure(gF, slope, q_surface, gC):
     Only the boundary slope admits this conclusion, and only over a base
     whose irregularity exceeds its genus by exactly one.
     """
-    if slope not in (4, Rational(4)):  # an int, Fraction or Rational 4
+    if slope not in (4, Rational(4)):  # an int or Rational 4
         raise NotApplicable("the splitting requires slope exactly 4")
     if q_surface - gC != 1:
         raise ContradictsXiao("need irregularity = base genus + 1")

@@ -2,8 +2,8 @@
 
 A character is stored additively, on the integer grid, as (lattice, n, nums):
 numerator k_j means basis vector j maps to exp(2*pi*i*k_j/n). Products and
-restriction are integer linear algebra mod n; the Fraction values are a view
-rebuilt on access, and the +-1 display of 2-torsion ones a formatting concern.
+restriction are integer linear algebra mod n, and the +-1 display of
+2-torsion characters is a formatting concern.
 """
 
 from itertools import product
@@ -19,7 +19,6 @@ class Character(OnGrid, Record):
     lattice: Lattice
     n: int
     nums: tuple
-    values = property(OnGrid._fractions)
 
     def __mul__(self, other):
         return self._plus(other, "characters")

@@ -8,12 +8,8 @@ the constructor re-runs it instead of trusting the stored number, and
 returns the derivation's named checks beside the record.
 """
 
-from .bundles import (ample_part_is_line, generic_point,
-                      pushforward_decomposition, xiao_structure)
+from . import bundles, intersection
 from .errors import (InvalidBranching, NotApplicable, UndefinedSlope)
-from .intersection import (KernelCurve, degree_vs_product_polarization,
-                           derive_pen6_pairings, dot, nef_violation_certificate,
-                           pen6_fibres, pen6_lattice, serrano_canonical_pen6)
 from .lattice import Rational
 from .record import Record, encode
 from .report import Check
@@ -133,17 +129,19 @@ def unbounded_family(n):
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    kernel_degree = degree_vs_product_polarization(KernelCurve(1, n))
+    kernel_degree = intersection.degree_vs_product_polarization(
+        intersection.KernelCurve(1, n))
     gF = double_cover_fibre_genus(1, 2 * kernel_degree)
     r = gF - 1
-    d = pushforward_decomposition(gF, r, generic_point("p"), [])
-    line, _ = ample_part_is_line(d)
+    d = bundles.pushforward_decomposition(gF, r, bundles.generic_point("p"),
+                                          [])
+    line, _ = bundles.ample_part_is_line(d)
     checks = (
         Check("fibre genus", n * n + 2, gF),
         Check("ample part rank", n * n + 1, r),
         Check("slope", Rational(4), slope(4, 1, 1, gF)),
         Check("xiao semistable rank", r,
-              xiao_structure(gF, Rational(4), 2, 1).semistable_rank),
+              bundles.xiao_structure(gF, Rational(4), 2, 1).semistable_rank),
         Check("ample part is a line bundle", r == 1, line))
     return FibrationRecord(
         gC=1, gF=gF, isotrivial=False, r=r, decomposition=d,
@@ -158,7 +156,7 @@ def _pen5_ranks():
     # slope 4 forces the trivial + semistable splitting; with gF = 3 the
     # semistable part is the rank-2 ample summand
     s = slope(4, 1, 1, 3)
-    rank = xiao_structure(3, s, 2, 1).semistable_rank
+    rank = bundles.xiao_structure(3, s, 2, 1).semistable_rank
     return (rank, rank), (
         Check("slope", Rational(4), s),
         Check("xiao semistable rank", 2, rank),
@@ -169,25 +167,27 @@ def _pen6_ranks():
     """Both ranks (None where underived) and the checks that derive them."""
     # the canonical minus either fibre pairs negatively with the other
     # (nef) fibre, so it is not effective and that rank cannot be 1
-    l = pen6_lattice()
+    l = intersection.pen6_lattice()
     checks = []
-    for pair, value in derive_pen6_pairings().items():
+    for pair, value in intersection.derive_pen6_pairings().items():
         i, j = (l.basis_labels.index(x) for x in pair)
         checks.append(Check("derived pairing %s.%s" % pair, l.gram[i][j],
                             value))
-    k = serrano_canonical_pen6(l)
-    f1, f2 = pen6_fibres(l)
-    certificates = (nef_violation_certificate(k - f1, f2),
-                    nef_violation_certificate(k - f2, f1))
+    k = intersection.serrano_canonical_pen6(l)
+    f1, f2 = intersection.pen6_fibres(l)
+    certificates = (intersection.nef_violation_certificate(k - f1, f2),
+                    intersection.nef_violation_certificate(k - f2, f1))
     ranks = tuple(None if c is None else 2 for c in certificates)
     checks += [
-        Check("canonical self-intersection", 5, dot(k, k)),
-        Check("fibre self-intersections", [0, 0], [dot(f1, f1), dot(f2, f2)]),
-        Check("fibre product equals group order", 6, dot(f1, f2)),
+        Check("canonical self-intersection", 5, intersection.dot(k, k)),
+        Check("fibre self-intersections", [0, 0],
+              [intersection.dot(f1, f1), intersection.dot(f2, f2)]),
+        Check("fibre product equals group order", 6, intersection.dot(f1, f2)),
         Check("canonical against sections", [1, 1],
-              [dot(k, l.basis_class("Y1")), dot(k, l.basis_class("Y2"))]),
+              [intersection.dot(k, l.basis_class("Y1")),
+               intersection.dot(k, l.basis_class("Y2"))]),
         Check("adjunction degree on fibres", [4, 4],
-              [dot(k + f1, f1), dot(k + f2, f2)]),
+              [intersection.dot(k + f1, f1), intersection.dot(k + f2, f2)]),
         Check("nef violation certificate", -2, certificates[0]),
         Check("nef violation certificate (K-F2 against F1)", -2,
               certificates[1]),

@@ -3,11 +3,11 @@
 Lattices carry no complex structure at all: every computation downstream
 depends only on the integral data, so a lattice is just a rank and a tuple
 of basis labels. Torsion points, like characters, are (lattice, n, nums):
-int numerators mod their order n (OnGrid), and their printed coordinates are
-read straight off those numerators. A parsed rational is a Rational, a
-numerator and a denominator, so no command loads `fractions` (through
-`decimal` it costs ~3 ms and ~0.5 MB per process): only the Fraction views
-(.values, .coords) of the library import it.
+int numerators mod their order n (OnGrid), and that is their only form:
+every computation runs on the numerators, and the printed coordinates are
+read straight off them. A parsed rational is a Rational, a numerator and a
+denominator, so the library never loads the standard library's rational
+module (through `decimal` it costs ~3 ms and ~0.5 MB per process).
 """
 
 from itertools import product
@@ -21,7 +21,7 @@ from .record import Record
 
 class Rational(Record):
     """An exact rational in lowest terms, its denominator > 0; the one
-    constructor reduces it. It prints as str(Fraction) does."""
+    constructor reduces it. It prints as "p/q", or "p" when q is 1."""
     numerator: int
     denominator: int = 1
 
@@ -47,12 +47,12 @@ def parse_rational(text):
     """The Rational written as "p", "p/q" or a decimal "p.d" (".5" and "1."
     too), signed or not, with whitespace around it.
 
-    This is the grammar of Fraction(text) on Python 3.11 without exponents
-    (the exact expansion of "1e99999999" takes minutes), the same on every
-    Python: 3.10's Fraction refuses underscores, and 3.12's allows spaces
-    around "/". As in Fraction, a malformed text raises ValueError, a zero
-    denominator ZeroDivisionError, and a digit run past int()'s limit
-    ValueError.
+    This is the grammar the standard library's rational type reads on
+    Python 3.11, without exponents (the exact expansion of "1e99999999"
+    takes minutes), the same on every Python: 3.10's refuses underscores,
+    and 3.12's allows spaces around "/". As there, a malformed text raises
+    ValueError, a zero denominator ZeroDivisionError, and a digit run past
+    int()'s limit ValueError.
     """
     body = text.strip()
     sign = -1 if body.startswith("-") else 1
@@ -78,8 +78,7 @@ class OnGrid:
 
     The constructor reduces the numerators mod n and then to lowest terms,
     so n is the element's order and nums are in [0, n). from_fractions is
-    the one way in from rational coordinates, and the Fraction views
-    (.values, .coords) are rebuilt from the grid on each access.
+    the one way in from rational coordinates, and texts() prints them.
     Elements of a lattice's torus also add and scale here; the result
     keeps the element's other fields, unless they are given.
     """
@@ -87,7 +86,7 @@ class OnGrid:
     @classmethod
     def from_fractions(cls, values, **fields):
         """The element whose coordinates are the rationals values, mod 1:
-        ints, Fractions or Rationals, read by numerator and denominator."""
+        ints, Rationals, anything with an int numerator and denominator."""
         values = tuple(values)
         n = lcm(*(v.denominator for v in values))
         return cls(n=n, nums=tuple(v.numerator * (n // v.denominator)
@@ -104,13 +103,9 @@ class OnGrid:
             n, nums = n // g, tuple(k // g for k in nums)
         self.__dict__.update(n=n, nums=nums)
 
-    def _fractions(self):
-        from fractions import Fraction
-        return tuple(Fraction(k, self.n) for k in self.nums)
-
     def texts(self):
-        """Each coordinate as str(Fraction(k, n)) prints it, read off the
-        numerators (each in [0, n)) with no Fraction built."""
+        """Each coordinate k/n in lowest terms, as "p/q", or "0"; read off
+        the numerators, each in [0, n)."""
         n = self.n
         return ["%d/%d" % (k // (g := gcd(k, n)), n // g) if k else "0"
                 for k in self.nums]
@@ -153,7 +148,6 @@ class TorsionPoint(OnGrid, Record):
     lattice: Lattice
     n: int
     nums: tuple
-    coords = property(OnGrid._fractions)
 
     def __add__(self, other):
         return self._plus(other, "points")

@@ -7,7 +7,7 @@ computed as the quotient of the dual lattice of the form by the lattice.
 
 from functools import lru_cache
 from itertools import product
-from operator import add, index
+from operator import add, index, mul
 from types import MappingProxyType
 
 from .characters import Character
@@ -71,12 +71,12 @@ def polarization_type(f):
 
 
 def phi_L_on_point(f, x):
-    """The character exp(2*pi*i*f(., x)) evaluated on the basis vectors."""
+    """The character exp(2*pi*i*f(., x)) evaluated on the basis vectors:
+    over x's order n, its numerators are M*x.nums, M the form's matrix."""
     if x.lattice != f.lattice:
         raise IncompatibleLattice("point does not live on the form's lattice")
-    values = tuple(sum(m_ij * xj for m_ij, xj in zip(row, x.coords) if m_ij)
-                   for row in f.matrix)
-    return Character.from_fractions(values, lattice=f.lattice)
+    return Character(f.lattice, x.n, tuple(sum(map(mul, row, x.nums))
+                                           for row in f.matrix))
 
 
 def kernel_K_L(f):

@@ -20,7 +20,6 @@ override returns plain JSON types too: None, bools, ints, strs, lists and
 dicts with str keys, which is all report.canonical_json has to write.
 """
 
-import sys
 from operator import attrgetter
 
 
@@ -36,11 +35,6 @@ def encode(value):
         return [encode(v) for v in value]
     if hasattr(value, "to_json"):
         return value.to_json()
-    # a Fraction exists only once fractions is loaded, which no command
-    # does: only the library's Fraction views (.values, .coords) import it
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
-        return str(value)
     raise TypeError("cannot encode %r" % type(value))
 
 
@@ -95,7 +89,7 @@ class Record:
 
     def __hash__(self):
         # A frozen record never changes, and its hash walks every nested
-        # record and Fraction, so the first result is kept with the record.
+        # record and tuple, so the first result is kept with the record.
         value = self.__dict__.get("_hash")
         if value is None:
             value = self.__dict__["_hash"] = hash(self._key(self))

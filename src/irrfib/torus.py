@@ -3,7 +3,7 @@
 The fixture is an index-2 sublattice of a product lattice. Everything the
 classification needs is rational: the isogeny image of a torsion point, which
 translated reducible members pass through the origin, and a two-route verdict
-(closed form on character values vs exhaustive enumeration on 4-torsion).
+(closed form on character numerators vs exhaustive enumeration on 4-torsion).
 """
 
 from functools import lru_cache
@@ -74,10 +74,8 @@ def psi_image(s, x):
     of the ambient torus, E the embedding matrix."""
     if x.lattice != s.embedding.sub:
         raise IncompatibleLattice("point must be in sublattice coordinates")
-    coords = x.coords
-    return TorsionPoint.from_fractions(
-        [sum(map(mul, row, coords)) for row in s.embedding.matrix],
-        lattice=s.embedding.ambient)
+    return TorsionPoint(s.embedding.ambient, x.n, tuple(
+        sum(map(mul, row, x.nums)) for row in s.embedding.matrix))
 
 
 # every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
@@ -142,13 +140,9 @@ def _factor_period_kernels(s):
     return tuple(map(tuple, to_first)), tuple(map(tuple, to_second))
 
 
-@lru_cache(maxsize=None)
 def _check_pair(s, Q, Qhalf):
-    """Raise unless (Q, Qhalf) is an admissible pair.
-
-    Both routes and the moduli type check every pair they are given, so a
-    pair that passes is remembered; a refused pair raises again each time.
-    """
+    """Raise unless (Q, Qhalf) is an admissible pair. Both routes and the
+    moduli type check every pair they are given."""
     lat = s.embedding.sub
     if Q.lattice != lat or Qhalf.lattice != lat:
         raise IncompatibleLattice("characters must live on the sublattice")

@@ -1,0 +1,59 @@
+"""Bounded cost: no flag value makes a command run for minutes.
+
+Each probe runs the command line in a child process that first caps its own
+CPU time with resource.setrlimit(RLIMIT_CPU, ...), so only the child is
+limited: a probe whose cost is unbounded is killed at the cap, and fails on
+its exit status, instead of holding up the suite. Every probe must end with
+its stated exit code and no traceback. The bounds these probes hold are
+cli.MAX_ORACLE_MODULUS (the kernel oracle tests at most 64^2 cells), the
+closed-form arithmetic of family-fn, bundle, slope and bounds in their
+integer flags, and the fixed 4-torsion of the classification.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("resource")  # RLIMIT_CPU is POSIX only
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# CPU seconds a probe may use: start-up and import take about 0.1 s
+CPU_SECONDS = 5
+BIG = "12345678901234567890"
+BIGGER = "98765432109876543210"
+PQ = ("intersect", "--pq", "1,2", "--pq", "3,-4", "--m")
+
+PROBES = [
+    (("family-fn", "--n", "1000000000"), 0),
+    (("bundle", "h0", "--g", "1000000000", "--r", "999999999"), 0),
+    (("slope", "--k2", BIG, "--chi", BIGGER, "--gc", BIG, "--gf", BIGGER), 0),
+    (("bounds", "--k2", BIG, "--chi", BIGGER), 0),
+    (("bounds", "--k2", BIG, "--chi", BIGGER, "--ample", "true"), 0),
+    ((*PQ, "64"), 0),
+    ((*PQ, "65"), 64),
+    ((*PQ, "1000000"), 64),
+    (("classify", "--Qhalf", "1/%s,0,0,0" % BIG), 65),
+]
+
+# the child caps itself, then runs the CLI as `python -m irrfib.cli` does
+CHILD = ("import resource, runpy; "
+         "resource.setrlimit(resource.RLIMIT_CPU, (%d, %d)); "
+         "runpy.run_module('irrfib.cli', run_name='__main__', alter_sys=True)"
+         % (CPU_SECONDS, CPU_SECONDS))
+
+
+@pytest.mark.parametrize("argv, status", PROBES,
+                         ids=[" ".join(argv)[:40] for argv, _ in PROBES])
+def test_a_probe_ends_in_bounded_time_with_its_exit_code(argv, status):
+    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          timeout=20 * CPU_SECONDS)
+    out = proc.stdout + proc.stderr
+    assert b"Traceback" not in out, out.decode()[-2000:]
+    # a probe killed at its CPU cap ends with minus the signal's number
+    assert proc.returncode == status, out.decode()[-2000:]

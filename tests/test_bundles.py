@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_view import fractions_of
 from irrfib.bundles import (BundleDecomposition, EllipticPoint,
                             IndecomposableBundle, XiaoShape,
                             ample_part_is_line, atiyah_bundle,
@@ -23,9 +24,9 @@ def _torsion(a, b):
 
 def test_point_arithmetic():
     p = _torsion(Fraction(1, 2), Fraction(5, 4))
-    # stored as numerators over the order, the coordinates a Fraction view
+    # stored as numerators over the order, each coordinate reduced mod 1
     assert (p.n, p.nums, p.free) == (4, (2, 1), ())
-    assert p.coords == (Fraction(1, 2), Fraction(1, 4))
+    assert fractions_of(p) == (Fraction(1, 2), Fraction(1, 4))
     assert p == EllipticPoint(8, (12, -6)) == EllipticPoint.from_fractions(
         (Rational(-1, 2), Rational(1, 4)))
     assert p.to_json() == {"coords": ["1/2", "1/4"], "free": []}
@@ -55,13 +56,13 @@ def test_point_arithmetic():
 
 def test_summands_sort_by_their_coordinates():
     # the key compares each det_point's numerators over one denominator:
-    # the order of the coordinates as rationals, with no Fraction built
+    # the order of the coordinates as rationals, checked here in Fractions
     p = generic_point("p")
     torsion = [_torsion(a, b) for a, b in (
         (Fraction(5, 6), Fraction(1, 6)), (0, Fraction(3, 4)),
         (Fraction(1, 3), 0), (Fraction(1, 3), Fraction(1, 7)))]
     d = pushforward_decomposition(6, 1, p, torsion)
-    flat = [b.det_point.coords for b in d.summands if b.degree == 0]
+    flat = [fractions_of(b.det_point) for b in d.summands if b.degree == 0]
     assert flat == sorted(flat) and len(flat) == 5
     assert d.summands[-1].det_point == p
 

@@ -461,10 +461,11 @@ def test_usage_without_command(capsys):
 
 
 def test_failing_derivation_is_a_failed_check(capsys, monkeypatch):
-    import irrfib.invariants
-    derived = irrfib.invariants.derive_pen6_pairings()
+    # invariants reads the derivation from its module when it runs
+    import irrfib.intersection
+    derived = irrfib.intersection.derive_pen6_pairings()
     derived[("Y1", "Z1")] += 1
-    monkeypatch.setattr(irrfib.invariants, "derive_pen6_pairings",
+    monkeypatch.setattr(irrfib.intersection, "derive_pen6_pairings",
                         lambda: derived)
     code, out, err = run(capsys, "example", "pen-6")
     assert code == 2
@@ -1053,22 +1054,30 @@ def test_json_loads_only_to_read_spec_or_fixture(tmp_path):
 
 
 # The irrfib modules whose bodies a command runs: what it computes with,
-# and what those modules import. Every command runs the first four.
+# and what those modules import. Every command runs the first four, and
+# invariants reaches bundles and intersection only through the records
+# that compute with them: the family, pen-5's slope-4 splitting (bundles)
+# and pen-6's lattice (intersection).
 _BASE = {"cli", "errors", "record", "report"}
 _INTERSECTION = _BASE | {"intersection", "linalg"}
 _BUNDLES = _BASE | {"bundles", "lattice", "linalg"}
-_INVARIANTS = _BUNDLES | {"intersection", "invariants"}
+_INVARIANTS = _BASE | {"invariants", "lattice", "linalg"}
+_FAMILY = _INVARIANTS | {"bundles", "intersection"}
 _TORUS = _BASE | {"characters", "lattice", "linalg", "polarization", "torus"}
 MODULES_RUN = {"appendix": _TORUS, "classify": _TORUS,
                "intersect": _INTERSECTION, "bundle": _BUNDLES,
                "bounds": _INVARIANTS, "slope": _INVARIANTS,
-               "family-fn": _INVARIANTS, "example": _INVARIANTS}
+               "family-fn": _FAMILY, "example": _INVARIANTS,
+               "example family-fn": _FAMILY,
+               "example pen-5": _INVARIANTS | {"bundles"},
+               "example pen-6": _INVARIANTS | {"intersection"}}
 
 
 def test_each_command_runs_only_the_modules_it_computes_with():
     # a registered module whose body has not run is still of LazyLoader's
     # module class; `example k26-d2 --Qhalf` also classifies on the torus
-    for argv, status in (*EVERY_COMMAND_FORM, (("--bogus",), 64)):
+    examples = [(("example", ex_id), 0) for ex_id in EXAMPLE_IDS]
+    for argv, status in (*EVERY_COMMAND_FORM, *examples, (("--bogus",), 64)):
         out = _run("import irrfib.cli, sys; sys.stderr = sys.stdout; "
                    "code = irrfib.cli.main(%r); print(code, *sorted("
                    "n[7:] for n, m in sys.modules.items() "
@@ -1076,7 +1085,8 @@ def test_each_command_runs_only_the_modules_it_computes_with():
                    % (list(argv),))
         code, *ran = out.splitlines()[-1].split()
         assert int(code) == status, argv
-        expected = MODULES_RUN.get(argv[0], _BASE)
+        expected = MODULES_RUN.get(" ".join(argv[:2]),
+                                   MODULES_RUN.get(argv[0], _BASE))
         if "--Qhalf" in argv:
             expected = expected | _TORUS
         assert set(ran) == expected, argv

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from fraction_view import fractions_of
 from irrfib.characters import Character
 from irrfib.errors import (DegenerateEmbedding, IncompatibleLattice,
                            InvalidOrder)
@@ -185,7 +186,7 @@ def test_reduce_mod1():
                            (Fraction(2), 0), (-5, 0),
                            (Rational(-7, 3), Fraction(2, 3))):
         x = TorsionPoint.from_fractions((value,), lattice=line)
-        assert x.coords == (reduced,), value
+        assert fractions_of(x) == (reduced,), value
 
 
 def test_rational_is_in_lowest_terms():
@@ -227,7 +228,7 @@ def test_torsion_point_arithmetic():
     lat = reference_lattice_b()
     x = TorsionPoint.from_fractions((Fraction(3, 2), 0, Fraction(-1, 4), 0),
                                    lattice=lat)
-    assert x.coords == (Fraction(1, 2), 0, Fraction(3, 4), 0)
+    assert fractions_of(x) == (Fraction(1, 2), 0, Fraction(3, 4), 0)
     assert x.order() == 4
     assert (x + (-x)).is_origin
     assert x.scale(4).is_origin
@@ -267,7 +268,7 @@ def test_quotient_group_of_reference_embedding():
     assert g.order() == 2
     # the nontrivial coset is represented by the second period of the
     # second factor, whose sub coordinates are (0, 0, 0, 1/2)
-    assert g.generators[0].coords == (0, 0, 0, Fraction(1, 2))
+    assert fractions_of(g.generators[0]) == (0, 0, 0, Fraction(1, 2))
     elems = g.elements()
     assert len(elems) == 2
     assert elems[0].is_origin

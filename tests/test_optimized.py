@@ -23,6 +23,23 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_no_module_of_the_library_imports_fractions():
+    """A torsion value is held only as int numerators, and a rational as a
+    Rational: no module imports fractions, at its top or inside a function,
+    nor names it to import it or look it up in sys.modules."""
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((SRC / "irrfib").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(
+            alias.name.partition(".")[0] == "fractions"
+            for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "fractions"
+        or isinstance(node, ast.Constant) and node.value == "fractions"]
+    assert found == []
+
+
 def _defined_names(node):
     """The names a module-level statement defines."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

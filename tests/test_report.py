@@ -7,34 +7,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfib.intersection import KernelCurve
+from irrfib.lattice import Rational
 from irrfib.report import Check, Report, canonical_json, encode, render
 
 
 def test_encode_scalars_and_containers():
-    assert encode(Fraction(1, 2)) == "1/2"
-    assert encode(Fraction(4)) == "4"
+    assert encode(Rational(1, 2)) == "1/2"
+    assert encode(Rational(4)) == "4"
     assert encode(3) == 3
     assert encode(None) is None
     assert encode(True) is True
-    assert encode({"a": (Fraction(1, 3),)}) == {"a": ["1/3"]}
+    assert encode({"a": (Rational(1, 3),)}) == {"a": ["1/3"]}
     assert encode({1, 2, 3}) == [1, 2, 3]
     assert encode(KernelCurve(1, 2)) == [1, 2]
     with pytest.raises(TypeError):
         encode(object())
+    # a rational of the library is a Rational: a Fraction has no JSON form
+    with pytest.raises(TypeError):
+        encode(Fraction(1, 2))
 
 
 def test_check_compares_encoded_values():
-    assert Check("x", Fraction(1, 2), Fraction(2, 4)).passed
+    assert Check("x", Rational(1, 2), Rational(2, 4)).passed
     assert Check("x", (1, 2), [1, 2]).passed
     assert not Check("x", 1, 2).passed
-    # a Fraction and the equal int encode differently on purpose
-    assert not Check("x", Fraction(4), 4).passed
+    # a Rational and the equal int encode differently on purpose
+    assert not Check("x", Rational(4), 4).passed
 
 
 def test_report_pass_fail_and_render():
     rep = Report("demo", inputs={"n": 1})
     assert rep.passed  # vacuous
-    rep.results["value"] = Fraction(1, 2)
+    rep.results["value"] = Rational(1, 2)
     rep.check("good", 4, 4)
     assert rep.passed
     text = render(rep, as_json=False)
@@ -49,7 +53,7 @@ def test_report_pass_fail_and_render():
 
 
 def test_report_json_round_trip():
-    rep = Report("demo", inputs={"n": Fraction(3, 2)})
+    rep = Report("demo", inputs={"n": Rational(3, 2)})
     rep.results["curve"] = KernelCurve(2, 1)
     rep.check("name", [1], [1])
     out = render(rep, as_json=True)

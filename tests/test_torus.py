@@ -7,6 +7,7 @@ from operator import mul
 import pytest
 
 import irrfib.torus
+from fraction_view import fractions_of
 from irrfib.characters import Character, trivial_character
 from irrfib.errors import IncompatibleLattice, InvalidOrder, InvalidTwist
 from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
@@ -67,7 +68,7 @@ def _chi(name):
 def _square_roots(chi):
     """The 2^rank characters xi with xi * xi = chi: each value v has the two
     halves v/2 and v/2 + 1/2."""
-    halves = [(v / 2, v / 2 + HALF) for v in chi.values]
+    halves = [(v / 2, v / 2 + HALF) for v in fractions_of(chi)]
     return {Character.from_fractions(combo, lattice=chi.lattice)
             for combo in product(*halves)}
 
@@ -96,10 +97,10 @@ def test_psi_image_frozen(surface):
     assert y.lattice == ambient and y.is_origin
     # half of the first period of the first factor
     y = psi_image(surface, TorsionPoint(lat, 2, (1, 0, 0, 0)))
-    assert y.coords == (HALF, 0, 0, 0)
+    assert fractions_of(y) == (HALF, 0, 0, 0)
     # a quarter of mu1 - mu2
     y = psi_image(surface, TorsionPoint(lat, 4, (0, 0, 1, 0)))
-    assert y.coords == (0, 0, Fraction(1, 4), Fraction(3, 4))
+    assert fractions_of(y) == (0, 0, Fraction(1, 4), Fraction(3, 4))
     with pytest.raises(IncompatibleLattice):
         psi_image(surface, TorsionPoint(ambient, 1, (0,) * 4))
 
@@ -117,19 +118,30 @@ def test_reducible_through_origin_cases():
     ]
     for coords, cases in table:
         y = TorsionPoint.from_fractions(coords, lattice=reference_lattice_b())
-        assert y.coords == coords
+        assert fractions_of(y) == coords
         assert reducible_through_origin(y) == frozenset(cases)
+
+
+def _psi_in_fractions(s, x):
+    """psi(x) = E*x summed in Fractions, apart from the library's integers."""
+    coords = fractions_of(x)
+    return TorsionPoint.from_fractions(
+        [sum(map(mul, row, coords)) for row in s.embedding.matrix],
+        lattice=s.embedding.ambient)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_oracle_integer_cases_match_psi_image(surface, seed):
     """The oracle's case set on integer numerators, at every 4-torsion point,
-    equals the Fraction route's, on A and in two moved bases of A."""
+    equals the pointwise route's, on A and in two moved bases of A; and
+    psi_image equals E*x computed in Fractions."""
     s = surface if seed is None else moved_surface(seed)
     seen = set()
     for x in torsion_subgroup(s.embedding.sub, 4):
+        y = psi_image(s, x)
+        assert y == _psi_in_fractions(s, x), x
         cases = _origin_cases_on_grid(s, x.nums_over(4), 4)
-        assert cases == reducible_through_origin(psi_image(s, x))
+        assert cases == reducible_through_origin(y)
         seen.add(cases)
     assert {frozenset({1, 3}), frozenset({2, 4}), frozenset()} <= seen
 
@@ -140,8 +152,7 @@ def test_translation_sets(surface):
     # triviality on 2-torsion recovers the polarization kernel
     kernel = translation_points_for_twist(
         surface, trivial_character(reference_lattice_a()), 2)
-    expected = {p.coords for p in kernel_K_L(surface.form_A).elements()}
-    assert {p.coords for p in kernel} == expected
+    assert kernel == set(kernel_K_L(surface.form_A).elements())
     # a character outside the image has no translation points
     outside = Character(reference_lattice_a(), 4, (0, 1, 0, 0))
     assert translation_points_for_twist(surface, outside, 4) == set()
@@ -179,7 +190,7 @@ def test_translation_sets_are_kernel_cosets(surface):
         pts = translation_points_for_twist(surface, qhalf, 4)
         assert len(pts) == 4
         x0 = next(iter(pts))
-        assert {(x0 + k).coords for k in kl} == {p.coords for p in pts}
+        assert {x0 + k for k in kl} == pts
 
 
 @pytest.mark.parametrize("coords, cases, verdict", [
@@ -222,7 +233,7 @@ def test_routes_agree_everywhere(surface, sweep):
     assert [(row.Q, row.Qhalf) for row in sweep.rows] \
         == admissible_pairs(surface)
     for row in sweep.rows:
-        assert row.closed == row.oracle, row.Qhalf.values
+        assert row.closed == row.oracle, row.Qhalf.texts()
     assert sweep.mismatches == []
 
 
@@ -257,9 +268,10 @@ def test_admissible_pairs(surface):
     qs = admissible_qhalf(surface)
     assert len(qs) == 63
     assert all(not q.is_trivial for q in qs)
-    assert [q.values for q in qs] == sorted(q.values for q in qs)
+    values = [fractions_of(q) for q in qs]
+    assert values == sorted(values)
     # every nontrivial 2-torsion character is admissible
-    two_torsion = {c.values for c in qs if c.is_two_torsion}
+    two_torsion = {c for c in qs if c.is_two_torsion}
     assert len(two_torsion) == 15
     for q, qhalf in admissible_pairs(surface):
         assert qhalf * qhalf == q
@@ -385,7 +397,7 @@ def index_two_surface(a):
                          ids=lambda a: "".join(map(str, a)))
 def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     """On all 15 surfaces the library accepts on an index-2 sublattice, the
-    numerator grids equal the Fraction routes at every 4-torsion point:
+    numerator grids equal the pointwise routes at every 4-torsion point:
     psi_image is the ambient point E*k/4, the oracle's cases equal
     psi_image's, the fibres phi_L_on_point's, and phi_two_torsion_data the
     pointwise kernel and image. (The two routes' verdicts still part on all
