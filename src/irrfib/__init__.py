@@ -47,10 +47,10 @@ _EXPORTS = {
     "lattice": (
         "FiniteAbelianGroup", "Lattice", "Rational", "SublatticeEmbedding",
         "TorsionPoint", "origin", "parse_rational", "quotient_group",
-        "sublattice_index", "torsion_subgroup"),
+        "sublattice_index"),
     "linalg": ("smith_normal_form",),
     "polarization": (
-        "AlternatingForm", "PolarizationType", "kernel_K_L", "phi_L_on_point",
+        "AlternatingForm", "PolarizationType", "kernel_K_L",
         "phi_two_torsion_data", "polarization_type", "restrict_form"),
     "record": (),
     "report": (),
@@ -58,9 +58,8 @@ _EXPORTS = {
         "SpecialAbelianSurface", "admissible_pairs", "build_reference_surface",
         "character_name", "classification_report", "classification_sweep",
         "classify_origin_singularity", "classify_origin_singularity_oracle",
-        "display_name", "moduli_type", "parse_character", "psi_image",
-        "reducible_through_origin", "reference_lattice_a",
-        "reference_lattice_b", "rf_pair", "translation_points_for_twist"),
+        "display_name", "moduli_type", "parse_character",
+        "reference_lattice_a", "reference_lattice_b", "rf_pair"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

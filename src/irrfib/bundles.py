@@ -13,7 +13,7 @@ from operator import index
 
 from .errors import (ContradictsXiao, InvalidRank, InvalidShape,
                      InvalidTorsionList, IrrfibError, NotApplicable)
-from .lattice import Lattice, OnGrid, Rational
+from .lattice import Lattice, OnGrid
 from .record import Record, encode
 
 
@@ -238,7 +238,9 @@ def xiao_structure(gF, slope, q_surface, gC):
     Only the boundary slope admits this conclusion, and only over a base
     whose irregularity exceeds its genus by exactly one.
     """
-    if slope not in (4, Rational(4)):  # an int or Rational 4
+    # an int numerator 4 over 1 (an int, Rational or Fraction): no float
+    p, q = (getattr(slope, k, None) for k in ("numerator", "denominator"))
+    if not isinstance(p, int) or (p, q) != (4, 1):
         raise NotApplicable("the splitting requires slope exactly 4")
     if q_surface - gC != 1:
         raise ContradictsXiao("need irregularity = base genus + 1")

@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import index
 
-from .errors import DegenerateEmbedding, IncompatibleLattice, InvalidOrder
+from .errors import DegenerateEmbedding, IncompatibleLattice
 from .linalg import determinant, diagonal, smith_normal_form, transpose
 from .record import Record
 
@@ -244,10 +244,3 @@ def quotient_group(e):
         e.sub, tuple(di for di, _ in pairs),
         tuple(TorsionPoint(e.sub, di, k) for di, k in pairs))
 
-
-def torsion_subgroup(lattice, n):
-    """All n-torsion points (1/n)L / L, in lexicographic coordinate order."""
-    if n < 1:
-        raise InvalidOrder("torsion order must be a positive integer")
-    return [TorsionPoint(lattice, n, k)
-            for k in product(range(n), repeat=lattice.rank)]

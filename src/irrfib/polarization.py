@@ -7,7 +7,7 @@ computed as the quotient of the dual lattice of the form by the lattice.
 
 from functools import lru_cache
 from itertools import product
-from operator import add, index, mul
+from operator import add, index
 from types import MappingProxyType
 
 from .characters import Character
@@ -68,15 +68,6 @@ def polarization_type(f):
     _, d, _ = smith_normal_form(f.matrix)
     diag = diagonal(d)
     return PolarizationType(diag[0], diag[2])
-
-
-def phi_L_on_point(f, x):
-    """The character exp(2*pi*i*f(., x)) evaluated on the basis vectors:
-    over x's order n, its numerators are M*x.nums, M the form's matrix."""
-    if x.lattice != f.lattice:
-        raise IncompatibleLattice("point does not live on the form's lattice")
-    return Character(f.lattice, x.n, tuple(sum(map(mul, row, x.nums))
-                                           for row in f.matrix))
 
 
 def kernel_K_L(f):

@@ -69,56 +69,6 @@ def build_reference_surface():
     return SpecialAbelianSurface(e, fb, restrict_form(fb, e))
 
 
-def psi_image(s, x):
-    """Image of a sub-torus point under the degree-2 isogeny: the point E*x
-    of the ambient torus, E the embedding matrix."""
-    if x.lattice != s.embedding.sub:
-        raise IncompatibleLattice("point must be in sublattice coordinates")
-    return TorsionPoint(s.embedding.ambient, x.n, tuple(
-        sum(map(mul, row, x.nums)) for row in s.embedding.matrix))
-
-
-# every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
-_CASE_SETS = tuple(frozenset(c for c in range(1, 5) if mask >> (c - 1) & 1)
-                   for mask in range(16))
-# the cases whose component lies over the second, or the first, factor
-_SECOND_SIDE = frozenset((1, 2))
-_FIRST_SIDE = frozenset((3, 4))
-
-
-def _origin_cases(n, b):
-    """The lemma's four cases, from the ambient numerators b mod n of psi(x).
-
-    The ambient basis is (lambda1, lambda2, mu1, mu2), and factor i has the
-    periods lambda_i = tau_i and mu_i = 1, so its coordinate is the pair
-    (b[i - 1], b[i + 1]). The half-period tau_i/2 is (n // 2, 0) when n is
-    even.
-    """
-    e1, e2 = (b[0], b[2]), (b[1], b[3])
-    half = (n // 2, 0) if n % 2 == 0 else None
-    return _CASE_SETS[(e2 == (0, 0)) | (e2 == half) << 1
-                      | (e1 == (0, 0)) << 2 | (e1 == half) << 3]
-
-
-def reducible_through_origin(y):
-    """Which translated reducible members pass through the origin.
-
-    The pencil's reducible member translated by x contains 0 exactly when a
-    factor coordinate of psi(x) is 0 or the half-period tau_i/2; the four
-    cases follow the lemma's numbering.
-    """
-    return _origin_cases(y.n, y.nums)
-
-
-def translation_points_for_twist(s, xi, n_bound):
-    """All n_bound-torsion points x with phi_L(x) = xi (possibly empty)."""
-    lat = s.embedding.sub
-    if xi.lattice != lat:
-        raise IncompatibleLattice("character must live on the sublattice")
-    return {TorsionPoint(lat, n_bound, k)
-            for k in _fibre_numerators(s, xi, n_bound)}
-
-
 def _fibre_numerators(s, chi, n):
     """The numerators over n of the n-torsion points x with phi_L(x) = chi,
     a character on the sublattice; empty when chi is not in the image."""
@@ -179,14 +129,27 @@ def classify_origin_singularity(s, Q, Qhalf):
     return SINGULARITY_NONE
 
 
-def _origin_cases_on_grid(s, k, n):
-    """reducible_through_origin(psi_image(s, x)), computed on integers.
+# every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
+_CASE_SETS = tuple(frozenset(c for c in range(1, 5) if mask >> (c - 1) & 1)
+                   for mask in range(16))
+# the cases whose component lies over the second, or the first, factor
+_SECOND_SIDE = frozenset((1, 2))
+_FIRST_SIDE = frozenset((3, 4))
 
-    k are the numerators over n of the n-torsion point x, and psi(x) has
-    numerators E*k mod n, E the embedding matrix.
+
+def _origin_cases_on_grid(s, k, n):
+    """The lemma's four cases at psi(x), x the n-torsion point k/n.
+
+    psi(x) has the numerators b = E*k mod n (E the embedding matrix) in the
+    ambient basis (lambda1, lambda2, mu1, mu2). Factor i has the periods
+    lambda_i = tau_i and mu_i = 1, so its coordinate is the pair
+    (b[i - 1], b[i + 1]); its half-period tau_i/2 is (n // 2, 0), n even.
     """
-    return _origin_cases(n, [sum(map(mul, row, k)) % n
-                             for row in s.embedding.matrix])
+    b = [sum(map(mul, row, k)) % n for row in s.embedding.matrix]
+    e1, e2 = (b[0], b[2]), (b[1], b[3])
+    half = (n // 2, 0) if n % 2 == 0 else None
+    return _CASE_SETS[(e2 == (0, 0)) | (e2 == half) << 1
+                      | (e1 == (0, 0)) << 2 | (e1 == half) << 3]
 
 
 def classify_origin_singularity_oracle(s, Q, Qhalf):

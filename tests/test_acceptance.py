@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from fraction_view import fractions_of
 from irrfib.bundles import (EllipticPoint, atiyah_bundle, elliptic_origin,
                             generic_point, h0, h1, jump_h1,
                             pushforward_decomposition, twist, xiao_structure)
@@ -30,6 +29,7 @@ from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, build_reference_surface,
                           character_name, classification_sweep,
                           reference_embedding, rf_pair)
+from pointwise import fractions_of
 
 HALF = Fraction(1, 2)
 

@@ -7,9 +7,11 @@ its exit status, instead of holding up the suite. Every probe must end with
 its stated exit code and no traceback. The bounds these probes hold are
 cli.MAX_ORACLE_MODULUS (the kernel oracle tests at most 64^2 cells), the
 closed-form arithmetic of family-fn, bundle, slope and bounds in their
-integer flags, and the fixed 4-torsion of the classification.
+integer flags, the fixed 4-torsion of the classification, and the 1 MiB
+read bound on a --spec or --fixture file.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -45,9 +47,7 @@ CHILD = ("import resource, runpy; "
          % (CPU_SECONDS, CPU_SECONDS))
 
 
-@pytest.mark.parametrize("argv, status", PROBES,
-                         ids=[" ".join(argv)[:40] for argv, _ in PROBES])
-def test_a_probe_ends_in_bounded_time_with_its_exit_code(argv, status):
+def _assert_ends_with(argv, status):
     path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
@@ -57,3 +57,51 @@ def test_a_probe_ends_in_bounded_time_with_its_exit_code(argv, status):
     assert b"Traceback" not in out, out.decode()[-2000:]
     # a probe killed at its CPU cap ends with minus the signal's number
     assert proc.returncode == status, out.decode()[-2000:]
+
+
+@pytest.mark.parametrize("argv, status", PROBES,
+                         ids=[" ".join(argv)[:40] for argv, _ in PROBES])
+def test_a_probe_ends_in_bounded_time_with_its_exit_code(argv, status):
+    _assert_ends_with(argv, status)
+
+
+MIB = 1 << 20  # the read bound on a --spec or --fixture file
+
+
+def _torsion_spec(count):
+    """A bundle spec of count distinct torsion points, up to 18 bytes each.
+    It has g - r - 1 = 2, so once read it is refused with exit 65, after
+    every point in it is parsed."""
+    points = ", ".join('"%d/997,%d/991"' % divmod(i, 991)
+                       for i in range(1, count + 1))
+    return '{"g": 4, "r": 1, "p": "1/2,1/4", "torsion": [%s]}' % points
+
+
+def _identity_fixture(rank):
+    """A lattice fixture with the identity gram: 3 bytes an entry."""
+    return json.dumps({"basis_labels": ["e%d" % i for i in range(rank)],
+                       "gram": [[int(i == j) for j in range(rank)]
+                                for i in range(rank)]})
+
+
+# name: (file builder, its argument, the argv before the file's path, status)
+FILE_PROBES = {
+    # a spec just under the bound: its cost is the parse of every point
+    "1 MiB spec": (_torsion_spec, 59168, ("bundle", "h0", "--spec"), 65),
+    # past the bound, a file is refused unread, whatever it holds
+    "3 MB spec": (_torsion_spec, 170000, ("bundle", "h0", "--spec"), 64),
+    "3 MB fixture": (_identity_fixture, 1000, (
+        "intersect", "--class", ",".join("1" * 1000),
+        "--class", "1" + ",0" * 999, "--fixture"), 64),
+}
+
+
+@pytest.mark.parametrize("name", FILE_PROBES)
+def test_a_file_probe_ends_in_bounded_time_with_its_exit_code(name,
+                                                              tmp_path):
+    build, arg, argv, status = FILE_PROBES[name]
+    text = build(arg)
+    assert (len(text) <= MIB) == (status == 65)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    _assert_ends_with((*argv, str(path)), status)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_view import fractions_of
 from irrfib.bundles import (BundleDecomposition, EllipticPoint,
                             IndecomposableBundle, XiaoShape,
                             ample_part_is_line, atiyah_bundle,
@@ -14,6 +13,7 @@ from irrfib.bundles import (BundleDecomposition, EllipticPoint,
 from irrfib.errors import (ContradictsXiao, IncompatibleLattice, InvalidRank,
                            InvalidShape, InvalidTorsionList, NotApplicable)
 from irrfib.lattice import Lattice, Rational, origin
+from pointwise import fractions_of
 
 THIRD = Fraction(1, 3)
 
@@ -243,7 +243,8 @@ def test_xiao_structure():
     # slope's Rational 4, or an int or Fraction 4
     for value in (Rational(4), Rational(8, 2), Fraction(4)):
         assert xiao_structure(3, value, 2, 1) == shape
-    for value in (Fraction(7, 2), Rational(7, 2), "4"):
+    # any other slope: another value, a text 4, a float 4.0, a bool
+    for value in (Fraction(7, 2), Rational(7, 2), "4", 4.0, True):
         with pytest.raises(NotApplicable):
             xiao_structure(3, value, 2, 1)
     with pytest.raises(NotApplicable):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_view import fractions_of
 from irrfib.characters import (Character, kernel_of_restriction,
                                restrict_character, torsion_characters,
                                trivial_character,
@@ -14,6 +13,7 @@ from irrfib.lattice import Lattice, SublatticeEmbedding
 from irrfib.torus import (A_CHARACTER_NAMES, B_CHARACTER_NAMES,
                           reference_embedding, reference_lattice_a,
                           reference_lattice_b)
+from pointwise import fractions_of
 
 HALF = Fraction(1, 2)
 

@@ -5,18 +5,16 @@ from operator import mul
 
 import pytest
 
-from fraction_view import fractions_of
 from irrfib.characters import Character
-from irrfib.errors import (DegenerateEmbedding, IncompatibleLattice,
-                           InvalidOrder)
+from irrfib.errors import DegenerateEmbedding, IncompatibleLattice
 from irrfib.lattice import (FiniteAbelianGroup, Lattice, Rational,
                             SublatticeEmbedding, TorsionPoint, origin,
-                            parse_rational, quotient_group, sublattice_index,
-                            torsion_subgroup)
+                            parse_rational, quotient_group, sublattice_index)
 from irrfib.linalg import (determinant, identity_matrix, integer_kernel_basis,
                            mat_mul, smith_normal_form, solve_integer)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
                           reference_lattice_b)
+from pointwise import fractions_of
 
 
 def _det_cofactor(m):
@@ -366,11 +364,3 @@ def test_parse_rational():
     value = parse_rational("-6/8")
     assert value == Rational(-3, 4) and value.to_json() == "-3/4"
 
-
-def test_torsion_subgroup_sizes():
-    lat = reference_lattice_a()
-    assert len(torsion_subgroup(lat, 1)) == 1
-    assert len(torsion_subgroup(lat, 2)) == 16
-    assert len(torsion_subgroup(lat, 4)) == 256
-    with pytest.raises(InvalidOrder):
-        torsion_subgroup(lat, 0)

@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_view import fractions_of
-from irrfib.characters import Character
 from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                            InvalidRank)
-from irrfib.lattice import Lattice, TorsionPoint, torsion_subgroup
+from irrfib.lattice import Lattice, TorsionPoint
 from irrfib.polarization import (AlternatingForm, PolarizationType,
-                                 kernel_K_L, phi_L_grid, phi_L_on_point,
-                                 phi_two_torsion_data, polarization_type,
-                                 restrict_form)
+                                 kernel_K_L, phi_L_grid, phi_two_torsion_data,
+                                 polarization_type, restrict_form)
 from irrfib.torus import (reference_embedding, reference_form_b,
                           reference_lattice_a)
+from pointwise import fractions_of, phi_L, torsion_points
 from test_torus import BASIS_SEEDS, moved_surface
 
 RESTRICTED_MATRIX = ((0, 0, 1, 0),
@@ -115,20 +113,18 @@ def test_phi_L_values():
     ]
     for coords, values in table:
         x = TorsionPoint.from_fractions(coords, lattice=lat)
-        chi = phi_L_on_point(f, x)
+        chi = phi_L(f, x)
         assert fractions_of(chi) == tuple(Fraction(v) for v in values)
-    with pytest.raises(IncompatibleLattice):
-        phi_L_on_point(f, TorsionPoint(reference_form_b().lattice, 1, (0,) * 4))
 
 
 def test_phi_L_is_a_homomorphism():
     f = _restricted_form()
     rng = random.Random(3)
-    pts = torsion_subgroup(f.lattice, 4)
+    pts = torsion_points(f.lattice, 4)
     for _ in range(40):
         x = rng.choice(pts)
         y = rng.choice(pts)
-        assert phi_L_on_point(f, x + y) == phi_L_on_point(f, x) * phi_L_on_point(f, y)
+        assert phi_L(f, x + y) == phi_L(f, x) * phi_L(f, y)
 
 
 def test_kernel_group_of_restricted_form():
@@ -150,38 +146,23 @@ def test_two_torsion_kernel_and_image():
     assert len(kernel) * len(image) == 16
 
 
-def _phi_L_in_fractions(f, x):
-    """phi_L(x) summed in Fractions, apart from the library's integers."""
-    coords = fractions_of(x)
-    return Character.from_fractions(
-        [sum(m * c for m, c in zip(row, coords)) for row in f.matrix],
-        lattice=f.lattice)
-
-
-def _pointwise_fibres(f, n):
-    """The fibre map built point by point, each point's character computed
-    by phi_L_on_point and in Fractions: the reference."""
+def assert_grid_matches_pointwise(f, n):
+    """phi_L_grid has the reference's keys, in the order their first point
+    appears, and its fibres, compared by numerators over n."""
     fibres = {}
-    for x in torsion_subgroup(f.lattice, n):
-        chi = phi_L_on_point(f, x)
-        assert chi == _phi_L_in_fractions(f, x), x
-        fibres.setdefault(chi, []).append(x)
-    return {chi: tuple(xs) for chi, xs in fibres.items()}
-
-
-def _assert_matches_pointwise(f, n):
-    """phi_L_grid against the reference, compared by numerators over n."""
-    assert list(phi_L_grid(f, n).items()) == [
-        (chi.nums_over(n), tuple(x.nums_over(n) for x in xs))
-        for chi, xs in _pointwise_fibres(f, n).items()]
+    for x in torsion_points(f.lattice, n):
+        fibres.setdefault(phi_L(f, x).nums_over(n), []).append(x.nums_over(n))
+    assert list(phi_L_grid(f, n).items()) \
+        == [(key, tuple(ks)) for key, ks in fibres.items()]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_phi_L_grid_matches_pointwise_reference(n):
     """The integer grid gives the same keys, in the same order, and the same
-    fibres as phi_L_on_point over torsion_subgroup, on the forms of A and B."""
-    _assert_matches_pointwise(_restricted_form(), n)
-    _assert_matches_pointwise(reference_form_b(), n)
+    fibres as the reference's phi_L at every n-torsion point, on the forms
+    of A and B."""
+    assert_grid_matches_pointwise(_restricted_form(), n)
+    assert_grid_matches_pointwise(reference_form_b(), n)
 
 
 @pytest.mark.parametrize("seed", BASIS_SEEDS[::10])
@@ -190,7 +171,7 @@ def test_phi_L_grid_matches_pointwise_reference_in_moved_bases(seed):
     f = moved_surface(seed).form_A
     assert min(v for row in f.matrix for v in row) < -2
     for n in (2, 4):
-        _assert_matches_pointwise(f, n)
+        assert_grid_matches_pointwise(f, n)
 
 
 def test_phi_L_grid_rejects_nonpositive_order():

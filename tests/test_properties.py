@@ -1,6 +1,6 @@
 """Property tests: the Smith form, K(L), the polarization type, the phi_L
-fibres, reduction mod 1, the printed grid coordinates and the rational
-parser, on generated inputs.
+fibres (against the pointwise reference too), reduction mod 1, the printed
+grid coordinates and the rational parser, on generated inputs.
 
 Examples are derandomized and not stored, so every run tests the same ones.
 The module is skipped when hypothesis is not installed.
@@ -17,13 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fraction_view import fractions_of
 from irrfib.characters import Character
 from irrfib.lattice import Lattice, Rational, TorsionPoint, parse_rational
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
 from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
                                  polarization_type)
+from pointwise import fractions_of
 from test_lattice import UNCHAINED
+from test_polarization import assert_grid_matches_pointwise
 
 LATTICE = Lattice(4, ("e1", "e2", "e3", "e4"))
 
@@ -114,10 +115,13 @@ def test_polarization_type_is_basis_independent(m, g):
 @settings(bounded, max_examples=10)
 @given(skew_forms, st.integers(1, 4))
 def test_phi_L_grid_fibres_have_equal_size(m, n):
-    """phi_L is a homomorphism, so every fibre is a coset of its kernel."""
-    fibres = phi_L_grid(AlternatingForm(LATTICE, m), n)
+    """phi_L is a homomorphism, so every fibre is a coset of its kernel; and
+    the grid is the pointwise reference's, degenerate forms included."""
+    f = AlternatingForm(LATTICE, m)
+    fibres = phi_L_grid(f, n)
     assert {len(xs) for xs in fibres.values()} == {n ** 4 // len(fibres)}
     assert n ** 4 % len(fibres) == 0
+    assert_grid_matches_pointwise(f, n)
 
 
 @bounded

@@ -7,28 +7,24 @@ from operator import mul
 import pytest
 
 import irrfib.torus
-from fraction_view import fractions_of
 from irrfib.characters import Character, trivial_character
-from irrfib.errors import IncompatibleLattice, InvalidOrder, InvalidTwist
-from irrfib.lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
-                            torsion_subgroup)
+from irrfib.errors import IncompatibleLattice, InvalidTwist
+from irrfib.lattice import Lattice, SublatticeEmbedding, TorsionPoint
 from irrfib.linalg import determinant, mat_mul
 from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
-                                 phi_L_on_point, phi_two_torsion_data,
-                                 restrict_form)
+                                 phi_two_torsion_data, restrict_form)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, SpecialAbelianSurface,
-                          _origin_cases_on_grid,
+                          _fibre_numerators, _origin_cases_on_grid,
                           admissible_pairs, admissible_qhalf,
                           build_reference_surface,
                           character_name, classification_report,
                           classification_sweep, classify_origin_singularity,
                           classify_origin_singularity_oracle, display_name,
-                          moduli_type, parse_character, psi_image,
-                          reducible_through_origin, reference_embedding,
+                          moduli_type, parse_character, reference_embedding,
                           reference_form_b, reference_lattice_a,
-                          reference_lattice_b, rf_pair,
-                          translation_points_for_twist)
+                          reference_lattice_b, rf_pair)
+from pointwise import cases, fibre, fractions_of, phi_L, psi, torsion_points
 
 HALF = Fraction(1, 2)
 
@@ -93,16 +89,14 @@ def test_surface_validation():
 def test_psi_image_frozen(surface):
     lat, ambient = reference_lattice_a(), reference_lattice_b()
     # the fourth basis vector halved maps to a lattice point
-    y = psi_image(surface, TorsionPoint(lat, 2, (0, 0, 0, 1)))
+    y = psi(surface, TorsionPoint(lat, 2, (0, 0, 0, 1)))
     assert y.lattice == ambient and y.is_origin
     # half of the first period of the first factor
-    y = psi_image(surface, TorsionPoint(lat, 2, (1, 0, 0, 0)))
+    y = psi(surface, TorsionPoint(lat, 2, (1, 0, 0, 0)))
     assert fractions_of(y) == (HALF, 0, 0, 0)
     # a quarter of mu1 - mu2
-    y = psi_image(surface, TorsionPoint(lat, 4, (0, 0, 1, 0)))
+    y = psi(surface, TorsionPoint(lat, 4, (0, 0, 1, 0)))
     assert fractions_of(y) == (0, 0, Fraction(1, 4), Fraction(3, 4))
-    with pytest.raises(IncompatibleLattice):
-        psi_image(surface, TorsionPoint(ambient, 1, (0,) * 4))
 
 
 def test_reducible_through_origin_cases():
@@ -116,68 +110,54 @@ def test_reducible_through_origin_cases():
         ((0, Fraction(1, 4), HALF, 0), set()),
         ((0, 0, HALF, 0), {1}),
     ]
-    for coords, cases in table:
+    for coords, expected in table:
         y = TorsionPoint.from_fractions(coords, lattice=reference_lattice_b())
         assert fractions_of(y) == coords
-        assert reducible_through_origin(y) == frozenset(cases)
-
-
-def _psi_in_fractions(s, x):
-    """psi(x) = E*x summed in Fractions, apart from the library's integers."""
-    coords = fractions_of(x)
-    return TorsionPoint.from_fractions(
-        [sum(map(mul, row, coords)) for row in s.embedding.matrix],
-        lattice=s.embedding.ambient)
+        assert cases(y) == frozenset(expected)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_oracle_integer_cases_match_psi_image(surface, seed):
     """The oracle's case set on integer numerators, at every 4-torsion point,
-    equals the pointwise route's, on A and in two moved bases of A; and
-    psi_image equals E*x computed in Fractions."""
+    equals the pointwise reference's, on A and in two moved bases of A."""
     s = surface if seed is None else moved_surface(seed)
     seen = set()
-    for x in torsion_subgroup(s.embedding.sub, 4):
-        y = psi_image(s, x)
-        assert y == _psi_in_fractions(s, x), x
-        cases = _origin_cases_on_grid(s, x.nums_over(4), 4)
-        assert cases == reducible_through_origin(y)
-        seen.add(cases)
+    for x in torsion_points(s.embedding.sub, 4):
+        on_grid = _origin_cases_on_grid(s, x.nums_over(4), 4)
+        assert on_grid == cases(psi(s, x)), x
+        seen.add(on_grid)
     assert {frozenset({1, 3}), frozenset({2, 4}), frozenset()} <= seen
 
 
+def _grid_fibre(s, chi, n):
+    """The fibre the classification reads off the grid, as points."""
+    return [TorsionPoint(s.embedding.sub, n, k)
+            for k in _fibre_numerators(s, chi, n)]
+
+
 def test_translation_sets(surface):
-    pts = translation_points_for_twist(surface, _chi("chiA1"), 4)
-    assert len(pts) == 4
+    """The grid's fibres equal the reference's, found by evaluating phi_L
+    at every torsion point."""
+    f = surface.form_A
+    pts = fibre(f, _chi("chiA1"), 4)
+    assert len(pts) == 4 and _grid_fibre(surface, _chi("chiA1"), 4) == pts
     # triviality on 2-torsion recovers the polarization kernel
-    kernel = translation_points_for_twist(
-        surface, trivial_character(reference_lattice_a()), 2)
-    assert kernel == set(kernel_K_L(surface.form_A).elements())
-    # a character outside the image has no translation points
+    trivial = trivial_character(reference_lattice_a())
+    kernel = fibre(f, trivial, 2)
+    assert kernel == kernel_K_L(f).elements() \
+        == _grid_fibre(surface, trivial, 2)
+    # a character outside the image has no translation points, and an
+    # order-4 character no 2-torsion points over it
     outside = Character(reference_lattice_a(), 4, (0, 1, 0, 0))
-    assert translation_points_for_twist(surface, outside, 4) == set()
-    # a character on another lattice is refused, trivial or not
-    b = reference_lattice_b()
-    for chi in (trivial_character(b), Character(b, 2, (1, 0, 0, 0))):
-        with pytest.raises(IncompatibleLattice):
-            translation_points_for_twist(surface, chi, 2)
-    # an order-4 character has no 2-torsion points over it, and an order
-    # below 1 is refused
     quarter = next(q for q in admissible_qhalf(surface) if q.n == 4)
-    assert translation_points_for_twist(surface, quarter, 2) == set()
-    for n_bound in (0, -2):
-        with pytest.raises(InvalidOrder):
-            translation_points_for_twist(surface, quarter, n_bound)
+    for chi, n in ((outside, 4), (quarter, 2)):
+        assert fibre(f, chi, n) == _grid_fibre(surface, chi, n) == []
 
 
 def test_returned_sets_are_fresh(surface):
-    chi = _chi("chiA1")
-    first = translation_points_for_twist(surface, chi, 4)
-    first.clear()
-    assert len(translation_points_for_twist(surface, chi, 4)) == 4
     kernel, image = phi_two_torsion_data(surface.form_A)
     kernel.clear()
-    image.add(chi * _chi("chiA5"))
+    image.add(_chi("chiA1") * _chi("chiA5"))
     assert phi_two_torsion_data(surface.form_A) == (
         set(kernel_K_L(surface.form_A).elements()),
         {_chi(name) for name in ("trivial", "chiA1", "chiA2*chiA5",
@@ -187,10 +167,9 @@ def test_returned_sets_are_fresh(surface):
 def test_translation_sets_are_kernel_cosets(surface):
     kl = kernel_K_L(surface.form_A).elements()
     for qhalf in admissible_qhalf(surface):
-        pts = translation_points_for_twist(surface, qhalf, 4)
+        pts = _grid_fibre(surface, qhalf, 4)
         assert len(pts) == 4
-        x0 = next(iter(pts))
-        assert {x0 + k for k in kl} == pts
+        assert {pts[0] + k for k in kl} == set(pts)
 
 
 @pytest.mark.parametrize("coords, cases, verdict", [
@@ -397,26 +376,21 @@ def index_two_surface(a):
                          ids=lambda a: "".join(map(str, a)))
 def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     """On all 15 surfaces the library accepts on an index-2 sublattice, the
-    numerator grids equal the pointwise routes at every 4-torsion point:
-    psi_image is the ambient point E*k/4, the oracle's cases equal
-    psi_image's, the fibres phi_L_on_point's, and phi_two_torsion_data the
-    pointwise kernel and image. (The two routes' verdicts still part on all
-    but the reference: not pinned.)"""
+    numerator grids equal the pointwise reference at every 4-torsion point:
+    the oracle's cases are the reference's at psi(x), the fibres phi_L's,
+    and phi_two_torsion_data the pointwise kernel and image. (The two
+    routes' verdicts still part on all but the reference: not pinned.)"""
     s = index_two_surface(a)
-    f, lat, ambient = s.form_A, s.embedding.sub, s.embedding.ambient
+    f, lat = s.form_A, s.embedding.sub
     assert all(sum(map(mul, a, col)) % 2 == 0 for col in zip(*s.embedding.matrix))
     grid = {}
-    for x in torsion_subgroup(lat, 4):
+    for x in torsion_points(lat, 4):
         k = x.nums_over(4)
-        y = psi_image(s, x)
-        assert y == TorsionPoint(ambient, 4, tuple(
-            sum(map(mul, row, k)) for row in s.embedding.matrix))
-        assert _origin_cases_on_grid(s, k, 4) == reducible_through_origin(y)
-        chi = phi_L_on_point(f, x)
-        grid.setdefault(chi.nums_over(4), []).append(k)
+        assert _origin_cases_on_grid(s, k, 4) == cases(psi(s, x)), x
+        grid.setdefault(phi_L(f, x).nums_over(4), []).append(k)
     assert list(phi_L_grid(f, 4).items()) \
         == [(key, tuple(ks)) for key, ks in grid.items()]
-    two = [(x, phi_L_on_point(f, x)) for x in torsion_subgroup(lat, 2)]
+    two = [(x, phi_L(f, x)) for x in torsion_points(lat, 2)]
     assert phi_two_torsion_data(f) == ({x for x, chi in two if chi.is_trivial},
                                        {chi for _, chi in two})
 
