@@ -128,12 +128,13 @@ def _family_report(command, n):
 
 
 def _bound_checks(rep, record):
-    inv = record.invariants
-    bound = invariants.genus_bound_rank_one(inv.K2, inv.chi)
-    rep.results["rank_one_genus_bound"] = bound
-    for i, f in enumerate(record.fibrations):
-        if f.r == 1:
-            rep.check("rank-1 genus bound holds (fibration %d)" % (i + 1),
+    rank_one = [(i, f) for i, f in enumerate(record.fibrations, 1) if f.r == 1]
+    if rank_one:
+        inv = record.invariants
+        bound = invariants.genus_bound_rank_one(inv.K2, inv.chi)
+        rep.results["rank_one_genus_bound"] = bound
+        for i, f in rank_one:
+            rep.check("rank-1 genus bound holds (fibration %d)" % i,
                       True, f.gF <= bound)
 
 
@@ -152,8 +153,7 @@ def cmd_example(args):
     rep.results["record"] = record
     rep.check("chi", 1, record.invariants.chi)
     rep.checks.extend(checks)
-    if ex_id in ("pen-1", "pen-4"):
-        _bound_checks(rep, record)
+    _bound_checks(rep, record)
     if ex_id == "k26-d2":
         inv = record.invariants
         _, inequality = invariants.isotriviality_obstruction(

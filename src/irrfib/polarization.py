@@ -47,6 +47,7 @@ class PolarizationType(Record):
         return [self.d1, self.d2]
 
 
+@lru_cache(maxsize=None)
 def restrict_form(f, e):
     if f.lattice != e.ambient:
         raise IncompatibleLattice("form does not live on the ambient lattice")

@@ -1,9 +1,9 @@
 """The reference (1,2)-polarized surface and its origin-singularity calculus.
 
-The fixture is an index-2 sublattice of a product lattice. Everything the
-classification needs is rational: the isogeny image of a torsion point, which
-translated reducible members pass through the origin, and a two-route verdict
-(closed form on character numerators vs exhaustive enumeration on 4-torsion).
+A surface is an index-2 sublattice of a product lattice, polarized by the
+product principal form restricted to it. The classification is rational: the
+isogeny image of a torsion point, which translated reducible members pass
+through the origin, and a two-route verdict (closed form vs 4-torsion oracle).
 """
 
 from functools import lru_cache
@@ -14,8 +14,7 @@ from .errors import IncompatibleLattice, InvalidTwist
 from .lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                       parse_rational, sublattice_index)
 from .linalg import integer_kernel_basis
-from .polarization import (AlternatingForm, phi_L_grid, polarization_type,
-                           restrict_form)
+from .polarization import AlternatingForm, phi_L_grid, restrict_form
 from .record import Record
 
 SINGULARITY_NONE = "none"
@@ -24,18 +23,19 @@ SINGULARITY_NODE = "node"
 
 
 class SpecialAbelianSurface(Record):
+    """An index-2 sublattice E of the product lattice, with the product form J
+    restricted to it. Its type is (1,2): Pf(E^T J E) = det(E) Pf(J) = +-2
+    forces d1 d2 = 2."""
     embedding: SublatticeEmbedding
-    form_B: AlternatingForm
-    form_A: AlternatingForm
 
     def __post_init__(self):
         if sublattice_index(self.embedding) != 2:
             raise ValueError("embedding must have index 2")
-        if self.form_A != restrict_form(self.form_B, self.embedding):
-            raise ValueError("form_A must be the restriction of form_B")
-        t = polarization_type(self.form_A)
-        if (t.d1, t.d2) != (1, 2):
-            raise ValueError("restricted form must have type (1,2)")
+        self.form_A  # IncompatibleLattice unless E is into the product lattice
+
+    @property
+    def form_A(self):
+        return restrict_form(reference_form_b(), self.embedding)
 
 
 def reference_lattice_b():
@@ -55,6 +55,7 @@ def reference_embedding():
                                 (0, 0, -1, 2)))
 
 
+@lru_cache(maxsize=None)
 def reference_form_b():
     return AlternatingForm(reference_lattice_b(),
                            ((0, 0, 1, 0),
@@ -64,9 +65,7 @@ def reference_form_b():
 
 
 def build_reference_surface():
-    e = reference_embedding()
-    fb = reference_form_b()
-    return SpecialAbelianSurface(e, fb, restrict_form(fb, e))
+    return SpecialAbelianSurface(reference_embedding())
 
 
 def _fibre_numerators(s, chi, n):

@@ -11,8 +11,8 @@ from irrfib.characters import Character, trivial_character
 from irrfib.errors import IncompatibleLattice, InvalidTwist
 from irrfib.lattice import Lattice, SublatticeEmbedding, TorsionPoint
 from irrfib.linalg import determinant, mat_mul
-from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
-                                 phi_two_torsion_data, restrict_form)
+from irrfib.polarization import (PolarizationType, kernel_K_L, phi_L_grid,
+                                 phi_two_torsion_data, polarization_type)
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, SpecialAbelianSurface,
                           _fibre_numerators, _origin_cases_on_grid,
@@ -22,8 +22,7 @@ from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           classification_sweep, classify_origin_singularity,
                           classify_origin_singularity_oracle, display_name,
                           moduli_type, parse_character, reference_embedding,
-                          reference_form_b, reference_lattice_a,
-                          reference_lattice_b, rf_pair)
+                          reference_lattice_a, reference_lattice_b, rf_pair)
 from pointwise import cases, fibre, fractions_of, phi_L, psi, torsion_points
 
 HALF = Fraction(1, 2)
@@ -70,20 +69,19 @@ def _square_roots(chi):
 
 
 def test_surface_validation():
-    e = reference_embedding()
-    fb = reference_form_b()
-    doubled = AlternatingForm(fb.lattice,
-                              tuple(tuple(2 * x for x in r) for r in fb.matrix))
-    with pytest.raises(ValueError, match="restriction of form_B"):
-        SpecialAbelianSurface(e, fb, restrict_form(doubled, e))
-    with pytest.raises(ValueError, match=r"type \(1,2\)"):
-        SpecialAbelianSurface(e, doubled, restrict_form(doubled, e))
-    from irrfib.lattice import SublatticeEmbedding
+    """The embedding is the surface's one input: it must have index 2, and
+    be into the product lattice, whose form is the only polarization."""
     identity = SublatticeEmbedding(
         reference_lattice_b(), reference_lattice_a(),
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    with pytest.raises(ValueError):
-        SpecialAbelianSurface(identity, fb, restrict_form(fb, identity))
+    with pytest.raises(ValueError, match="index 2"):
+        SpecialAbelianSurface(identity)
+    e = reference_embedding()
+    elsewhere = SublatticeEmbedding(Lattice(4, ("a", "b", "c", "d")), e.sub,
+                                    e.matrix)
+    with pytest.raises(IncompatibleLattice):
+        SpecialAbelianSurface(elsewhere)
+    assert SpecialAbelianSurface._fields == ("embedding",)
 
 
 def test_psi_image_frozen(surface):
@@ -334,22 +332,24 @@ BASIS_SEEDS = range(50)
 def moved_surface(seed):
     """The reference surface re-expressed in a random GL4(Z) basis of A.
 
-    The embedding becomes E*G and form_A its restriction.
+    The embedding becomes E*G, and form_A follows it.
     """
     g = _random_unimodular(random.Random(seed))
     assert abs(determinant(g)) == 1
     e = reference_embedding()
     moved = SublatticeEmbedding(e.ambient, Lattice(4, ("g1", "g2", "g3", "g4")),
                                 mat_mul(e.matrix, g))
-    fb = reference_form_b()
-    return SpecialAbelianSurface(moved, fb, restrict_form(fb, moved))
+    return SpecialAbelianSurface(moved)
 
 
 @pytest.mark.parametrize("seed", BASIS_SEEDS)
 def test_classification_is_basis_independent(seed):
     """The sweep on the reference surface in a new basis of A: both routes
-    must still agree, with the same verdict counts and moduli rows."""
-    sweep = classification_sweep(moved_surface(seed))
+    must still agree, with the same verdict counts and moduli rows. The
+    form is still of type (1,2), as det(E*G) = +-2."""
+    s = moved_surface(seed)
+    assert polarization_type(s.form_A) == PolarizationType(1, 2)
+    sweep = classification_sweep(s)
     assert len(sweep.rows) == 63
     assert sweep.mismatches == []
     assert sweep.verdict_counts == {SINGULARITY_NODE: 1,
@@ -368,8 +368,7 @@ def index_two_surface(a):
                for j in range(4)]
     e = SublatticeEmbedding(reference_lattice_b(), reference_lattice_a(),
                             tuple(zip(*columns)))
-    fb = reference_form_b()
-    return SpecialAbelianSurface(e, fb, restrict_form(fb, e))
+    return SpecialAbelianSurface(e)
 
 
 @pytest.mark.parametrize("a", [a for a in product((0, 1), repeat=4) if any(a)],
@@ -382,6 +381,7 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     routes' verdicts still part on all but the reference: not pinned.)"""
     s = index_two_surface(a)
     f, lat = s.form_A, s.embedding.sub
+    assert polarization_type(f) == PolarizationType(1, 2)
     assert all(sum(map(mul, a, col)) % 2 == 0 for col in zip(*s.embedding.matrix))
     grid = {}
     for x in torsion_points(lat, 4):
