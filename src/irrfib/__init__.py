@@ -57,8 +57,7 @@ _EXPORTS = {
     "torus": (
         "SpecialAbelianSurface", "admissible_pairs", "build_reference_surface",
         "character_name", "classification_report", "classification_sweep",
-        "classify_origin_singularity", "classify_origin_singularity_oracle",
-        "display_name", "moduli_type", "parse_character",
+        "classify_pair", "display_name", "parse_character",
         "reference_lattice_a", "reference_lattice_b", "rf_pair"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

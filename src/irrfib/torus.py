@@ -90,8 +90,8 @@ def _factor_period_kernels(s):
 
 
 def _check_pair(s, Q, Qhalf):
-    """Raise unless (Q, Qhalf) is an admissible pair. Both routes and the
-    moduli type check every pair they are given."""
+    """Raise unless (Q, Qhalf) is an admissible pair; classify_pair checks
+    each pair it is given once, and nothing else checks pairs."""
     lat = s.embedding.sub
     if Q.lattice != lat or Qhalf.lattice != lat:
         raise IncompatibleLattice("characters must live on the sublattice")
@@ -110,14 +110,13 @@ def _trivial_on(chi, gens):
     return all(sum(map(mul, gen, chi.nums)) % chi.n == 0 for gen in gens)
 
 
-def classify_origin_singularity(s, Q, Qhalf):
+def _closed_form(s, Qhalf):
     """Closed-form verdict from triviality on the factor period lattices.
 
     The translated member through 0 has a component over the first factor iff
     Qhalf is trivial on the periods of the subtorus over the first factor,
     and symmetrically; both components give a node, one a smooth point.
     """
-    _check_pair(s, Q, Qhalf)
     first, second = _factor_period_kernels(s)
     on_first = _trivial_on(Qhalf, first)
     on_second = _trivial_on(Qhalf, second)
@@ -151,12 +150,12 @@ def _origin_cases_on_grid(s, k, n):
                       | (e1 == (0, 0)) << 2 | (e1 == half) << 3]
 
 
-def classify_origin_singularity_oracle(s, Q, Qhalf):
+def _oracle(s, Qhalf):
     """Independent verdict by enumerating translation points on 4-torsion.
 
-    Every point of the fibre over Qhalf is tested, on its integer numerators.
+    Every point of the fibre over Qhalf is tested, on its integer numerators,
+    by the lemma's cases alone: it never reads _factor_period_kernels.
     """
-    _check_pair(s, Q, Qhalf)
     saw_side = False
     for k in _fibre_numerators(s, Qhalf, 4):
         cases = _origin_cases_on_grid(s, k, 4)
@@ -176,32 +175,22 @@ def rf_pair(singularity):
     return table[singularity]
 
 
-def moduli_type(s, Q, Qhalf):
-    _check_pair(s, Q, Qhalf)
-    if not Q.is_trivial:
-        return "II"
-    return "Ib" if _fibre_numerators(s, Qhalf, 2) else "Ia"
-
-
-def admissible_qhalf(s):
-    """The 63 nontrivial characters realizable as phi_L(x) on 4-torsion,
-    in value order: numerators over the one denominator 4 sort alike."""
-    lat = s.form_A.lattice
-    return [Character(lat, 4, key) for key in sorted(phi_L_grid(s.form_A, 4))
-            if any(key)]
-
-
 def admissible_pairs(s):
-    """(Qhalf^2, Qhalf) for every admissible Qhalf, in admissible_qhalf's
-    order. A square is 2-torsion, so the 63 pairs share a few Q's: each is
-    built once, from numerators over 4."""
+    """(Qhalf^2, Qhalf) for the 63 nontrivial Qhalf realizable as phi_L(x)
+    on 4-torsion, in value order: numerators over the one denominator 4 sort
+    alike. A grid key is Qhalf's numerators over 4, so twice it is the
+    square's; a square is 2-torsion, so the 63 pairs share a few Q's, and
+    each is built once."""
+    lat = s.form_A.lattice
     squares = {}
     pairs = []
-    for q in admissible_qhalf(s):
-        nums = tuple(2 * k for k in q.nums_over(4))
+    for key in sorted(phi_L_grid(s.form_A, 4)):
+        if not any(key):
+            continue
+        nums = tuple(2 * k for k in key)
         if nums not in squares:
-            squares[nums] = Character(q.lattice, 4, nums)
-        pairs.append((squares[nums], q))
+            squares[nums] = Character(lat, 4, nums)
+        pairs.append((squares[nums], Character(lat, 4, key)))
     return pairs
 
 
@@ -234,13 +223,22 @@ class Sweep(Record):
     mismatches: list       # {"Qhalf", "closed", "oracle"} where routes differ
 
 
+def classify_pair(s, Q, Qhalf):
+    """Both routes' verdicts and the moduli type of one pair, which is
+    checked here, once: InvalidTwist or IncompatibleLattice unless it is
+    admissible."""
+    _check_pair(s, Q, Qhalf)
+    moduli = ("II" if not Q.is_trivial
+              else "Ib" if _fibre_numerators(s, Qhalf, 2) else "Ia")
+    return SweepRow(Q, Qhalf, _closed_form(s, Qhalf), _oracle(s, Qhalf),
+                    moduli)
+
+
 def classification_sweep(s):
     """Both routes' verdicts and the moduli type of every admissible pair."""
     rows, counts, moduli_rows, mismatches = [], {}, {}, []
     for Q, Qhalf in admissible_pairs(s):
-        row = SweepRow(Q, Qhalf, classify_origin_singularity(s, Q, Qhalf),
-                       classify_origin_singularity_oracle(s, Q, Qhalf),
-                       moduli_type(s, Q, Qhalf))
+        row = classify_pair(s, Q, Qhalf)
         rows.append(row)
         if row.closed != row.oracle:
             mismatches.append({"Qhalf": display_name(Qhalf),
@@ -253,8 +251,7 @@ def classification_sweep(s):
 
 def classification_report(s, Q, Qhalf):
     """Everything about one admissible pair, with both routes' verdicts."""
-    closed = classify_origin_singularity(s, Q, Qhalf)
-    oracle = classify_origin_singularity_oracle(s, Q, Qhalf)
+    row = classify_pair(s, Q, Qhalf)
     # the fibre is already in coordinate order
     witnesses = [TorsionPoint(s.form_A.lattice, 4, k)
                  for k in _fibre_numerators(s, Qhalf, 4)
@@ -262,10 +259,10 @@ def classification_report(s, Q, Qhalf):
     return {
         "Q": Q.texts(),
         "Qhalf": Qhalf.texts(),
-        "singularity": closed,
-        "singularity_oracle": oracle,
-        "rf_pair": list(rf_pair(closed)),
-        "moduli_type": moduli_type(s, Q, Qhalf),
+        "singularity": row.closed,
+        "singularity_oracle": row.oracle,
+        "rf_pair": list(rf_pair(row.closed)),
+        "moduli_type": row.moduli_type,
         "witness_points": witnesses,
     }
 

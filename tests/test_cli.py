@@ -433,19 +433,20 @@ def test_classify_sweep(capsys):
 
 
 def test_classify_sweep_fails_when_the_routes_disagree(capsys, monkeypatch):
+    """A flipped oracle fails the sweep, and the one pair it flips."""
     import irrfib.torus
-    oracle = irrfib.torus.classify_origin_singularity_oracle
+    oracle = irrfib.torus._oracle
 
-    def flipped(s, Q, Qhalf):
-        verdict = oracle(s, Q, Qhalf)
+    def flipped(s, Qhalf):
+        verdict = oracle(s, Qhalf)
         return "none" if verdict == "node" else verdict
 
-    monkeypatch.setattr(irrfib.torus, "classify_origin_singularity_oracle",
-                        flipped)
-    code, out, err = run(capsys, "classify", "--sweep")
-    assert code == 2
-    assert "FAIL classification routes agree" in out
-    assert err == ""
+    monkeypatch.setattr(irrfib.torus, "_oracle", flipped)
+    for argv in (("classify", "--sweep"), ("classify", "--Qhalf", "chiA1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "FAIL classification routes agree" in out, argv
+        assert err == "", argv
 
 
 def test_usage_without_command(capsys):
@@ -479,7 +480,9 @@ def test_failing_derivation_is_a_failed_check(capsys, monkeypatch):
 _INTS = (("0", "1", "2", "3", "7", "-1", "-4", "10", "9" * 25, "9" * 2200),
          ("", "x", "1.5", "1/2", "1e3", "--"))
 _CHARACTERS = (("trivial", "chiA1", "chiA2*chiA5", "eps3", "chiB1",
-                "0,0,1/4,0", "1/2,0,0,0", "0,0,0,0", "1/4,1/4,1/4,1/4"),
+                "0,0,1/4,0", "1/2,0,0,0", "0,0,0,0", "1/4,1/4,1/4,1/4",
+                "1/12345678901234567890,0,0,0",
+                "0,0,98765432109876543210/12345678901234567891,0"),
                ("chiZ9", "1/0,0,0,0", "1e5,0,0,0", "a,b,c,d", "0,0,0", "",
                 "1/3,0,0,0", "**"))
 _PQ = (("1,0", "0,1", "1,2", "2,1", "3,-2", "-1,4", "1,1", "-1,0", "5,7"),
@@ -489,7 +492,9 @@ _CLASSES = (("2,2,2,2,1", "3,0,2,1,1", "-1,2,0,1,0", "0,3,1,2,1", "1,0",
              "0,1"),
             ("1,2", "a", "1,2,3,4,5,6", ""))
 _POINTS = (("0", "generic", "generic:q", "1/2,0", "0,1/2", "1/2,1/2",
-            "1/3,1/3", "1/4,0", "0,0"),
+            "1/3,1/3", "1/4,0", "0,0", "98765432109876543210/3,0",
+            "1/12345678901234567890,"
+            "98765432109876543210/12345678901234567891"),
            ("x", "1,2,3", "1/0,0", "1e3,0", ""))
 _SPECS = (('{"g": 3, "r": 1, "p": "generic", "torsion": ["1/2,0"]}',
            '{"g": 2, "r": 1}', '{"g": 4, "r": 2, "torsion": ["0,1/2"]}'),
@@ -1127,9 +1132,12 @@ def _traced_entry_points():
 
 
 # what the tracer wraps and the library no longer has: build_parser went
-# with argparse, and the pointwise routes to tests/pointwise.py
+# with argparse, the pointwise routes to tests/pointwise.py, and the two
+# checked classification routes into torus.classify_pair
 GONE_ENTRY_POINTS = [("irrfib.cli", "build_parser"),
+                     ("irrfib.torus", "classify_origin_singularity_oracle"),
                      ("irrfib.torus", "translation_points_for_twist"),
+                     ("irrfib.torus", "classify_origin_singularity"),
                      ("irrfib.polarization", "phi_L_on_point"),
                      ("irrfib.lattice", "torsion_subgroup")]
 
@@ -1167,14 +1175,13 @@ PUBLIC_NAMES = """
     SurfaceInvariants TorsionPoint UndefinedSlope UnsupportedIndex XiaoShape
     admissible_pairs ample_part_is_line atiyah_bundle build_reference_surface
     bundles character_name characters classification_report
-    classification_sweep classify_origin_singularity
-    classify_origin_singularity_oracle degree_vs_product_polarization
+    classification_sweep classify_pair degree_vs_product_polarization
     derive_pen6_pairings display_name dot double_cover_fibre_genus
     elliptic_origin errors example_record generic_point genus_bound_rank_one
     h0 h0_omega_twisted_minus_fibre h1 intersection invariants
     isotrivial_examples isotriviality_obstruction jump_h1 kernel_K_L
     kernel_dot kernel_dot_oracle kernel_of_restriction lattice linalg
-    moduli_type nef_violation_certificate nonisotrivial_examples origin
+    nef_violation_certificate nonisotrivial_examples origin
     parse_character parse_rational pen6_fibres pen6_lattice
     phi_two_torsion_data polarization polarization_type
     pushforward_decomposition quotient_group record reference_lattice_a
@@ -1213,6 +1220,6 @@ def test_the_readme_library_block_runs_as_its_comments_say():
     for code, comment in stated:
         assert comment.strip().startswith(repr(eval(code, namespace))), code
     assert [comment.strip() for _, comment in stated] == [
-        "PolarizationType(d1=1, d2=2)", "4", "'node'",
-        "{'none': 50, 'smooth_point': 12, 'node': 1}",
+        "PolarizationType(d1=1, d2=2)", "4", "('node', 'node', 'Ib')",
+        "'node'", "{'none': 50, 'smooth_point': 12, 'node': 1}",
         "[] when the two routes agree"]

@@ -16,12 +16,10 @@ from irrfib.polarization import (PolarizationType, kernel_K_L, phi_L_grid,
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, SpecialAbelianSurface,
                           _fibre_numerators, _origin_cases_on_grid,
-                          admissible_pairs, admissible_qhalf,
-                          build_reference_surface,
+                          admissible_pairs, build_reference_surface,
                           character_name, classification_report,
-                          classification_sweep, classify_origin_singularity,
-                          classify_origin_singularity_oracle, display_name,
-                          moduli_type, parse_character, reference_embedding,
+                          classification_sweep, classify_pair, display_name,
+                          parse_character, reference_embedding,
                           reference_lattice_a, reference_lattice_b, rf_pair)
 from pointwise import cases, fibre, fractions_of, phi_L, psi, torsion_points
 
@@ -127,6 +125,10 @@ def test_oracle_integer_cases_match_psi_image(surface, seed):
     assert {frozenset({1, 3}), frozenset({2, 4}), frozenset()} <= seen
 
 
+def _admissible_qhalf(s):
+    return [qhalf for _, qhalf in admissible_pairs(s)]
+
+
 def _grid_fibre(s, chi, n):
     """The fibre the classification reads off the grid, as points."""
     return [TorsionPoint(s.embedding.sub, n, k)
@@ -147,7 +149,7 @@ def test_translation_sets(surface):
     # a character outside the image has no translation points, and an
     # order-4 character no 2-torsion points over it
     outside = Character(reference_lattice_a(), 4, (0, 1, 0, 0))
-    quarter = next(q for q in admissible_qhalf(surface) if q.n == 4)
+    quarter = next(q for q in _admissible_qhalf(surface) if q.n == 4)
     for chi, n in ((outside, 4), (quarter, 2)):
         assert fibre(f, chi, n) == _grid_fibre(surface, chi, n) == []
 
@@ -164,7 +166,7 @@ def test_returned_sets_are_fresh(surface):
 
 def test_translation_sets_are_kernel_cosets(surface):
     kl = kernel_K_L(surface.form_A).elements()
-    for qhalf in admissible_qhalf(surface):
+    for qhalf in _admissible_qhalf(surface):
         pts = _grid_fibre(surface, qhalf, 4)
         assert len(pts) == 4
         assert {pts[0] + k for k in kl} == set(pts)
@@ -187,15 +189,15 @@ def test_oracle_groups_the_cases_into_sides(surface, monkeypatch, coords,
     monkeypatch.setattr(irrfib.torus, "_fibre_numerators",
                         lambda s, chi, n: (k,))
     Q, Qhalf = admissible_pairs(surface)[0]
-    assert classify_origin_singularity_oracle(surface, Q, Qhalf) == verdict
+    assert classify_pair(surface, Q, Qhalf).oracle == verdict
 
 
 def test_two_torsion_verdicts(surface):
     for name, expected in VERDICT_BY_NAME.items():
         qhalf = _chi(name)
         q = qhalf * qhalf
-        assert classify_origin_singularity(surface, q, qhalf) == expected, name
-        assert classify_origin_singularity_oracle(surface, q, qhalf) == expected, name
+        row = classify_pair(surface, q, qhalf)
+        assert (row.closed, row.oracle) == (expected, expected), name
 
 
 def test_node_is_unique(sweep):
@@ -207,8 +209,8 @@ def test_node_is_unique(sweep):
 
 
 def test_routes_agree_everywhere(surface, sweep):
-    assert [(row.Q, row.Qhalf) for row in sweep.rows] \
-        == admissible_pairs(surface)
+    assert list(sweep.rows) == [classify_pair(surface, Q, Qhalf)
+                                for Q, Qhalf in admissible_pairs(surface)]
     for row in sweep.rows:
         assert row.closed == row.oracle, row.Qhalf.texts()
     assert sweep.mismatches == []
@@ -217,14 +219,13 @@ def test_routes_agree_everywhere(surface, sweep):
 def test_a_route_mismatch_names_the_pair_and_both_verdicts(surface, sweep,
                                                           monkeypatch):
     node = next(row for row in sweep.rows if row.closed == SINGULARITY_NODE)
-    oracle = irrfib.torus.classify_origin_singularity_oracle
+    oracle = irrfib.torus._oracle
 
-    def flipped(s, Q, Qhalf):
-        verdict = oracle(s, Q, Qhalf)
+    def flipped(s, Qhalf):
+        verdict = oracle(s, Qhalf)
         return SINGULARITY_NONE if verdict == SINGULARITY_NODE else verdict
 
-    monkeypatch.setattr(irrfib.torus, "classify_origin_singularity_oracle",
-                        flipped)
+    monkeypatch.setattr(irrfib.torus, "_oracle", flipped)
     assert classification_sweep(surface).mismatches == [
         {"Qhalf": display_name(node.Qhalf), "closed": SINGULARITY_NODE,
          "oracle": SINGULARITY_NONE}]
@@ -236,13 +237,12 @@ def test_order_four_roots_of_the_node_character(surface):
     roots = _square_roots(chi)
     assert len(roots) == 16
     assert all(r * r == chi for r in roots)
-    verdicts = Counter(classify_origin_singularity(surface, chi, r)
-                       for r in roots)
+    verdicts = Counter(classify_pair(surface, chi, r).closed for r in roots)
     assert verdicts == {SINGULARITY_SMOOTH: 8, SINGULARITY_NONE: 8}
 
 
 def test_admissible_pairs(surface):
-    qs = admissible_qhalf(surface)
+    qs = _admissible_qhalf(surface)
     assert len(qs) == 63
     assert all(not q.is_trivial for q in qs)
     values = [fractions_of(q) for q in qs]
@@ -259,21 +259,21 @@ def test_invalid_pairs_rejected(surface):
     chiA5 = _chi("chiA5")  # not in the image of phi on 2-torsion
     root_of_chiA5 = Character(lat, 4, (0, 1, 0, 0))
     with pytest.raises(InvalidTwist):
-        classify_origin_singularity(surface, chiA5, root_of_chiA5)
+        classify_pair(surface, chiA5, root_of_chiA5)
     with pytest.raises(InvalidTwist):
-        classify_origin_singularity(surface, _chi("chiA1"), _chi("chiA2"))
+        classify_pair(surface, _chi("chiA1"), _chi("chiA2"))
     triv = trivial_character(lat)
     with pytest.raises(InvalidTwist):
-        classify_origin_singularity(surface, triv, triv)
+        classify_pair(surface, triv, triv)
     chiB = trivial_character(reference_lattice_b())
     with pytest.raises(IncompatibleLattice):
-        classify_origin_singularity(surface, chiB, chiB)
+        classify_pair(surface, chiB, chiB)
     # exactly one character on the wrong lattice, in either position
     Q, Qhalf = admissible_pairs(surface)[0]
     for pair in ((Character(chiB.lattice, Q.n, Q.nums), Qhalf),
                  (Q, Character(chiB.lattice, Qhalf.n, Qhalf.nums))):
         with pytest.raises(IncompatibleLattice):
-            classify_origin_singularity(surface, *pair)
+            classify_pair(surface, *pair)
 
 
 def test_rf_pairs():
@@ -284,17 +284,17 @@ def test_rf_pairs():
 
 def test_moduli_types(surface):
     triv = trivial_character(reference_lattice_a())
-    assert moduli_type(surface, triv, _chi("chiA1")) == "Ib"
-    assert moduli_type(surface, triv, _chi("eps1")) == "Ia"
+    assert classify_pair(surface, triv, _chi("chiA1")).moduli_type == "Ib"
+    assert classify_pair(surface, triv, _chi("eps1")).moduli_type == "Ia"
     root = next(iter(_square_roots(_chi("chiA1"))))
-    assert moduli_type(surface, _chi("chiA1"), root) == "II"
+    assert classify_pair(surface, _chi("chiA1"), root).moduli_type == "II"
     with pytest.raises(InvalidTwist):
-        moduli_type(surface, triv, triv)
+        classify_pair(surface, triv, triv)
     with pytest.raises(InvalidTwist):
-        moduli_type(surface, _chi("chiA1"), _chi("chiA2"))
+        classify_pair(surface, _chi("chiA1"), _chi("chiA2"))
     chiB = trivial_character(reference_lattice_b())
     with pytest.raises(IncompatibleLattice):
-        moduli_type(surface, chiB, chiB)
+        classify_pair(surface, chiB, chiB)
 
 
 MODULI_ROWS = {
@@ -377,8 +377,10 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     """On all 15 surfaces the library accepts on an index-2 sublattice, the
     numerator grids equal the pointwise reference at every 4-torsion point:
     the oracle's cases are the reference's at psi(x), the fibres phi_L's,
-    and phi_two_torsion_data the pointwise kernel and image. (The two
-    routes' verdicts still part on all but the reference: not pinned.)"""
+    and phi_two_torsion_data the pointwise kernel and image. The sweep is
+    classify_pair on each admissible pair. (The two routes' verdicts still
+    part on all but the reference: not pinned, but a mismatch is a row
+    whose verdicts differ.)"""
     s = index_two_surface(a)
     f, lat = s.form_A, s.embedding.sub
     assert polarization_type(f) == PolarizationType(1, 2)
@@ -393,6 +395,32 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     two = [(x, phi_L(f, x)) for x in torsion_points(lat, 2)]
     assert phi_two_torsion_data(f) == ({x for x, chi in two if chi.is_trivial},
                                        {chi for _, chi in two})
+    sweep = classification_sweep(s)
+    assert list(sweep.rows) == [classify_pair(s, Q, Qhalf)
+                                for Q, Qhalf in admissible_pairs(s)]
+    assert sweep.mismatches == [
+        {"Qhalf": display_name(row.Qhalf), "closed": row.closed,
+         "oracle": row.oracle}
+        for row in sweep.rows if row.closed != row.oracle]
+
+
+def test_each_pair_is_checked_once(surface, monkeypatch):
+    """A sweep checks each of its 63 pairs once, and a report its one pair."""
+    calls = []
+    check = irrfib.torus._check_pair
+
+    def counted(s, Q, Qhalf):
+        calls.append((Q, Qhalf))
+        return check(s, Q, Qhalf)
+
+    monkeypatch.setattr(irrfib.torus, "_check_pair", counted)
+    sweep = classification_sweep(surface)
+    assert calls == [(row.Q, row.Qhalf) for row in sweep.rows]
+    assert len(calls) == 63
+    calls.clear()
+    classification_report(surface, trivial_character(reference_lattice_a()),
+                          _chi("chiA1"))
+    assert len(calls) == 1
 
 
 def test_classification_report_shape(surface):
