@@ -5,10 +5,8 @@ on torsion points (that is all the downstream geometry needs), and K(L) is
 computed as the quotient of the dual lattice of the form by the lattice.
 """
 
-from functools import lru_cache
 from itertools import product
 from operator import add, index
-from types import MappingProxyType
 
 from .characters import Character
 from .errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
@@ -47,7 +45,6 @@ class PolarizationType(Record):
         return [self.d1, self.d2]
 
 
-@lru_cache(maxsize=None)
 def restrict_form(f, e):
     if f.lattice != e.ambient:
         raise IncompatibleLattice("form does not live on the ambient lattice")
@@ -86,7 +83,6 @@ def kernel_K_L(f):
     return quotient_group(e)
 
 
-@lru_cache(maxsize=None)
 def phi_L_grid(f, n):
     """phi_L on n-torsion as bare numerators: character -> its fibre.
 
@@ -95,8 +91,7 @@ def phi_L_grid(f, n):
     has character numerators M*k mod n, with M the form's matrix, and points
     are grouped by those. Keys are the characters' numerators over n, in the
     order their first point appears; each fibre is the tuple of its points'
-    numerators k, in lexicographic order. The map is read-only, so callers
-    cannot change the cached table.
+    numerators k, in lexicographic order. Each call builds a fresh dict.
     """
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
@@ -109,7 +104,7 @@ def phi_L_grid(f, n):
     fibres = {}
     for k, key in zip(product(range(n), repeat=rank), sums):
         fibres.setdefault(tuple([x % n for x in key]), []).append(k)
-    return MappingProxyType({key: tuple(ks) for key, ks in fibres.items()})
+    return {key: tuple(ks) for key, ks in fibres.items()}
 
 
 def phi_two_torsion_data(f):

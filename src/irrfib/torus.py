@@ -35,7 +35,7 @@ class SpecialAbelianSurface(Record):
 
     @property
     def form_A(self):
-        return restrict_form(reference_form_b(), self.embedding)
+        return _tables(self)[0]
 
 
 def reference_lattice_b():
@@ -55,7 +55,6 @@ def reference_embedding():
                                 (0, 0, -1, 2)))
 
 
-@lru_cache(maxsize=None)
 def reference_form_b():
     return AlternatingForm(reference_lattice_b(),
                            ((0, 0, 1, 0),
@@ -68,25 +67,26 @@ def build_reference_surface():
     return SpecialAbelianSurface(reference_embedding())
 
 
+@lru_cache(maxsize=None)
+def _tables(s):
+    """(form_A, {n: phi_L_grid(form_A, n) for n = 2, 4}, the periods of
+    the subtori over each factor): what the classification reads off a
+    surface, built once per surface. The subtorus over one factor is the
+    kernel of the map to the other, so its periods are the integer kernel of
+    the other factor's rows of the embedding, (lambda2, mu2) for the first.
+    Only the closed form reads them; the oracle reads the fibre tables."""
+    form_A = restrict_form(reference_form_b(), s.embedding)
+    rows = s.embedding.matrix
+    periods = tuple(tuple(map(tuple, integer_kernel_basis(rows[i::2])))
+                    for i in (1, 0))
+    return form_A, {n: phi_L_grid(form_A, n) for n in (2, 4)}, periods
+
+
 def _fibre_numerators(s, chi, n):
     """The numerators over n of the n-torsion points x with phi_L(x) = chi,
     a character on the sublattice; empty when chi is not in the image."""
-    grid = phi_L_grid(s.form_A, n)  # refuses an order n below 1
+    grid = _tables(s)[1][n]
     return () if n % chi.n else grid.get(chi.nums_over(n), ())
-
-
-@lru_cache(maxsize=None)
-def _factor_period_kernels(s):
-    """Period generators of the two elliptic subtori, in sub coordinates.
-
-    The subtorus over the first factor is the kernel of the composite map to
-    the second factor, so its period lattice is the integer kernel of the
-    (lambda2, mu2) rows of the embedding matrix; symmetrically for the other.
-    """
-    rows = s.embedding.matrix
-    to_first = integer_kernel_basis([rows[1], rows[3]])
-    to_second = integer_kernel_basis([rows[0], rows[2]])
-    return tuple(map(tuple, to_first)), tuple(map(tuple, to_second))
 
 
 def _check_pair(s, Q, Qhalf):
@@ -117,7 +117,7 @@ def _closed_form(s, Qhalf):
     Qhalf is trivial on the periods of the subtorus over the first factor,
     and symmetrically; both components give a node, one a smooth point.
     """
-    first, second = _factor_period_kernels(s)
+    first, second = _tables(s)[2]
     on_first = _trivial_on(Qhalf, first)
     on_second = _trivial_on(Qhalf, second)
     if on_first and on_second:
@@ -154,7 +154,7 @@ def _oracle(s, Qhalf):
     """Independent verdict by enumerating translation points on 4-torsion.
 
     Every point of the fibre over Qhalf is tested, on its integer numerators,
-    by the lemma's cases alone: it never reads _factor_period_kernels.
+    by the lemma's cases alone: it never reads the period lattices.
     """
     saw_side = False
     for k in _fibre_numerators(s, Qhalf, 4):
@@ -179,19 +179,10 @@ def admissible_pairs(s):
     """(Qhalf^2, Qhalf) for the 63 nontrivial Qhalf realizable as phi_L(x)
     on 4-torsion, in value order: numerators over the one denominator 4 sort
     alike. A grid key is Qhalf's numerators over 4, so twice it is the
-    square's; a square is 2-torsion, so the 63 pairs share a few Q's, and
-    each is built once."""
-    lat = s.form_A.lattice
-    squares = {}
-    pairs = []
-    for key in sorted(phi_L_grid(s.form_A, 4)):
-        if not any(key):
-            continue
-        nums = tuple(2 * k for k in key)
-        if nums not in squares:
-            squares[nums] = Character(lat, 4, nums)
-        pairs.append((squares[nums], Character(lat, 4, key)))
-    return pairs
+    square's."""
+    lat = s.embedding.sub
+    return [(Character(lat, 4, [2 * k for k in key]), Character(lat, 4, key))
+            for key in sorted(_tables(s)[1][4]) if any(key)]
 
 
 # The paper's tables for the reference surface, checked by `irrfib appendix`

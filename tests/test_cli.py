@@ -58,6 +58,25 @@ def test_appendix_corrupt_self_test(capsys):
     assert "FAIL" in out
 
 
+def test_a_broken_K_L_fails_the_two_torsion_kernel_check_too(capsys,
+                                                            monkeypatch):
+    """The two-torsion kernel's expected points are K(L)'s computed ones, not
+    the paper's literal again: K(L) of the doubled form breaks both."""
+    import irrfib.polarization
+    kernel_K_L = irrfib.polarization.kernel_K_L
+
+    def doubled(f):
+        return kernel_K_L(irrfib.polarization.AlternatingForm(
+            f.lattice, tuple(tuple(2 * v for v in row) for row in f.matrix)))
+
+    monkeypatch.setattr(irrfib.polarization, "kernel_K_L", doubled)
+    code, doc, _ = run_json(capsys, "appendix")
+    assert code == 2
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        "polarization kernel invariant factors", "polarization kernel points",
+        "two-torsion kernel points"]
+
+
 def test_json_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "appendix", "--json")
     _, out2, _ = run(capsys, "appendix", "--json")

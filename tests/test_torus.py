@@ -371,6 +371,33 @@ def index_two_surface(a):
     return SpecialAbelianSurface(e)
 
 
+def test_the_squares_are_phis_image_on_two_torsion():
+    """The squares of the admissible pairs are phi's image on 2-torsion, four
+    characters, so the 63 pairs share four Q's: on the reference surface, in
+    moved bases and on every index-2 sublattice."""
+    surfaces = ([build_reference_surface()]
+                + [moved_surface(seed) for seed in BASIS_SEEDS]
+                + [index_two_surface(a)
+                   for a in product((0, 1), repeat=4) if any(a)])
+    for s in surfaces:
+        squares = {Q for Q, _ in admissible_pairs(s)}
+        assert squares == phi_two_torsion_data(s.form_A)[1], s.embedding
+        assert len(squares) == 4
+
+
+def test_the_oracle_never_reads_the_period_lattices(surface, sweep,
+                                                    monkeypatch):
+    """With wrong period lattices in the surface's tables, every oracle
+    verdict of the sweep stands, and some closed-form verdict changes."""
+    form_A, grids, _ = irrfib.torus._tables(surface)
+    unit = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    monkeypatch.setattr(irrfib.torus, "_tables",
+                        lambda s: (form_A, grids, (unit[:2], unit[2:])))
+    rows = classification_sweep(surface).rows
+    assert [row.oracle for row in rows] == [row.oracle for row in sweep.rows]
+    assert [row.closed for row in rows] != [row.closed for row in sweep.rows]
+
+
 @pytest.mark.parametrize("a", [a for a in product((0, 1), repeat=4) if any(a)],
                          ids=lambda a: "".join(map(str, a)))
 def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
