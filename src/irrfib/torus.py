@@ -6,8 +6,9 @@ isogeny image of a torsion point, which translated reducible members pass
 through the origin, and a two-route verdict (closed form vs 4-torsion oracle).
 """
 
-from functools import lru_cache
+from itertools import product
 from operator import mul
+from weakref import WeakKeyDictionary
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
@@ -67,19 +68,34 @@ def build_reference_surface():
     return SpecialAbelianSurface(reference_embedding())
 
 
-@lru_cache(maxsize=None)
+_SURFACE_TABLES = WeakKeyDictionary()
+
+
 def _tables(s):
     """(form_A, {n: phi_L_grid(form_A, n) for n = 2, 4}, the periods of
-    the subtori over each factor): what the classification reads off a
-    surface, built once per surface. The subtorus over one factor is the
-    kernel of the map to the other, so its periods are the integer kernel of
-    the other factor's rows of the embedding, (lambda2, mu2) for the first.
-    Only the closed form reads them; the oracle reads the fibre tables."""
-    form_A = restrict_form(reference_form_b(), s.embedding)
-    rows = s.embedding.matrix
-    periods = tuple(tuple(map(tuple, integer_kernel_basis(rows[i::2])))
-                    for i in (1, 0))
-    return form_A, {n: phi_L_grid(form_A, n) for n in (2, 4)}, periods
+    the subtori over each factor, each factor's half-period): what the
+    classification reads off a surface, built once per surface and held no
+    longer than it. The subtorus over one factor is the kernel of the map to
+    the other, so its periods are the integer kernel of the other factor's
+    rows of the embedding, (lambda2, mu2) for the first. Only the closed
+    form reads them; the oracle reads the fibre tables and the half-periods.
+
+    The sublattice is {x : a.x even}, a the one nonzero vector mod 2 that is
+    even on every column of the embedding. Factor i's half-period, over 4
+    in its (lambda_i, mu_i), is (2 a_mu_i, 2 a_lambda_i); (0, 0) is none.
+    """
+    tables = _SURFACE_TABLES.get(s)
+    if tables is None:
+        form_A = restrict_form(reference_form_b(), s.embedding)
+        rows = s.embedding.matrix
+        periods = tuple(tuple(map(tuple, integer_kernel_basis(rows[i::2])))
+                        for i in (1, 0))
+        a = next(a for a in product((0, 1), repeat=4) if any(a) and not any(
+            sum(map(mul, a, col)) % 2 for col in zip(*rows)))
+        halves = tuple((2 * a[i + 2], 2 * a[i]) for i in (0, 1))
+        grids = {n: phi_L_grid(form_A, n) for n in (2, 4)}
+        tables = _SURFACE_TABLES[s] = form_A, grids, periods, halves
+    return tables
 
 
 def _fibre_numerators(s, chi, n):
@@ -110,61 +126,44 @@ def _trivial_on(chi, gens):
     return all(sum(map(mul, gen, chi.nums)) % chi.n == 0 for gen in gens)
 
 
+# a verdict counts the factors over which the translated member through 0
+# has a component: none, one (a smooth point) or both (a node)
+_VERDICTS = (SINGULARITY_NONE, SINGULARITY_SMOOTH, SINGULARITY_NODE)
+
+
 def _closed_form(s, Qhalf):
     """Closed-form verdict from triviality on the factor period lattices.
 
     The translated member through 0 has a component over the first factor iff
     Qhalf is trivial on the periods of the subtorus over the first factor,
-    and symmetrically; both components give a node, one a smooth point.
+    and symmetrically.
     """
-    first, second = _tables(s)[2]
-    on_first = _trivial_on(Qhalf, first)
-    on_second = _trivial_on(Qhalf, second)
-    if on_first and on_second:
-        return SINGULARITY_NODE
-    if on_first or on_second:
-        return SINGULARITY_SMOOTH
-    return SINGULARITY_NONE
+    return _VERDICTS[sum(_trivial_on(Qhalf, gens) for gens in _tables(s)[2])]
 
 
-# every set of the lemma's cases, indexed by its bit mask (case c is bit c-1)
-_CASE_SETS = tuple(frozenset(c for c in range(1, 5) if mask >> (c - 1) & 1)
-                   for mask in range(16))
-# the cases whose component lies over the second, or the first, factor
-_SECOND_SIDE = frozenset((1, 2))
-_FIRST_SIDE = frozenset((3, 4))
+def _sides(s, ks):
+    """For each 4-torsion point x = k/4 of ks, whether the lemma puts a
+    component over the second factor (cases 1 and 2), and over the first
+    (cases 3 and 4), at psi(x).
 
-
-def _origin_cases_on_grid(s, k, n):
-    """The lemma's four cases at psi(x), x the n-torsion point k/n.
-
-    psi(x) has the numerators b = E*k mod n (E the embedding matrix) in the
+    psi(x) has the numerators b = E*k mod 4 (E the embedding matrix) in the
     ambient basis (lambda1, lambda2, mu1, mu2). Factor i has the periods
     lambda_i = tau_i and mu_i = 1, so its coordinate is the pair
-    (b[i - 1], b[i + 1]); its half-period tau_i/2 is (n // 2, 0), n even.
+    (b[i - 1], b[i + 1]); a side is hit when that is 0 or its half-period.
     """
-    b = [sum(map(mul, row, k)) % n for row in s.embedding.matrix]
-    e1, e2 = (b[0], b[2]), (b[1], b[3])
-    half = (n // 2, 0) if n % 2 == 0 else None
-    return _CASE_SETS[(e2 == (0, 0)) | (e2 == half) << 1
-                      | (e1 == (0, 0)) << 2 | (e1 == half) << 3]
+    halves, rows = _tables(s)[3], s.embedding.matrix
+    for k in ks:
+        b = [sum(map(mul, row, k)) % 4 for row in rows]
+        yield tuple((b[i], b[i + 2]) in ((0, 0), halves[i]) for i in (1, 0))
 
 
 def _oracle(s, Qhalf):
-    """Independent verdict by enumerating translation points on 4-torsion.
-
-    Every point of the fibre over Qhalf is tested, on its integer numerators,
-    by the lemma's cases alone: it never reads the period lattices.
+    """Independent verdict by enumerating translation points on 4-torsion:
+    the most sides any point of the fibre over Qhalf reaches, read off its
+    integer numerators alone. It never reads the period lattices.
     """
-    saw_side = False
-    for k in _fibre_numerators(s, Qhalf, 4):
-        cases = _origin_cases_on_grid(s, k, 4)
-        second_side = not _SECOND_SIDE.isdisjoint(cases)
-        first_side = not _FIRST_SIDE.isdisjoint(cases)
-        if second_side and first_side:
-            return SINGULARITY_NODE
-        saw_side = saw_side or second_side or first_side
-    return SINGULARITY_SMOOTH if saw_side else SINGULARITY_NONE
+    fibre = _fibre_numerators(s, Qhalf, 4)
+    return _VERDICTS[max(map(sum, _sides(s, fibre)), default=0)]
 
 
 def rf_pair(singularity):
@@ -244,9 +243,9 @@ def classification_report(s, Q, Qhalf):
     """Everything about one admissible pair, with both routes' verdicts."""
     row = classify_pair(s, Q, Qhalf)
     # the fibre is already in coordinate order
+    fibre = _fibre_numerators(s, Qhalf, 4)
     witnesses = [TorsionPoint(s.form_A.lattice, 4, k)
-                 for k in _fibre_numerators(s, Qhalf, 4)
-                 if _origin_cases_on_grid(s, k, 4)]
+                 for k, sides in zip(fibre, _sides(s, fibre)) if any(sides)]
     return {
         "Q": Q.texts(),
         "Qhalf": Qhalf.texts(),

@@ -41,18 +41,33 @@ def psi(s, x):
                                        lattice=s.embedding.ambient)
 
 
-def cases(y):
+def half_periods(s):
+    """Each factor's half-period (lambda_i, mu_i), in Fractions, or None.
+
+    The sublattice is {x : a.x even}, a the one nonzero vector mod 2 with
+    a.e an integer multiple of 2 for every column e of the embedding. The
+    point dual to a on factor i is (a_mu_i / 2, a_lambda_i / 2).
+    """
+    columns = list(zip(*s.embedding.matrix))
+    a = next(a for a in product((0, 1), repeat=4) if any(a) and all(
+        Fraction(sum(map(mul, a, e)), 2).denominator == 1 for e in columns))
+    return tuple((Fraction(a[i + 2], 2), Fraction(a[i], 2))
+                 if a[i] or a[i + 2] else None for i in (0, 1))
+
+
+def cases(s, y):
     """Which translated reducible members pass through the origin, at the
-    ambient point y = psi(x). Factor i has the coordinate (lambda_i, mu_i)
-    of the basis (lambda1, lambda2, mu1, mu2). Case 1 (2) is the second
-    factor's being 0 (its half-period), case 3 (4) the first's."""
+    ambient point y = psi(x) of the surface s. Factor i has the coordinate
+    (lambda_i, mu_i) of the basis (lambda1, lambda2, mu1, mu2). Case 1 (2)
+    is the second factor's being 0 (its half-period), case 3 (4) the
+    first's; a factor with no half-period has no case 2 (4)."""
     c = fractions_of(y)
     first, second = (c[0], c[2]), (c[1], c[3])
-    half = (Fraction(1, 2), 0)  # tau_i/2
+    half_first, half_second = half_periods(s)
     return frozenset(case for case, on in ((1, second == (0, 0)),
-                                           (2, second == half),
+                                           (2, second == half_second),
                                            (3, first == (0, 0)),
-                                           (4, first == half)) if on)
+                                           (4, first == half_first)) if on)
 
 
 def fibre(f, chi, n):

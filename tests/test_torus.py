@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,17 +15,31 @@ from irrfib.lattice import Lattice, SublatticeEmbedding, TorsionPoint
 from irrfib.linalg import determinant, mat_mul
 from irrfib.polarization import (PolarizationType, kernel_K_L, phi_L_grid,
                                  phi_two_torsion_data, polarization_type)
-from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
+from irrfib.torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
+                          SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, SpecialAbelianSurface,
-                          _fibre_numerators, _origin_cases_on_grid,
+                          _fibre_numerators, _sides,
                           admissible_pairs, build_reference_surface,
                           character_name, classification_report,
                           classification_sweep, classify_pair, display_name,
                           parse_character, reference_embedding,
                           reference_lattice_a, reference_lattice_b, rf_pair)
-from pointwise import cases, fibre, fractions_of, phi_L, psi, torsion_points
+from pointwise import (cases, fibre, fractions_of, half_periods, phi_L, psi,
+                       torsion_points)
 
 HALF = Fraction(1, 2)
+
+
+def _grouped(cases):
+    """The lemma's cases grouped into sides: a component over the second
+    factor (cases 1, 2), and over the first (3, 4)."""
+    return (not cases.isdisjoint({1, 2}), not cases.isdisjoint({3, 4}))
+
+
+def _side(s, k):
+    """The oracle's sides at the one 4-torsion point k/4."""
+    return next(_sides(s, [k]))
+
 
 VERDICT_BY_NAME = {
     "chiA1": SINGULARITY_NODE,
@@ -95,9 +111,10 @@ def test_psi_image_frozen(surface):
     assert fractions_of(y) == (0, 0, Fraction(1, 4), Fraction(3, 4))
 
 
-def test_reducible_through_origin_cases():
+def test_reducible_through_origin_cases(surface):
     """On ambient points (lambda1, lambda2, mu1, mu2): factor i is the pair
-    (lambda_i, mu_i), and its half-period is lambda_i / 2."""
+    (lambda_i, mu_i), and on the reference its half-period is lambda_i / 2."""
+    assert half_periods(surface) == ((HALF, 0), (HALF, 0))
     table = [
         ((0, 0, 0, 0), {1, 3}),
         ((HALF, 0, 0, 0), {1, 4}),
@@ -109,19 +126,20 @@ def test_reducible_through_origin_cases():
     for coords, expected in table:
         y = TorsionPoint.from_fractions(coords, lattice=reference_lattice_b())
         assert fractions_of(y) == coords
-        assert cases(y) == frozenset(expected)
+        assert cases(surface, y) == frozenset(expected)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_oracle_integer_cases_match_psi_image(surface, seed):
-    """The oracle's case set on integer numerators, at every 4-torsion point,
-    equals the pointwise reference's, on A and in two moved bases of A."""
+    """The oracle's sides on integer numerators, at every 4-torsion point,
+    are the pointwise reference's cases grouped into sides, on A and in two
+    moved bases of A."""
     s = surface if seed is None else moved_surface(seed)
     seen = set()
     for x in torsion_points(s.embedding.sub, 4):
-        on_grid = _origin_cases_on_grid(s, x.nums_over(4), 4)
-        assert on_grid == cases(psi(s, x)), x
-        seen.add(on_grid)
+        expected = cases(s, psi(s, x))
+        assert _side(s, x.nums_over(4)) == _grouped(expected), x
+        seen.add(expected)
     assert {frozenset({1, 3}), frozenset({2, 4}), frozenset()} <= seen
 
 
@@ -185,7 +203,7 @@ def test_oracle_groups_the_cases_into_sides(surface, monkeypatch, coords,
     a fibre of one hand-built point, whatever pair it is handed for."""
     x = TorsionPoint.from_fractions(coords, lattice=surface.embedding.sub)
     k = x.nums_over(4)
-    assert _origin_cases_on_grid(surface, k, 4) == frozenset(cases)
+    assert _side(surface, k) == _grouped(frozenset(cases))
     monkeypatch.setattr(irrfib.torus, "_fibre_numerators",
                         lambda s, chi, n: (k,))
     Q, Qhalf = admissible_pairs(surface)[0]
@@ -385,14 +403,29 @@ def test_the_squares_are_phis_image_on_two_torsion():
         assert len(squares) == 4
 
 
+def test_the_tables_do_not_keep_a_surface_alive():
+    """A swept surface that the caller drops is freed, tables and all: the
+    per-surface tables hold their surfaces weakly. The seeds are outside
+    BASIS_SEEDS, so no equal surface of another test is in the tables."""
+    refs = []
+    for seed in range(1000, 1003):
+        s = moved_surface(seed)
+        assert classification_sweep(s).mismatches == []
+        refs.append(weakref.ref(s))
+    del s
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
 def test_the_oracle_never_reads_the_period_lattices(surface, sweep,
                                                     monkeypatch):
     """With wrong period lattices in the surface's tables, every oracle
     verdict of the sweep stands, and some closed-form verdict changes."""
-    form_A, grids, _ = irrfib.torus._tables(surface)
+    form_A, grids, _, halves = irrfib.torus._tables(surface)
     unit = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    wrong = (unit[:2], unit[2:])
     monkeypatch.setattr(irrfib.torus, "_tables",
-                        lambda s: (form_A, grids, (unit[:2], unit[2:])))
+                        lambda s: (form_A, grids, wrong, halves))
     rows = classification_sweep(surface).rows
     assert [row.oracle for row in rows] == [row.oracle for row in sweep.rows]
     assert [row.closed for row in rows] != [row.closed for row in sweep.rows]
@@ -403,11 +436,13 @@ def test_the_oracle_never_reads_the_period_lattices(surface, sweep,
 def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     """On all 15 surfaces the library accepts on an index-2 sublattice, the
     numerator grids equal the pointwise reference at every 4-torsion point:
-    the oracle's cases are the reference's at psi(x), the fibres phi_L's,
-    and phi_two_torsion_data the pointwise kernel and image. The sweep is
-    classify_pair on each admissible pair. (The two routes' verdicts still
-    part on all but the reference: not pinned, but a mismatch is a row
-    whose verdicts differ.)"""
+    the oracle's sides are the reference's cases at psi(x) grouped into
+    sides, the fibres phi_L's, and phi_two_torsion_data the pointwise kernel
+    and image. The sweep is classify_pair on each admissible pair, and the
+    two routes agree on every pair. Where a is nonzero on both factors the
+    sweep gives the paper's table; the other six (a zero on one factor, so
+    A is a product) are accepted, and only their routes' agreement is
+    pinned."""
     s = index_two_surface(a)
     f, lat = s.form_A, s.embedding.sub
     assert polarization_type(f) == PolarizationType(1, 2)
@@ -415,7 +450,7 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     grid = {}
     for x in torsion_points(lat, 4):
         k = x.nums_over(4)
-        assert _origin_cases_on_grid(s, k, 4) == cases(psi(s, x)), x
+        assert _side(s, k) == _grouped(cases(s, psi(s, x))), x
         grid.setdefault(phi_L(f, x).nums_over(4), []).append(k)
     assert list(phi_L_grid(f, 4).items()) \
         == [(key, tuple(ks)) for key, ks in grid.items()]
@@ -425,10 +460,11 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     sweep = classification_sweep(s)
     assert list(sweep.rows) == [classify_pair(s, Q, Qhalf)
                                 for Q, Qhalf in admissible_pairs(s)]
-    assert sweep.mismatches == [
-        {"Qhalf": display_name(row.Qhalf), "closed": row.closed,
-         "oracle": row.oracle}
-        for row in sweep.rows if row.closed != row.oracle]
+    assert sweep.mismatches == []
+    assert all(row.closed == row.oracle for row in sweep.rows)
+    if (a[0] or a[2]) and (a[1] or a[3]):
+        assert sweep.verdict_counts == REFERENCE_VERDICT_COUNTS
+        assert sweep.moduli_rows == REFERENCE_MODULI_ROWS
 
 
 def test_each_pair_is_checked_once(surface, monkeypatch):
