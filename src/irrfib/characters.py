@@ -10,8 +10,7 @@ from itertools import product
 from operator import mul
 
 from .errors import IncompatibleLattice, InvalidOrder, UnsupportedIndex
-from .lattice import (Lattice, OnGrid, _require_square_full_rank,
-                      sublattice_index)
+from .lattice import Lattice, OnGrid, sublattice_index
 from .record import Record
 
 
@@ -64,7 +63,6 @@ def restrict_character(chi, e):
 
 def kernel_of_restriction(e, n):
     """All n-torsion ambient characters restricting to the trivial character."""
-    _require_square_full_rank(e)
     return {chi for chi in torsion_characters(e.ambient, n)
             if restrict_character(chi, e).is_trivial}
 

@@ -10,7 +10,7 @@ class IrrfibError(Exception):
 
 
 class DegenerateEmbedding(IrrfibError):
-    """Sublattice matrix is not square and full rank."""
+    """Sublattice matrix is not square: the sublattice has infinite index."""
 
 
 class InvalidOrder(IrrfibError):

@@ -91,22 +91,17 @@ PEN6_F1 = (3, 0, 2, 1, 1)
 PEN6_F2 = (0, 3, 1, 2, 1)
 PEN6_CANONICAL = (2, 2, 2, 2, 1)
 
-# Stated numbers: the self-intersections, Y1.Y2 = 0, Z1.Z2 = 1, W.Z_i = 0.
-_PEN6_KNOWN = {
-    frozenset(["Y1"]): -1, frozenset(["Y2"]): -1,
-    frozenset(["Z1"]): -2, frozenset(["Z2"]): -2,
-    frozenset(["W"]): -3,
-    frozenset(["Y1", "Y2"]): 0,
-    frozenset(["Z1", "Z2"]): 1,
-    frozenset(["Z1", "W"]): 0, frozenset(["Z2", "W"]): 0,
-}
-
-# The six cross products solved from fibre-component orthogonality; the
-# derivation below recomputes them from scratch.
-_PEN6_SOLVED = {
-    ("Y1", "Z1"): 1, ("Y1", "Z2"): 0, ("Y1", "W"): 1,
-    ("Y2", "Z1"): 0, ("Y2", "Z2"): 1, ("Y2", "W"): 1,
-}
+# The pairing. Stated: the self-intersections, Y1.Y2 = 0, Z1.Z2 = 1 and
+# W.Z_i = 0. The six products of a section with Z1, Z2 or W, _PEN6_DERIVED,
+# are solved from fibre-component orthogonality: derive_pen6_pairings
+# recomputes them from the stated entries alone.
+PEN6_GRAM = ((-1, 0, 1, 0, 1),
+             (0, -1, 0, 1, 1),
+             (1, 0, -2, 1, 0),
+             (0, 1, 1, -2, 0),
+             (1, 1, 0, 0, -3))
+_PEN6_DERIVED = (("Y1", "Z1"), ("Y1", "Z2"), ("Y1", "W"),
+                 ("Y2", "Z1"), ("Y2", "Z2"), ("Y2", "W"))
 
 
 def derive_pen6_pairings():
@@ -117,50 +112,29 @@ def derive_pen6_pairings():
     linear conditions on the six unknowns, consistent and of full rank.
     (F1.Y2 is not constrained this way; it comes out via F1.F2 instead.)
     """
-    unknowns = list(_PEN6_SOLVED.keys())
-    index = {frozenset(pair): k for k, pair in enumerate(unknowns)}
-
-    def entry_terms(label_i, label_j):
-        key = frozenset([label_i, label_j])
-        if key in _PEN6_KNOWN:
-            return _PEN6_KNOWN[key], None
-        return 0, index[key]
-
+    unknowns = {frozenset(pair): k for k, pair in enumerate(_PEN6_DERIVED)}
     rows, rhs = [], []
     for fibre, own in ((PEN6_F1, ("Y1", "Z1", "Z2", "W")),
                        (PEN6_F2, ("Y2", "Z1", "Z2", "W"))):
         for comp in own:
-            row = [0] * len(unknowns)
-            const = 0
+            c = PEN6_LABELS.index(comp)
+            row, const = [0] * len(unknowns), 0
             for i, label in enumerate(PEN6_LABELS):
-                if fibre[i] == 0:
-                    continue
-                known, k = entry_terms(label, comp)
+                k = unknowns.get(frozenset([label, comp]))
                 if k is None:
-                    const += fibre[i] * known
+                    const += fibre[i] * PEN6_GRAM[i][c]
                 else:
                     row[k] += fibre[i]
             rows.append(row)
             rhs.append(-const)
-    return dict(zip(unknowns, solve_integer(rows, rhs)))
+    return dict(zip(_PEN6_DERIVED, solve_integer(rows, rhs)))
 
 
 def pen6_lattice():
-    n = len(PEN6_LABELS)
-    gram = [[0] * n for _ in range(n)]
-    for i, a in enumerate(PEN6_LABELS):
-        for j, b in enumerate(PEN6_LABELS):
-            key = frozenset([a, b])
-            if key in _PEN6_KNOWN:
-                gram[i][j] = _PEN6_KNOWN[key]
-            else:
-                pair = (a, b) if (a, b) in _PEN6_SOLVED else (b, a)
-                gram[i][j] = _PEN6_SOLVED[pair]
-    return IntersectionLattice(PEN6_LABELS, gram)
+    return IntersectionLattice(PEN6_LABELS, PEN6_GRAM)
 
 
-def pen6_fibres(l=None):
-    l = l if l is not None else pen6_lattice()
+def pen6_fibres(l):
     return DivisorClass(l, PEN6_F1), DivisorClass(l, PEN6_F2)
 
 

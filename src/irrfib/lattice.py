@@ -168,6 +168,7 @@ def origin(lattice):
 
 
 class SublatticeEmbedding(Record):
+    """A finite-index sublattice: the matrix is square and nonsingular."""
     ambient: Lattice
     sub: Lattice
     matrix: tuple  # columns express sub basis vectors in ambient coordinates
@@ -178,20 +179,15 @@ class SublatticeEmbedding(Record):
         if len(self.matrix) != self.ambient.rank or any(
                 len(row) != self.sub.rank for row in self.matrix):
             raise ValueError("matrix must be ambient.rank x sub.rank")
-        _, d, _ = smith_normal_form([list(r) for r in self.matrix])
-        if sum(1 for x in diagonal(d) if x != 0) != self.sub.rank:
-            raise ValueError("matrix must have full column rank")
-
-def _require_square_full_rank(e):
-    if e.ambient.rank != e.sub.rank:
-        raise DegenerateEmbedding("embedding is not square")
-    # nonzero: a SublatticeEmbedding has full column rank
-    return determinant(e.matrix)
+        if self.ambient.rank != self.sub.rank:
+            raise DegenerateEmbedding("embedding is not square")
+        if determinant(self.matrix) == 0:
+            raise ValueError("matrix must have full rank")
 
 
 def sublattice_index(e):
     """|ambient / sub| = |det| of the embedding matrix."""
-    return abs(_require_square_full_rank(e))
+    return abs(determinant(e.matrix))
 
 
 class FiniteAbelianGroup(Record):
@@ -236,7 +232,6 @@ def quotient_group(e):
     and sub-coordinates (column i of V)/d_i; the non-unit d_i are the
     invariant factors.
     """
-    _require_square_full_rank(e)
     _, d, v = smith_normal_form(e.matrix)
     pairs = sorted((di, tuple(x % di for x in col))
                    for di, col in zip(diagonal(d), transpose(v)) if di > 1)

@@ -4,20 +4,25 @@ from math import gcd
 
 import pytest
 
+import irrfib.intersection
+from irrfib.cli import main
 from irrfib.errors import (IncompatibleLattice, InvalidModulus, NonPrimitive)
 from irrfib.intersection import (DivisorClass, IntersectionLattice,
                                  KernelCurve, degree_vs_product_polarization,
                                  derive_pen6_pairings, dot, kernel_dot,
                                  kernel_dot_oracle, nef_violation_certificate,
                                  pen6_fibres, pen6_lattice,
-                                 serrano_canonical_pen6, PEN6_LABELS,
-                                 _PEN6_SOLVED)
+                                 serrano_canonical_pen6, PEN6_LABELS)
 
 EXPECTED_GRAM = ((-1, 0, 1, 0, 1),
                  (0, -1, 0, 1, 1),
                  (1, 0, -2, 1, 0),
                  (0, 1, 1, -2, 0),
                  (1, 1, 0, 0, -3))
+# the products the derivation solves for, in its order, and their places
+DERIVED = {(a, b): (PEN6_LABELS.index(a), PEN6_LABELS.index(b))
+           for a, b in (("Y1", "Z1"), ("Y1", "Z2"), ("Y1", "W"),
+                        ("Y2", "Z1"), ("Y2", "Z2"), ("Y2", "W"))}
 
 
 def test_lattice_validation():
@@ -49,7 +54,27 @@ def test_divisor_arithmetic():
 
 
 def test_derivation_matches_frozen_table():
-    assert derive_pen6_pairings() == _PEN6_SOLVED
+    assert list(derive_pen6_pairings().items()) == [
+        (pair, EXPECTED_GRAM[i][j]) for pair, (i, j) in DERIVED.items()]
+
+
+def test_the_derivation_never_reads_what_it_derives(capsys, monkeypatch):
+    """With the six derived entries of the Gram matrix, and their mirrors,
+    each one higher, the derivation stands, and `example pen-6` fails the
+    six checks that compare it with the matrix."""
+    derived = derive_pen6_pairings()
+    gram = [list(row) for row in EXPECTED_GRAM]
+    for i, j in DERIVED.values():
+        gram[i][j] += 1
+        gram[j][i] += 1
+    monkeypatch.setattr(irrfib.intersection, "PEN6_GRAM",
+                        tuple(map(tuple, gram)))
+    assert list(derive_pen6_pairings().items()) == list(derived.items())
+    assert main(["example", "pen-6"]) == 2
+    out = capsys.readouterr().out
+    for (a, b), value in derived.items():
+        assert "FAIL derived pairing %s.%s: expected %d, actual %d" % (
+            a, b, value + 1, value) in out
 
 
 def test_gram_matrix_frozen():

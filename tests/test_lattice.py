@@ -253,11 +253,11 @@ def test_embedding_validation_and_index():
 
 
 def test_sublattice_index_requires_square():
+    # an embedding has finite index: a rectangular one cannot be built
     amb = Lattice(3, ("a", "b", "c"))
     sub = Lattice(2, ("u", "v"))
-    e = SublatticeEmbedding(amb, sub, ((1, 0), (0, 1), (0, 0)))
     with pytest.raises(DegenerateEmbedding):
-        sublattice_index(e)
+        SublatticeEmbedding(amb, sub, ((1, 0), (0, 1), (0, 0)))
 
 
 def test_quotient_group_of_reference_embedding():

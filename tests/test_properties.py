@@ -1,11 +1,14 @@
 """Property tests: the Smith form, K(L), the polarization type, the phi_L
 fibres (against the pointwise reference too), reduction mod 1, the printed
-grid coordinates and the rational parser, on generated inputs.
+grid coordinates, the rational parser and the canonical JSON encoder, on
+generated inputs.
 
-Examples are derandomized and not stored, so every run tests the same ones.
-The module is skipped when hypothesis is not installed.
+Examples are derandomized and not stored, so every run tests the same ones;
+the JSON encoder's test alone draws new ones on each run. The module is
+skipped when hypothesis is not installed.
 """
 
+import json
 import re
 from fractions import Fraction
 from math import lcm
@@ -22,6 +25,7 @@ from irrfib.lattice import Lattice, Rational, TorsionPoint, parse_rational
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
 from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
                                  polarization_type)
+from irrfib.report import canonical_json
 from pointwise import fractions_of
 from test_lattice import UNCHAINED
 from test_polarization import assert_grid_matches_pointwise
@@ -205,3 +209,28 @@ def test_texts_print_the_fraction_views(grid, cls):
     # n is the order: the least multiplier taking every coordinate to 0
     assert x.n == x.order() == lcm(*(c.denominator for c in view))
     assert all(0 <= k < x.n for k in x.nums)
+
+
+# the characters json escapes: quote, backslash, the control characters and
+# DEL, and with ensure_ascii all beyond ASCII, such as U+2028 and an astral
+# character (written as a surrogate pair); lone surrogates are text too
+SPECIAL_TEXT = ('"', "\\", *map(chr, range(32)), "\x7f", "\u2028",
+                "\U0001f600", "\ud83d", "\ude00", "\xe9", "/")
+TEXT = st.text(st.one_of(st.sampled_from(SPECIAL_TEXT), st.characters()))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-10 ** 4000, 10 ** 4000), TEXT)
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(TEXT, inner, max_size=4)), max_leaves=20)
+
+
+@given(VALUES)
+@settings(max_examples=150, deadline=None)
+@example({"": [], "a": {}, "b": ((), [[]]), "\U0001f600": None})
+@example("".join(SPECIAL_TEXT))
+def test_canonical_json_is_json_dumps(value):
+    """Byte for byte json.dumps(value, sort_keys=True), on one line and with
+    indent=2, on everything encode can return."""
+    assert canonical_json(value) == json.dumps(value, sort_keys=True)
+    assert canonical_json(value, indent=2) == json.dumps(
+        value, sort_keys=True, indent=2)

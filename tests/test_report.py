@@ -3,8 +3,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from irrfib.intersection import KernelCurve
 from irrfib.lattice import Rational
@@ -64,31 +62,6 @@ def test_report_json_round_trip():
     assert doc["checks"] == [
         {"name": "name", "expected": [1], "actual": [1], "pass": True}]
     assert out == json.dumps(doc, sort_keys=True, indent=2)
-
-
-# the characters json escapes: quote, backslash, the control characters and
-# DEL, and with ensure_ascii all beyond ASCII, such as U+2028 and an astral
-# character (written as a surrogate pair); lone surrogates are text too
-SPECIAL_TEXT = ('"', "\\", *map(chr, range(32)), "\x7f", "\u2028",
-                "\U0001f600", "\ud83d", "\ude00", "\xe9", "/")
-TEXT = st.text(st.one_of(st.sampled_from(SPECIAL_TEXT), st.characters()))
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
-                    st.integers(-10 ** 4000, 10 ** 4000), TEXT)
-VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-    st.dictionaries(TEXT, inner, max_size=4)), max_leaves=20)
-
-
-@given(VALUES)
-@settings(max_examples=150, deadline=None)
-@example({"": [], "a": {}, "b": ((), [[]]), "\U0001f600": None})
-@example("".join(SPECIAL_TEXT))
-def test_canonical_json_is_json_dumps(value):
-    """Byte for byte json.dumps(value, sort_keys=True), on one line and with
-    indent=2, on everything encode can return."""
-    assert canonical_json(value) == json.dumps(value, sort_keys=True)
-    assert canonical_json(value, indent=2) == json.dumps(
-        value, sort_keys=True, indent=2)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -12,7 +12,7 @@ import irrfib.torus
 from irrfib.characters import Character, trivial_character
 from irrfib.errors import IncompatibleLattice, InvalidTwist
 from irrfib.lattice import Lattice, SublatticeEmbedding, TorsionPoint
-from irrfib.linalg import determinant, mat_mul
+from irrfib.linalg import determinant, mat_mul, transpose
 from irrfib.polarization import (PolarizationType, kernel_K_L, phi_L_grid,
                                  phi_two_torsion_data, polarization_type)
 from irrfib.torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
@@ -23,7 +23,8 @@ from irrfib.torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
                           character_name, classification_report,
                           classification_sweep, classify_pair, display_name,
                           parse_character, reference_embedding,
-                          reference_lattice_a, reference_lattice_b, rf_pair)
+                          reference_form_b, reference_lattice_a,
+                          reference_lattice_b, rf_pair)
 from pointwise import (cases, fibre, fractions_of, half_periods, phi_L, psi,
                        torsion_points)
 
@@ -347,14 +348,15 @@ def _random_unimodular(rng):
 BASIS_SEEDS = range(50)
 
 
-def moved_surface(seed):
-    """The reference surface re-expressed in a random GL4(Z) basis of A.
+def moved_surface(seed, e=None):
+    """The surface on the embedding E, the reference's by default,
+    re-expressed in a random GL4(Z) basis of A.
 
     The embedding becomes E*G, and form_A follows it.
     """
     g = _random_unimodular(random.Random(seed))
     assert abs(determinant(g)) == 1
-    e = reference_embedding()
+    e = e or reference_embedding()
     moved = SublatticeEmbedding(e.ambient, Lattice(4, ("g1", "g2", "g3", "g4")),
                                 mat_mul(e.matrix, g))
     return SpecialAbelianSurface(moved)
@@ -389,14 +391,16 @@ def index_two_surface(a):
     return SpecialAbelianSurface(e)
 
 
+INDEX_TWO = [a for a in product((0, 1), repeat=4) if any(a)]
+
+
 def test_the_squares_are_phis_image_on_two_torsion():
     """The squares of the admissible pairs are phi's image on 2-torsion, four
     characters, so the 63 pairs share four Q's: on the reference surface, in
     moved bases and on every index-2 sublattice."""
     surfaces = ([build_reference_surface()]
                 + [moved_surface(seed) for seed in BASIS_SEEDS]
-                + [index_two_surface(a)
-                   for a in product((0, 1), repeat=4) if any(a)])
+                + [index_two_surface(a) for a in INDEX_TWO])
     for s in surfaces:
         squares = {Q for Q, _ in admissible_pairs(s)}
         assert squares == phi_two_torsion_data(s.form_A)[1], s.embedding
@@ -431,8 +435,14 @@ def test_the_oracle_never_reads_the_period_lattices(surface, sweep,
     assert [row.closed for row in rows] != [row.closed for row in sweep.rows]
 
 
-@pytest.mark.parametrize("a", [a for a in product((0, 1), repeat=4) if any(a)],
-                         ids=lambda a: "".join(map(str, a)))
+# the sweep of the six index-2 surfaces where a is zero on one factor
+PRODUCT_VERDICT_COUNTS = {SINGULARITY_NONE: 45, SINGULARITY_SMOOTH: 18}
+PRODUCT_MODULI_ROWS = {"Ia/none": 9, "Ia/smooth_point": 3,
+                       "Ib/smooth_point": 3, "II/none": 36,
+                       "II/smooth_point": 12}
+
+
+@pytest.mark.parametrize("a", INDEX_TWO, ids=lambda a: "".join(map(str, a)))
 def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     """On all 15 surfaces the library accepts on an index-2 sublattice, the
     numerator grids equal the pointwise reference at every 4-torsion point:
@@ -440,9 +450,10 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     sides, the fibres phi_L's, and phi_two_torsion_data the pointwise kernel
     and image. The sweep is classify_pair on each admissible pair, and the
     two routes agree on every pair. Where a is nonzero on both factors the
-    sweep gives the paper's table; the other six (a zero on one factor, so
-    A is a product) are accepted, and only their routes' agreement is
-    pinned."""
+    sweep gives the paper's table. The other six (a zero on one factor, so
+    A is a product) are one orbit of the product automorphisms, as SL2(Z)
+    is transitive on the nonzero vectors mod 2 and the swap exchanges the
+    factors, and they share one table, with no node."""
     s = index_two_surface(a)
     f, lat = s.form_A, s.embedding.sub
     assert polarization_type(f) == PolarizationType(1, 2)
@@ -465,6 +476,55 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     if (a[0] or a[2]) and (a[1] or a[3]):
         assert sweep.verdict_counts == REFERENCE_VERDICT_COUNTS
         assert sweep.moduli_rows == REFERENCE_MODULI_ROWS
+    else:
+        assert sweep.verdict_counts == PRODUCT_VERDICT_COUNTS
+        assert sweep.moduli_rows == PRODUCT_MODULI_ROWS
+
+
+def _random_sl2(rng):
+    """A 2x2 integer matrix of determinant 1: row additions on I."""
+    g = [[1, 0], [0, 1]]
+    for _ in range(6):
+        i, k = rng.randrange(2), rng.choice((-2, -1, 1, 2))
+        g[i] = [x + k * y for x, y in zip(g[i], g[1 - i])]
+    return g
+
+
+def product_automorphism(seed):
+    """An automorphism g of the product lattice that keeps the product form:
+    SL2(Z) on each factor's (lambda_i, mu_i), at ambient indices (0, 2) and
+    (1, 3), then on odd seeds the factor swap lambda1<->lambda2,
+    mu1<->mu2."""
+    rng = random.Random(seed)
+    g = [[0] * 4 for _ in range(4)]
+    for factor in ((0, 2), (1, 3)):
+        block = _random_sl2(rng)
+        for r, i in enumerate(factor):
+            for c, j in enumerate(factor):
+                g[i][j] = block[r][c]
+    return [g[i] for i in (1, 0, 3, 2)] if seed % 2 else g
+
+
+@pytest.mark.parametrize("a", INDEX_TWO, ids=lambda a: "".join(map(str, a)))
+def test_the_sweep_is_invariant_under_the_product_automorphisms(a):
+    """g keeps the product form J, so the surface on g*E has E's form_A,
+    and its sweep must be E's pair by pair: the closed form reads g*E's
+    period lattices and the oracle its half-periods, and both must follow
+    g. In a new basis G of A as well (g*E*G), the verdict counts and the
+    moduli rows stand."""
+    s = index_two_surface(a)
+    e, sweep = s.embedding, classification_sweep(s)
+    j = [list(row) for row in reference_form_b().matrix]
+    for seed in range(6 * INDEX_TWO.index(a), 6 * INDEX_TWO.index(a) + 6):
+        g = product_automorphism(seed)
+        assert mat_mul(mat_mul(transpose(g), j), g) == j
+        moved = SpecialAbelianSurface(
+            SublatticeEmbedding(e.ambient, e.sub, mat_mul(g, e.matrix)))
+        assert moved.form_A == s.form_A
+        assert classification_sweep(moved).rows == sweep.rows, seed
+        based = classification_sweep(moved_surface(seed, moved.embedding))
+        assert (based.verdict_counts, based.moduli_rows) \
+            == (sweep.verdict_counts, sweep.moduli_rows), seed
 
 
 def test_each_pair_is_checked_once(surface, monkeypatch):
