@@ -190,15 +190,9 @@ def h0_omega_twisted_minus_fibre(d, eta, q):
     every summand's degree by its rank, so only a rank-1 ample part can
     contribute, and it does exactly when q = p + eta.
     """
-    _pushforward_parts(d)
-    total = 0
-    for b in d.summands:
-        if b.degree - b.rank < 0:
-            continue
-        # only (rank, degree) = (1, 1) reaches here: a line bundle O(c)
-        # twisted to the degree-0 class c + eta - q
-        total += 1 if (b.det_point + eta - q).is_origin else 0
-    return total
+    ample, _ = _pushforward_parts(d)
+    # a line bundle O(c) twists to the degree-0 class c + eta - q
+    return int(ample.rank == 1 and (ample.det_point + eta - q).is_origin)
 
 
 def ample_part_is_line(d):

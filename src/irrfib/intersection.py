@@ -13,7 +13,6 @@ from operator import index
 
 from .errors import (IncompatibleLattice, InvalidModulus, IrrfibError,
                      NonPrimitive)
-from .linalg import solve_integer
 from .record import Record
 
 
@@ -92,42 +91,41 @@ PEN6_F2 = (0, 3, 1, 2, 1)
 PEN6_CANONICAL = (2, 2, 2, 2, 1)
 
 # The pairing. Stated: the self-intersections, Y1.Y2 = 0, Z1.Z2 = 1 and
-# W.Z_i = 0. The six products of a section with Z1, Z2 or W, _PEN6_DERIVED,
-# are solved from fibre-component orthogonality: derive_pen6_pairings
-# recomputes them from the stated entries alone.
+# W.Z_i = 0. The six products of a section with Z1, Z2 or W are solved from
+# fibre-component orthogonality: derive_pen6_pairings recomputes them from
+# the stated entries alone.
 PEN6_GRAM = ((-1, 0, 1, 0, 1),
              (0, -1, 0, 1, 1),
              (1, 0, -2, 1, 0),
              (0, 1, 1, -2, 0),
              (1, 1, 0, 0, -3))
-_PEN6_DERIVED = (("Y1", "Z1"), ("Y1", "Z2"), ("Y1", "W"),
-                 ("Y2", "Z1"), ("Y2", "Z2"), ("Y2", "W"))
 
 
 def derive_pen6_pairings():
-    """Re-derive the six unknown products from fibre orthogonality.
+    """Re-derive the six section products from fibre orthogonality.
 
-    A fibre class has zero intersection with each of its own components:
-    F1 against Y1, Z1, Z2, W and F2 against Y2, Z1, Z2, W. That is eight
-    linear conditions on the six unknowns, consistent and of full rank.
-    (F1.Y2 is not constrained this way; it comes out via F1.F2 instead.)
+    A fibre class has zero intersection with each of its own components.
+    Each section Y has coefficient 3 in its fibre F and 0 in the other, so
+    F.C = 0 for C = Z1, Z2, W has one unknown, Y.C, found by one exact
+    division; F.Y = 0 then checks all three. A remainder or a nonzero F.Y
+    means the stated entries are inconsistent.
     """
-    unknowns = {frozenset(pair): k for k, pair in enumerate(_PEN6_DERIVED)}
-    rows, rhs = [], []
-    for fibre, own in ((PEN6_F1, ("Y1", "Z1", "Z2", "W")),
-                       (PEN6_F2, ("Y2", "Z1", "Z2", "W"))):
-        for comp in own:
-            c = PEN6_LABELS.index(comp)
-            row, const = [0] * len(unknowns), 0
-            for i, label in enumerate(PEN6_LABELS):
-                k = unknowns.get(frozenset([label, comp]))
-                if k is None:
-                    const += fibre[i] * PEN6_GRAM[i][c]
-                else:
-                    row[k] += fibre[i]
-            rows.append(row)
-            rhs.append(-const)
-    return dict(zip(_PEN6_DERIVED, solve_integer(rows, rhs)))
+    shared = [PEN6_LABELS.index(c) for c in ("Z1", "Z2", "W")]
+    derived = {}
+    for name, fibre, y in (("F1", PEN6_F1, 0), ("F2", PEN6_F2, 1)):
+        section = PEN6_LABELS[y]
+        f_dot_y = fibre[y] * PEN6_GRAM[y][y]
+        for c in shared:
+            value, rest = divmod(
+                -sum(fibre[i] * PEN6_GRAM[i][c] for i in shared), fibre[y])
+            if rest:
+                raise IrrfibError("%s.%s = 0 has no integer %s.%s" % (
+                    name, PEN6_LABELS[c], section, PEN6_LABELS[c]))
+            derived[section, PEN6_LABELS[c]] = value
+            f_dot_y += fibre[c] * value
+        if f_dot_y:
+            raise IrrfibError("%s.%s is %d, not 0" % (name, section, f_dot_y))
+    return derived
 
 
 def pen6_lattice():

@@ -2,9 +2,9 @@
 
 Everything here is plain lists-of-lists (or tuples of tuples) over int; a
 routine copies its input or only reads it. The Smith normal form returns the
-transforms (U, D, V) with U*M*V = D, which the quotient-group, kernel and
-linear-system computations need; the pivot rule is deterministic (smallest
-absolute value, ties row-major) so outputs are reproducible.
+transforms (U, D, V) with U*M*V = D, of which the quotient-group and kernel
+computations read D and V; the pivot rule is deterministic (smallest absolute
+value, ties row-major) so outputs are reproducible.
 
 One elimination loop gives the divisibility chain too: a diagonal position is
 finished only when its pivot divides every entry of the block below and to
@@ -14,7 +14,7 @@ nonzero remainder smaller than the pivot. A remainder is always re-pivoted
 on, so |pivot| falls at least every second pass, and the loop ends.
 """
 
-from operator import index, mul
+from operator import index
 
 
 def identity_matrix(n):
@@ -139,23 +139,6 @@ def smith_normal_form(m):
 
 def diagonal(m):
     return [m[i][i] for i in range(min(len(m), len(m[0]) if m else 0))]
-
-
-def solve_integer(a, b):
-    """The unique integer x with a*x = b, for a of full column rank.
-
-    With U*A*V = D, x = V*y where D*y = U*b: each (U*b)_i past the rank must
-    be 0, and each before it divisible by d_i. Raises ValueError if the
-    system is rank deficient or has no integer solution.
-    """
-    u, d, v = smith_normal_form(a)
-    diag, ub = diagonal(d), [sum(map(mul, row, b)) for row in u]
-    if len(diag) < len(v) or 0 in diag:
-        raise ValueError("rank-deficient system")
-    if any(ub[len(diag):]) or any(c % di for c, di in zip(ub, diag)):
-        raise ValueError("no integer solution")
-    y = [c // di for c, di in zip(ub, diag)]
-    return [sum(map(mul, row, y)) for row in v]
 
 
 def integer_kernel_basis(m):

@@ -1011,7 +1011,7 @@ def test_json_loads_only_to_read_spec_or_fixture(tmp_path):
 # that compute with them: the family, pen-5's slope-4 splitting (bundles)
 # and pen-6's lattice (intersection).
 _BASE = {"cli", "errors", "record", "report"}
-_INTERSECTION = _BASE | {"intersection", "linalg"}
+_INTERSECTION = _BASE | {"intersection"}
 _BUNDLES = _BASE | {"bundles", "lattice", "linalg"}
 _INVARIANTS = _BASE | {"invariants", "lattice", "linalg"}
 _FAMILY = _INVARIANTS | {"bundles", "intersection"}

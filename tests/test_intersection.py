@@ -6,7 +6,8 @@ import pytest
 
 import irrfib.intersection
 from irrfib.cli import main
-from irrfib.errors import (IncompatibleLattice, InvalidModulus, NonPrimitive)
+from irrfib.errors import (IncompatibleLattice, InvalidModulus, IrrfibError,
+                           NonPrimitive)
 from irrfib.intersection import (DivisorClass, IntersectionLattice,
                                  KernelCurve, degree_vs_product_polarization,
                                  derive_pen6_pairings, dot, kernel_dot,
@@ -75,6 +76,24 @@ def test_the_derivation_never_reads_what_it_derives(capsys, monkeypatch):
     for (a, b), value in derived.items():
         assert "FAIL derived pairing %s.%s: expected %d, actual %d" % (
             a, b, value + 1, value) in out
+
+
+@pytest.mark.parametrize("i, value, message", [
+    (2, -3, "F1.Z1 = 0 has no integer Y1.Z1"),
+    (0, -2, "F1.Y1 is -3, not 0")], ids=("remainder", "fibre-meets-section"))
+def test_inconsistent_stated_entries_are_a_domain_error(
+        capsys, monkeypatch, i, value, message):
+    """Z1.Z1 = -3 leaves F1.Z1 = 0 without an integer Y1.Z1, and Y1.Y1 = -2
+    makes F1.Y1 nonzero: `example pen-6` exits 65 on one error line."""
+    gram = [list(row) for row in EXPECTED_GRAM]
+    gram[i][i] = value
+    monkeypatch.setattr(irrfib.intersection, "PEN6_GRAM",
+                        tuple(map(tuple, gram)))
+    with pytest.raises(IrrfibError):
+        derive_pen6_pairings()
+    assert main(["example", "pen-6"]) == 65
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: IrrfibError: %s\n" % message)
 
 
 def test_gram_matrix_frozen():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 
 import pytest
@@ -11,7 +10,7 @@ from irrfib.lattice import (FiniteAbelianGroup, Lattice, Rational,
                             SublatticeEmbedding, TorsionPoint, origin,
                             parse_rational, quotient_group, sublattice_index)
 from irrfib.linalg import (determinant, identity_matrix, integer_kernel_basis,
-                           mat_mul, smith_normal_form, solve_integer)
+                           mat_mul, smith_normal_form)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
                           reference_lattice_b)
 from pointwise import fractions_of
@@ -39,46 +38,6 @@ def test_determinant_against_cofactor_expansion():
         n = rng.randint(1, 4)
         m = _random_matrix(rng, n, n)
         assert determinant(m) == _det_cofactor(m)
-
-
-def _full_column_rank(m):
-    # independent of the Smith form: some maximal square minor is nonzero
-    nc = len(m[0])
-    return any(determinant([m[i] for i in rows])
-               for rows in combinations(range(len(m)), nc))
-
-
-def test_solve_integer_round_trip():
-    """b = M*x for random integer M, square and overdetermined: a full
-    column rank M gives exactly x back, any other M is refused."""
-    rng = random.Random(12)
-    solved = {0: 0, 1: 0}
-    for _ in range(120):
-        nc = rng.randint(1, 4)
-        extra = rng.choice((0, rng.randint(1, 3)))
-        m = _random_matrix(rng, nc + extra, nc, 5)
-        x = [rng.randint(-30, 30) for _ in range(nc)]
-        b = [sum(a * c for a, c in zip(row, x)) for row in m]
-        if not _full_column_rank(m):
-            with pytest.raises(ValueError):
-                solve_integer(m, b)
-            continue
-        assert solve_integer(m, b) == x
-        solved[extra > 0] += 1
-    assert min(solved.values()) > 30
-
-
-def test_solve_integer_refusals():
-    with pytest.raises(ValueError, match="rank-deficient"):
-        solve_integer([[1, 2], [2, 4]], [3, 6])
-    with pytest.raises(ValueError, match="rank-deficient"):
-        solve_integer([[1, 1]], [1])  # underdetermined
-    a = [[1, 0], [0, 1], [1, 1]]
-    assert solve_integer(a, [2, 3, 5]) == [2, 3]
-    with pytest.raises(ValueError, match="no integer solution"):
-        solve_integer(a, [2, 3, 6])  # inconsistent
-    with pytest.raises(ValueError, match="no integer solution"):
-        solve_integer([[2]], [1])  # solvable over Q only
 
 
 # a divisibility repair pass after the elimination once left D[2][3] = 2 and
