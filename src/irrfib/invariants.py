@@ -289,13 +289,3 @@ def example_record(ex_id):
                 "curves gives the two fibrations",
                 "rank of the ample part not determined")), ()
     raise ValueError("no example record %r" % ex_id)
-
-
-def isotrivial_examples():
-    """The four isotrivial standard fixtures, ranks re-derived when possible."""
-    return [example_record(x)[0] for x in ("pen-1", "pen-4", "pen-5", "pen-6")]
-
-
-def nonisotrivial_examples():
-    """Double, triple and quadruple Albanese covers with two fibrations."""
-    return [example_record(i)[0] for i in ("k26-d2", "k5-3", "k6-4")]

@@ -19,8 +19,8 @@ from irrfib.intersection import (KernelCurve, derive_pen6_pairings, dot,
                                  kernel_dot, kernel_dot_oracle,
                                  nef_violation_certificate, pen6_fibres,
                                  pen6_lattice, serrano_canonical_pen6)
-from irrfib.invariants import (NOT_ISOTRIVIAL, genus_bound_rank_one,
-                               isotrivial_examples, isotriviality_obstruction,
+from irrfib.invariants import (NOT_ISOTRIVIAL, example_record,
+                               genus_bound_rank_one, isotriviality_obstruction,
                                slope, unbounded_family)
 from irrfib.lattice import Rational, sublattice_index
 from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
@@ -191,7 +191,7 @@ def test_criterion_09_pen6():
     assert dot(k, lattice.basis_class("Y2")) == 1
     assert nef_violation_certificate(k - f1, f2) == -2
     assert nef_violation_certificate(k - f2, f1) == -2
-    record = next(s for s in isotrivial_examples() if s.id == "pen-6")
+    record, _ = example_record("pen-6")
     assert [f.r for f in record.fibrations] == [2, 2]
 
 

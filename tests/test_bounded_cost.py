@@ -12,16 +12,15 @@ read bound on a --spec or --fixture file.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from test_record import child_env
+
 pytest.importorskip("resource")  # RLIMIT_CPU is POSIX only
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 # CPU seconds a probe may use: start-up and import take about 0.1 s
 CPU_SECONDS = 5
 BIG = "12345678901234567890"
@@ -48,9 +47,8 @@ CHILD = ("import resource, runpy; "
 
 
 def _assert_ends_with(argv, status):
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                          env=child_env(),
                           stdin=subprocess.DEVNULL, capture_output=True,
                           timeout=20 * CPU_SECONDS)
     out = proc.stdout + proc.stderr

@@ -19,7 +19,7 @@ from irrfib.cli import (COMMANDS, EXAMPLE_IDS, MAX_FILE_BYTES, UsageError,
 from irrfib.errors import IrrfibError
 from irrfib.intersection import pen6_lattice, serrano_canonical_pen6
 from test_golden import CASES
-from test_record import _run
+from test_record import _run, child_env
 
 
 def run(capsys, *argv):
@@ -817,15 +817,10 @@ def test_help_and_error_text_matches_its_golden(capsys):
             case["code"], case["stdout"], case["stderr"]), case["argv"]
 
 
-def _cli_env(**extra):
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
-
-
 # A block-buffered stdout fails at the flush, an unbuffered one in print
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_keeps_the_exit_status(unbuffered):
-    env = _cli_env(PYTHONUNBUFFERED=unbuffered)
+    env = child_env(PYTHONUNBUFFERED=unbuffered)
     for argv, status in ((("example", "pen-5"), 0), (("appendix",), 0),
                          (("appendix", "--corrupt"), 2), (("-h",), 0)):
         read_end, write_end = os.pipe()
@@ -881,7 +876,7 @@ def test_a_process_prints_what_main_prints(capsys, tmp_path, status):
     with open(tmp_path / "out", "wb") as handle:
         proc = subprocess.run(
             [sys.executable, "-m", "irrfib.cli", *STATUS_ARGV[status]],
-            env=_cli_env(), stdout=handle, stderr=subprocess.PIPE,
+            env=child_env(), stdout=handle, stderr=subprocess.PIPE,
             timeout=120)
     code, out, err = run(capsys, *STATUS_ARGV[status])
     assert code == status
@@ -895,7 +890,7 @@ def test_atexit_hooks_run_after_the_entry(tmp_path):
             "runpy.run_module('irrfib.cli', run_name='__main__')"
             % (STATUS_ARGV[0],))
     with open(tmp_path / "out", "wb") as handle:
-        proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               stdout=handle, stderr=subprocess.PIPE,
                               timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -905,7 +900,7 @@ def test_atexit_hooks_run_after_the_entry(tmp_path):
 def test_a_profiler_still_prints_its_stats():
     proc = subprocess.run(
         [sys.executable, "-m", "cProfile", "-m", "irrfib.cli",
-         *STATUS_ARGV[0]], env=_cli_env(), capture_output=True, timeout=60)
+         *STATUS_ARGV[0]], env=child_env(), capture_output=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert "function calls" in proc.stdout.decode()
     assert "Ordered by" in proc.stdout.decode()
@@ -1086,7 +1081,9 @@ GONE_ENTRY_POINTS = [("irrfib.cli", "build_parser"),
                      ("irrfib.torus", "translation_points_for_twist"),
                      ("irrfib.torus", "classify_origin_singularity"),
                      ("irrfib.polarization", "phi_L_on_point"),
-                     ("irrfib.lattice", "torsion_subgroup")]
+                     ("irrfib.lattice", "torsion_subgroup"),
+                     ("irrfib.invariants", "isotrivial_examples"),
+                     ("irrfib.invariants", "nonisotrivial_examples")]
 
 
 def test_the_tracer_wraps_only_entry_points_the_library_has():
@@ -1109,33 +1106,11 @@ def test_the_tracer_finds_every_entry_point_after_importing_the_cli():
     assert out == "[]\n"
 
 
-# the public names of the package: what dir(irrfib) lists after
-# `import irrfib`, and `from irrfib import *` binds
+# the public names of the package, its submodules but `cli`: what
+# dir(irrfib) lists after `import irrfib`, and `from irrfib import *` binds
 PUBLIC_NAMES = """
-    AlternatingForm BundleDecomposition Character ContradictsXiao
-    DegenerateEmbedding DegenerateForm DivisorClass EllipticPoint
-    ExampleSurface FibrationRecord FiniteAbelianGroup IncompatibleLattice
-    IndecomposableBundle IntersectionLattice InvalidBranching InvalidModulus
-    InvalidOrder InvalidRank InvalidShape InvalidTorsionList InvalidTwist
-    IrrfibError KernelCurve Lattice NonPrimitive NotApplicable
-    PolarizationType Rational SpecialAbelianSurface SublatticeEmbedding
-    SurfaceInvariants TorsionPoint UndefinedSlope UnsupportedIndex XiaoShape
-    admissible_pairs ample_part_is_line atiyah_bundle build_reference_surface
-    bundles character_name characters classification_report
-    classification_sweep classify_pair degree_vs_product_polarization
-    derive_pen6_pairings display_name dot double_cover_fibre_genus
-    elliptic_origin errors example_record generic_point genus_bound_rank_one
-    h0 h0_omega_twisted_minus_fibre h1 intersection invariants
-    isotrivial_examples isotriviality_obstruction jump_h1 kernel_K_L
-    kernel_dot kernel_dot_oracle kernel_of_restriction lattice linalg
-    nef_violation_certificate nonisotrivial_examples origin
-    parse_character parse_rational pen6_fibres pen6_lattice
-    phi_two_torsion_data polarization polarization_type
-    pushforward_decomposition quotient_group record reference_lattice_a
-    reference_lattice_b report restrict_character restrict_form rf_pair
-    serrano_canonical_pen6 slope smith_normal_form sublattice_index
-    torsion_characters torus trivial_character twist
-    two_torsion_character_tables unbounded_family xiao_structure
+    bundles characters errors intersection invariants lattice linalg
+    polarization record report torus
 """.split()
 
 
@@ -1148,12 +1123,30 @@ def test_the_package_lists_and_binds_its_public_names():
         exec("from irrfib import *", names)
         print(*sorted(n for n in names if n[0] != "_"))
         print(*[n for n, v in names.items() if n[0] != "_"
-                and type(v) is not type(sys)
+                and not isinstance(v, type(sys))
                 and getattr(sys.modules[v.__module__], n, None) is not v])
         """)
     listed, bound, strays = out.split("\n")[:3]
     assert listed.split() == bound.split() == PUBLIC_NAMES
     assert strays == ""
+
+
+def test_the_package_binds_its_modules_without_running_them():
+    """A name lives only in its module: the star import binds the lazy
+    submodules, and neither it nor dir() runs one."""
+    out = _run("""if True:
+        import sys
+        from irrfib import *
+        import irrfib
+        dir(irrfib)
+        print(*sorted(n[7:] for n, m in sys.modules.items()
+                      if n.startswith("irrfib.") and type(m) is not type(sys)))
+        try:
+            irrfib.classify_pair
+        except AttributeError:
+            print("AttributeError")
+        """)
+    assert out.splitlines() == [" ".join(PUBLIC_NAMES), "AttributeError"]
 
 
 def test_the_readme_library_block_runs_as_its_comments_say():

@@ -7,10 +7,8 @@ from irrfib.invariants import (ExampleSurface, FibrationRecord,
                                NO_OBSTRUCTION, NOT_ISOTRIVIAL,
                                NOT_ISOTRIVIAL_IF_NOT_ISOGENOUS,
                                SurfaceInvariants, double_cover_fibre_genus,
-                               example_record,
-                               genus_bound_rank_one, isotrivial_examples,
-                               isotriviality_obstruction,
-                               nonisotrivial_examples, slope,
+                               example_record, genus_bound_rank_one,
+                               isotriviality_obstruction, slope,
                                unbounded_family)
 from irrfib.lattice import Rational
 from irrfib.record import encode
@@ -110,13 +108,11 @@ def test_unbounded_family():
 
 
 def test_isotrivial_database():
-    surfaces = {s.id: s for s in isotrivial_examples()}
-    assert set(surfaces) == {"pen-1", "pen-4", "pen-5", "pen-6"}
     # each record is built alone by id, and an unknown id is refused
-    checks = {}
-    for sid, s in surfaces.items():
-        record, checks[sid] = example_record(sid)
-        assert record == s
+    surfaces, checks = {}, {}
+    for sid in ("pen-1", "pen-4", "pen-5", "pen-6"):
+        surfaces[sid], checks[sid] = example_record(sid)
+        assert surfaces[sid].id == sid
     with pytest.raises(ValueError):
         example_record("pen-9")
     k2 = {sid: s.invariants.K2 for sid, s in surfaces.items()}
@@ -144,8 +140,9 @@ def test_isotrivial_database():
 
 
 def test_nonisotrivial_database():
-    surfaces = {s.id: s for s in nonisotrivial_examples()}
-    assert set(surfaces) == {"k26-d2", "k5-3", "k6-4"}
+    surfaces = {sid: example_record(sid)[0]
+                for sid in ("k26-d2", "k5-3", "k6-4")}
+    assert [s.id for s in surfaces.values()] == list(surfaces)
     deg = {sid: s.invariants.albanese_degree for sid, s in surfaces.items()}
     assert deg == {"k26-d2": 2, "k5-3": 3, "k6-4": 4}
     assert surfaces["k26-d2"].invariants.K2 == 6
@@ -164,7 +161,7 @@ def test_nonisotrivial_database():
 
 
 def test_example_surface_serialization():
-    s = nonisotrivial_examples()[0]
+    s, _ = example_record("k26-d2")
     doc = s.to_json()
     assert doc["id"] == "k26-d2"
     assert doc["invariants"]["K2"] == 6

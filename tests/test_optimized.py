@@ -1,7 +1,6 @@
 """Every cross-check runs as code, not as `assert`, so `python -O` keeps it."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from test_golden import CASES
+from test_record import child_env
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,11 +85,9 @@ def test_no_unused_imports_in_the_library():
 # table, so a cache that leaked between commands would not show there.
 @pytest.mark.parametrize("golden", sorted(CASES))
 def test_optimized_run_reports_the_same_checks(golden):
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "irrfib.cli", *CASES[golden], "--json"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=child_env(), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / ("%s.json" % golden)).read_text()
 
@@ -100,11 +98,9 @@ def test_optimized_run_reports_the_same_checks(golden):
 @pytest.mark.parametrize("seed", ["0", "4242"])
 @pytest.mark.parametrize("golden", ["appendix", "classify-sweep"])
 def test_output_does_not_depend_on_the_hash_seed(golden, seed):
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
-               PYTHONHASHSEED=seed)
     proc = subprocess.run(
         [sys.executable, "-m", "irrfib.cli", *CASES[golden], "--json"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed),
+        timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / ("%s.json" % golden)).read_text()

@@ -162,10 +162,15 @@ def test_constructor_arguments():
     assert repr(KernelCurve(1, 2)) == "KernelCurve(p=1, q=2)"
 
 
-def _run(code, data=b"", seed="0"):
+def child_env(**extra):
+    """The environment of a child process: this checkout's src first on
+    PYTHONPATH, then the inherited path."""
     path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
-               PYTHONHASHSEED=seed)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def _run(code, data=b"", seed="0"):
+    env = child_env(PYTHONHASHSEED=seed)
     # -S: no site hooks, so only irrfib's own imports are seen
     proc = subprocess.run([sys.executable, "-S", "-c", code], input=data,
                           env=env, capture_output=True, timeout=60)
