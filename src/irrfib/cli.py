@@ -97,7 +97,7 @@ def cmd_appendix(args):
     rep.check("new character table", expected_new,
               sorted(torus.display_name(c) for c in new))
 
-    kernel2, image2 = polarization.phi_two_torsion_data(s.form_A)
+    kernel2, image2 = torus.phi_two_torsion_data(s)
     rep.check("two-torsion image", torus.REFERENCE_IMAGE_NAMES,
               sorted(torus.display_name(c) for c in image2))
     # phi's kernel on 2-torsion is K(L): a second route to its points

@@ -163,10 +163,6 @@ class TorsionPoint(OnGrid, Record):
         return self.texts()
 
 
-def origin(lattice):
-    return TorsionPoint(lattice, 1, (0,) * lattice.rank)
-
-
 class SublatticeEmbedding(Record):
     """A finite-index sublattice: the matrix is square and nonsingular."""
     ambient: Lattice
@@ -229,10 +225,10 @@ def quotient_group(e):
     """ambient/sub as a group of torsion points of the torus of the sublattice.
 
     With U*E*V = D, the coset of ambient basis vector U^-1 e_i has order d_i
-    and sub-coordinates (column i of V)/d_i; the non-unit d_i are the
-    invariant factors.
+    and sub-coordinates (column i of V)/d_i, so U itself is never needed; the
+    non-unit d_i are the invariant factors.
     """
-    _, d, v = smith_normal_form(e.matrix)
+    d, v = smith_normal_form(e.matrix)
     pairs = sorted((di, tuple(x % di for x in col))
                    for di, col in zip(diagonal(d), transpose(v)) if di > 1)
     return FiniteAbelianGroup(

@@ -1,10 +1,10 @@
 """Exact integer matrix routines.
 
 Everything here is plain lists-of-lists (or tuples of tuples) over int; a
-routine copies its input or only reads it. The Smith normal form returns the
-transforms (U, D, V) with U*M*V = D, of which the quotient-group and kernel
-computations read D and V; the pivot rule is deterministic (smallest absolute
-value, ties row-major) so outputs are reproducible.
+routine copies its input or only reads it. The Smith normal form returns D
+and the column transform V, with U*M*V = D for some unimodular U that is not
+built, as no caller reads it; the pivot rule is deterministic (smallest
+absolute value, ties row-major) so outputs are reproducible.
 
 One elimination loop gives the divisibility chain too: a diagonal position is
 finished only when its pivot divides every entry of the block below and to
@@ -70,10 +70,9 @@ def _min_pivot(a, t, nr, nc):
     return best
 
 
-def _row_sub(a, u, dst, src, q):
+def _row_sub(a, dst, src, q):
     if q:
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
 
 def _col_sub(a, v, dst, src, q):
@@ -84,7 +83,7 @@ def _col_sub(a, v, dst, src, q):
             row[dst] -= q * row[src]
 
 
-def _clear_position(a, u, v, t, nr, nc):
+def _clear_position(a, v, t, nr, nc):
     """Euclid at diagonal position t until row t and column t are clean and
     the pivot divides the block below and to the right of it."""
     while True:
@@ -93,12 +92,11 @@ def _clear_position(a, u, v, t, nr, nc):
             return False
         i, j = piv  # swap it to (t, t)
         a[t], a[i] = a[i], a[t]
-        u[t], u[i] = u[i], u[t]
         for row in a + v:
             row[t], row[j] = row[j], row[t]
         p = a[t][t]
         for r in range(t + 1, nr):
-            _row_sub(a, u, r, t, a[r][t] // p)
+            _row_sub(a, r, t, a[r][t] // p)
         if any(a[r][t] for r in range(t + 1, nr)):
             continue  # a remainder survived; it is smaller, re-pick the pivot
         for c in range(t + 1, nc):
@@ -107,34 +105,32 @@ def _clear_position(a, u, v, t, nr, nc):
             continue
         for r in range(t + 1, nr):
             if any(a[r][c] % p for c in range(t + 1, nc)):
-                _row_sub(a, u, t, r, -1)  # row_t += row_r, then re-pivot
+                _row_sub(a, t, r, -1)  # row_t += row_r, then re-pivot
                 break
         else:
             return True
 
 
 def smith_normal_form(m):
-    """U, D, V with U*M*V = D diagonal, d_i >= 0 and d_i | d_{i+1}.
+    """D, V with U*M*V = D diagonal, d_i >= 0 and d_i | d_{i+1}.
 
-    U and V are unimodular. Total function: works for any integer matrix
-    including rectangular and zero ones.
+    V is unimodular, and so is the row transform U, which is not returned.
+    Total function: works for any integer matrix including rectangular and
+    zero ones.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     if any(len(row) != nc for row in m):
         raise ValueError("rows must have equal length")
     a = [list(map(index, row)) for row in m]
-    u = identity_matrix(nr)
     v = identity_matrix(nc)
     k = min(nr, nc)
     for t in range(k):
-        if not _clear_position(a, u, v, t, nr, nc):
+        if not _clear_position(a, v, t, nr, nc):
             break
     for i in range(k):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return u, a, v
+        a[i][i] = abs(a[i][i])
+    return a, v
 
 
 def diagonal(m):
@@ -147,7 +143,7 @@ def integer_kernel_basis(m):
     Columns of V at positions past the rank span ker(D), hence V maps them
     onto a (saturated) basis of ker(m).
     """
-    _, d, v = smith_normal_form(m)
+    d, v = smith_normal_form(m)
     nc = len(m[0]) if m else 0
     diag = diagonal(d)
     free = [j for j in range(nc) if j >= len(diag) or diag[j] == 0]

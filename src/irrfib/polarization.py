@@ -6,14 +6,13 @@ computed as the quotient of the dual lattice of the form by the lattice.
 """
 
 from itertools import product
+from math import gcd
 from operator import add, index
 
-from .characters import Character
 from .errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                      InvalidRank)
-from .lattice import Lattice, SublatticeEmbedding, TorsionPoint, quotient_group
-from .linalg import (determinant, diagonal, mat_mul, smith_normal_form,
-                     transpose)
+from .lattice import Lattice, SublatticeEmbedding, quotient_group
+from .linalg import determinant, mat_mul, transpose
 from .record import Record
 
 
@@ -56,16 +55,17 @@ def restrict_form(f, e):
 def polarization_type(f):
     """Elementary divisors (d1, d2) of a nondegenerate rank-4 skew form.
 
-    Each divisor appears twice in the Smith form of a skew matrix; they are
-    reported once, matching the usual (d1, d2) polarization convention.
+    Read off closed forms (Birkenhake-Lange, Complex Abelian Varieties): d1
+    is the gcd of the entries, and d1*d2 = |Pf|, as det = Pf^2.
     """
     if f.lattice.rank != 4:
         raise InvalidRank("polarization type is defined for rank 4")
-    if determinant(f.matrix) == 0:
+    (_, a01, a02, a03), (_, _, a12, a13), (_, _, _, a23), _ = f.matrix
+    pf = a01 * a23 - a02 * a13 + a03 * a12
+    if pf == 0:
         raise DegenerateForm("form is degenerate")
-    _, d, _ = smith_normal_form(f.matrix)
-    diag = diagonal(d)
-    return PolarizationType(diag[0], diag[2])
+    d1 = gcd(a01, a02, a03, a12, a13, a23)
+    return PolarizationType(d1, abs(pf) // d1)
 
 
 def kernel_K_L(f):
@@ -105,13 +105,3 @@ def phi_L_grid(f, n):
     for k, key in zip(product(range(n), repeat=rank), sums):
         fibres.setdefault(tuple([x % n for x in key]), []).append(k)
     return {key: tuple(ks) for key, ks in fibres.items()}
-
-
-def phi_two_torsion_data(f):
-    """(kernel, image) of phi_L on the 2-torsion points."""
-    if determinant(f.matrix) == 0:
-        raise DegenerateForm("form is degenerate")
-    lat = f.lattice
-    grid = phi_L_grid(f, 2)
-    return ({TorsionPoint(lat, 2, k) for k in grid[(0,) * lat.rank]},
-            {Character(lat, 2, key) for key in grid})

@@ -174,6 +174,15 @@ def rf_pair(singularity):
     return table[singularity]
 
 
+def phi_two_torsion_data(s):
+    """(kernel, image) of phi_L on the 2-torsion points: the surface's
+    2-torsion grid's fibre over the trivial character, and its keys."""
+    lat = s.embedding.sub
+    grid = _tables(s)[1][2]
+    return ({TorsionPoint(lat, 2, k) for k in grid[(0,) * lat.rank]},
+            {Character(lat, 2, key) for key in grid})
+
+
 def admissible_pairs(s):
     """(Qhalf^2, Qhalf) for the 63 nontrivial Qhalf realizable as phi_L(x)
     on 4-torsion, in value order: numerators over the one denominator 4 sort

@@ -23,12 +23,11 @@ from irrfib.invariants import (NOT_ISOTRIVIAL, example_record,
                                genus_bound_rank_one, isotriviality_obstruction,
                                slope, unbounded_family)
 from irrfib.lattice import Rational, sublattice_index
-from irrfib.polarization import (kernel_K_L, phi_two_torsion_data,
-                                 polarization_type)
+from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, build_reference_surface,
                           character_name, classification_sweep,
-                          reference_embedding, rf_pair)
+                          phi_two_torsion_data, reference_embedding, rf_pair)
 from pointwise import fractions_of
 
 HALF = Fraction(1, 2)
@@ -80,7 +79,7 @@ def test_criterion_03_restriction_kernel():
 @criterion(4, "image of phi on 2-torsion is the expected 4-character set")
 def test_criterion_04_two_torsion_image():
     s = build_reference_surface()
-    _, image = phi_two_torsion_data(s.form_A)
+    _, image = phi_two_torsion_data(s)
     assert {character_name(chi) for chi in image} == {
         "trivial", "chiA1", "chiA2*chiA5", "chiA3*chiA5"}
 

@@ -12,7 +12,7 @@ from irrfib.bundles import (BundleDecomposition, EllipticPoint,
                             pushforward_decomposition, twist, xiao_structure)
 from irrfib.errors import (ContradictsXiao, IncompatibleLattice, InvalidRank,
                            InvalidShape, InvalidTorsionList, NotApplicable)
-from irrfib.lattice import Lattice, Rational, origin
+from irrfib.lattice import Lattice, Rational, TorsionPoint
 from pointwise import fractions_of
 
 THIRD = Fraction(1, 3)
@@ -47,7 +47,7 @@ def test_point_arithmetic():
     with pytest.raises(TypeError):  # a free coefficient that is not an integer
         EllipticPoint(1, (0, 0), (("p", Fraction(1, 2)),))
     # a point of another lattice is refused, by both operators
-    other = origin(Lattice(2, ("a", "b")))
+    other = TorsionPoint(Lattice(2, ("a", "b")), 1, (0, 0))
     for combine in (operator.add, operator.sub):
         for q in (p, g):
             with pytest.raises(IncompatibleLattice):

@@ -1074,13 +1074,15 @@ def _traced_entry_points():
 
 
 # what the tracer wraps and the library no longer has: build_parser went
-# with argparse, the pointwise routes to tests/pointwise.py, and the two
-# checked classification routes into torus.classify_pair
+# with argparse, the pointwise routes to tests/pointwise.py, the two
+# checked classification routes into torus.classify_pair, and the 2-torsion
+# kernel and image to torus, which reads them off the surface's grid
 GONE_ENTRY_POINTS = [("irrfib.cli", "build_parser"),
                      ("irrfib.torus", "classify_origin_singularity_oracle"),
                      ("irrfib.torus", "translation_points_for_twist"),
                      ("irrfib.torus", "classify_origin_singularity"),
                      ("irrfib.polarization", "phi_L_on_point"),
+                     ("irrfib.polarization", "phi_two_torsion_data"),
                      ("irrfib.lattice", "torsion_subgroup"),
                      ("irrfib.invariants", "isotrivial_examples"),
                      ("irrfib.invariants", "nonisotrivial_examples")]
@@ -1104,6 +1106,24 @@ def test_the_tracer_finds_every_entry_point_after_importing_the_cli():
     out = _run("import irrfib.cli, sys; print([(m, n) for m, n in %r "
                "if getattr(sys.modules[m], n, None) is None])" % entries)
     assert out == "[]\n"
+
+
+def test_the_appendix_builds_each_phi_L_grid_once():
+    """appendix reads phi_L on 2- and 4-torsion off the surface's tables:
+    in a fresh process, each grid is built once, through either alias."""
+    out = _run("""if True:
+        import contextlib, io, irrfib.cli
+        import irrfib.polarization as p, irrfib.torus as t
+        grid, built = p.phi_L_grid, []
+        assert t.phi_L_grid is grid
+        def counted(f, n):
+            built.append(n)
+            return grid(f, n)
+        p.phi_L_grid = t.phi_L_grid = counted
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = irrfib.cli.main(["appendix", "--json"])
+        print(code, built)""")
+    assert out == "0 [2, 4]\n"
 
 
 # the public names of the package, its submodules but `cli`: what

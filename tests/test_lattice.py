@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from operator import mul
 
 import pytest
@@ -7,10 +9,11 @@ import pytest
 from irrfib.characters import Character
 from irrfib.errors import DegenerateEmbedding, IncompatibleLattice
 from irrfib.lattice import (FiniteAbelianGroup, Lattice, Rational,
-                            SublatticeEmbedding, TorsionPoint, origin,
-                            parse_rational, quotient_group, sublattice_index)
-from irrfib.linalg import (determinant, identity_matrix, integer_kernel_basis,
-                           mat_mul, smith_normal_form)
+                            SublatticeEmbedding, TorsionPoint, parse_rational,
+                            quotient_group, sublattice_index)
+from irrfib.linalg import (determinant, diagonal, identity_matrix,
+                           integer_kernel_basis, mat_mul, smith_normal_form,
+                           transpose)
 from irrfib.torus import (reference_embedding, reference_lattice_a,
                           reference_lattice_b)
 from pointwise import fractions_of
@@ -46,27 +49,37 @@ UNCHAINED = ([[2, 3, -4, -3], [-2, -4, 4, 3], [0, 0, 4, 0], [2, -1, 4, -4]],
              [[-12, -6, -12, 0], [-7, 0, 6, -7], [11, 0, -9, 8]])
 
 
+def assert_smith_form(m, d, v):
+    """U*M*V = D for some unimodular U, checked without U.
+
+    With W = U^-1, M*V = W*D: the columns of M*V past the rank r are 0, and
+    column j < r is d_j times column j of W. Those r columns extend to a
+    unimodular matrix, U^-1, exactly when their r x r minors have gcd 1 (for
+    a square nonsingular M, |det W| = 1). D is diagonal, a nonnegative divisibility
+    chain, and |det V| = 1.
+    """
+    nr, nc = len(m), len(m[0])
+    assert len(d) == nr and all(len(row) == nc for row in d)
+    assert all(d[i][j] == 0 for i in range(nr) for j in range(nc) if i != j)
+    diag = diagonal(d)
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    r = sum(1 for x in diag if x)
+    cols = transpose(mat_mul(m, v))
+    assert not any(x for col in cols[r:] for x in col)
+    assert all(x % diag[j] == 0 for j in range(r) for x in cols[j])
+    w = transpose([[x // diag[j] for x in cols[j]] for j in range(r)])
+    assert gcd(*(determinant([w[i] for i in rows])
+                 for rows in combinations(range(len(w)), r))) == 1
+    assert abs(determinant(v)) == 1
+
+
 def test_smith_normal_form_random_properties():
     rng = random.Random(20260814)
     randoms = [_random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
                for _ in range(80)]
     for m in [*UNCHAINED, *randoms]:
-        nr, nc = len(m), len(m[0])
-        u, d, v = smith_normal_form(m)
-        assert mat_mul(mat_mul(u, m), v) == d
-        for i in range(nr):
-            for j in range(nc):
-                if i != j:
-                    assert d[i][j] == 0
-        diag = [d[i][i] for i in range(min(nr, nc))]
-        assert all(x >= 0 for x in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
+        assert_smith_form(m, *smith_normal_form(m))
 
 
 def test_smith_normal_form_and_determinant_against_sympy():
@@ -84,7 +97,7 @@ def test_smith_normal_form_and_determinant_against_sympy():
                         _random_matrix(rng, r, nc, 4))
         else:
             m = _random_matrix(rng, nr, nc)
-        _, d, _ = smith_normal_form(m)
+        d, _ = smith_normal_form(m)
         expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
         assert ([d[i][i] for i in range(min(nr, nc))]
                 == [abs(expected[i, i]) for i in range(min(nr, nc))]), m
@@ -105,7 +118,7 @@ def test_ragged_matrices_rejected():
 
 
 def test_one_row_and_empty_matrices():
-    assert smith_normal_form([[2, 4]]) == ([[1]], [[2, 0]], [[1, -2], [0, 1]])
+    assert smith_normal_form([[2, 4]]) == ([[2, 0]], [[1, -2], [0, 1]])
     assert integer_kernel_basis([[1, 2]]) == [[-2, 1]]
     assert integer_kernel_basis([[2, 4, 6]]) == [[-2, 1, 0], [-3, 0, 1]]
     assert determinant([]) == 1
@@ -115,7 +128,7 @@ def test_one_row_and_empty_matrices():
 
 def test_smith_normal_form_reference_embedding():
     e = reference_embedding()
-    _, d, _ = smith_normal_form(e.matrix)
+    d, _ = smith_normal_form(e.matrix)
     assert [d[i][i] for i in range(4)] == [1, 1, 1, 2]
 
 
@@ -129,7 +142,7 @@ def test_integer_kernel_basis_random():
         for vec in kern:
             assert all(sum(row[j] * vec[j] for j in range(nc)) == 0
                        for row in m)
-        _, d, _ = smith_normal_form(m)
+        d, _ = smith_normal_form(m)
         rank = sum(1 for i in range(min(nr, nc)) if d[i][i] != 0)
         assert len(kern) == nc - rank
 
@@ -238,7 +251,7 @@ def test_quotient_group_trivial_for_unimodular():
                              (0, 0, 1, 0), (0, 0, 0, 1)))
     g = quotient_group(e)
     assert g.order() == 1
-    assert g.elements() == [origin(e.sub)]
+    assert g.elements() == [TorsionPoint(e.sub, 1, (0,) * 4)]
 
 
 def _random_embedding(rng, n):
@@ -272,7 +285,7 @@ def test_quotient_group_elements_lie_in_the_ambient_lattice():
         assert g.order() == sublattice_index(e), m
         elems = g.elements()
         assert len(elems) == g.order(), m
-        assert elems[0] == origin(e.sub), m
+        assert elems[0] == TorsionPoint(e.sub, 1, (0,) * n), m
         for x in elems:
             assert all(sum(map(mul, row, x.nums)) % x.n == 0 for row in m), m
 
@@ -280,12 +293,12 @@ def test_quotient_group_elements_lie_in_the_ambient_lattice():
 def test_finite_abelian_group_validation():
     lat = reference_lattice_a()
     half = TorsionPoint(lat, 2, (1, 0, 0, 0))
-    assert FiniteAbelianGroup(lat, (2,), (half,)).elements() == [
-        origin(lat), half]
+    zero = TorsionPoint(lat, 1, (0,) * 4)
+    assert FiniteAbelianGroup(lat, (2,), (half,)).elements() == [zero, half]
     with pytest.raises(ValueError):
         FiniteAbelianGroup(lat, (2, 2), (half,))  # generator count mismatch
     with pytest.raises(ValueError):
-        FiniteAbelianGroup(lat, (1,), (origin(lat),))  # factor < 2
+        FiniteAbelianGroup(lat, (1,), (zero,))  # factor < 2
     with pytest.raises(ValueError):
         FiniteAbelianGroup(lat, (4,), (half,))  # order mismatch
     with pytest.raises(IncompatibleLattice):  # a generator on another lattice

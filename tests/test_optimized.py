@@ -51,27 +51,33 @@ def _defined_names(node):
     return []
 
 
+def _exported(tree):
+    """The names a module lists in its __all__."""
+    return {elt.value for node in tree.body
+            if "__all__" in _defined_names(node) for elt in node.value.elts}
+
+
 def test_no_unused_imports_in_the_library():
-    """A name a module imports is read somewhere in that module, and a
-    private name a module defines at its top level is read somewhere in the
-    library: what a deletion leaves behind is found here. __init__.py
-    imports to export."""
+    """A name a module imports is read as a name in that module, not only
+    as some object's attribute, or listed in its __all__; and a private
+    name a module defines at its top level is read somewhere in the
+    library: what a deletion leaves behind is found here."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((SRC / "irrfib").glob("*.py"))}
-    reads = {name: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
-                    and isinstance(n.ctx, ast.Load)}
-                   | {n.attr for n in ast.walk(tree)
-                      if isinstance(n, ast.Attribute)}
+    names = {name: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)} | _exported(tree)
              for name, tree in trees.items()}
     found = [
         "%s:%d %s" % (name, node.lineno, imported)
-        for name, tree in trees.items() if name != "__init__.py"
+        for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         for imported in [(alias.asname or alias.name).partition(".")[0]]
-        if imported not in reads[name]]
-    read_anywhere = set().union(*reads.values())
+        if imported not in names[name]]
+    read_anywhere = set().union(*names.values(), *(
+        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for tree in trees.values()))
     found += [
         "%s:%d %s" % (name, node.lineno, defined)
         for name, tree in trees.items() for node in tree.body

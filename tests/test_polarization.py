@@ -7,9 +7,10 @@ from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                            InvalidRank)
 from irrfib.lattice import Lattice, TorsionPoint
 from irrfib.polarization import (AlternatingForm, PolarizationType,
-                                 kernel_K_L, phi_L_grid, phi_two_torsion_data,
-                                 polarization_type, restrict_form)
-from irrfib.torus import (reference_embedding, reference_form_b,
+                                 kernel_K_L, phi_L_grid, polarization_type,
+                                 restrict_form)
+from irrfib.torus import (build_reference_surface, phi_two_torsion_data,
+                          reference_embedding, reference_form_b,
                           reference_lattice_a)
 from pointwise import fractions_of, phi_L, torsion_points
 from test_torus import BASIS_SEEDS, moved_surface
@@ -95,8 +96,6 @@ def test_degenerate_form_rejected():
         polarization_type(zero)
     with pytest.raises(DegenerateForm):
         kernel_K_L(zero)
-    with pytest.raises(DegenerateForm):
-        phi_two_torsion_data(zero)
 
 
 def test_phi_L_values():
@@ -139,7 +138,7 @@ def test_kernel_group_of_principal_form():
 
 
 def test_two_torsion_kernel_and_image():
-    kernel, image = phi_two_torsion_data(_restricted_form())
+    kernel, image = phi_two_torsion_data(build_reference_surface())
     assert {fractions_of(p) for p in kernel} == KERNEL_COORDS
     assert {fractions_of(chi) for chi in image} == IMAGE_VALUES
     # kernel size * image size = number of 2-torsion points

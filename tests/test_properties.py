@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 from irrfib.characters import Character
 from irrfib.lattice import Lattice, Rational, TorsionPoint, parse_rational
 from irrfib.linalg import determinant, diagonal, mat_mul, smith_normal_form
-from irrfib.polarization import (AlternatingForm, kernel_K_L, phi_L_grid,
-                                 polarization_type)
+from irrfib.polarization import (AlternatingForm, PolarizationType,
+                                 kernel_K_L, phi_L_grid, polarization_type)
 from irrfib.report import canonical_json
 from pointwise import fractions_of
-from test_lattice import UNCHAINED
+from test_lattice import UNCHAINED, assert_smith_form
 from test_polarization import assert_grid_matches_pointwise
 
 LATTICE = Lattice(4, ("e1", "e2", "e3", "e4"))
@@ -78,31 +78,29 @@ def unimodular(draw):
 @example(UNCHAINED[0])
 @example(UNCHAINED[1])
 def test_smith_normal_form_properties(m):
-    u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
-    assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
-    assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0]))
-               if i != j)
-    diag = diagonal(d)
-    assert all(x >= 0 for x in diag)
-    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    assert_smith_form(m, *smith_normal_form(m))
 
 
 @bounded
 @given(nondegenerate_forms)
 def test_smith_form_of_a_skew_form_pairs_its_divisors(m):
-    """polarization_type reads d1 and d2 off the diagonal unchecked: the
-    Smith form of an alternating matrix repeats each divisor once."""
-    u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
+    """The Smith form of an alternating matrix repeats each divisor once,
+    and its pairs are the type polarization_type reads off the gcd and the
+    Pfaffian: a second route to d1 and d2."""
+    d, v = smith_normal_form(m)
+    assert_smith_form(m, d, v)
     diag = diagonal(d)
     assert diag[0] == diag[1] and diag[2] == diag[3]
     assert diag[0] * diag[2] > 0
+    assert (polarization_type(AlternatingForm(LATTICE, m))
+            == PolarizationType(diag[0], diag[2]))
 
 
 @bounded
 @given(nondegenerate_forms)
 def test_kernel_order_is_the_determinant(m):
+    """|K(L)| by three routes: K(L)'s Smith form, the Bareiss determinant,
+    and the square of the Pfaffian, d1*d2, that polarization_type reads."""
     f = AlternatingForm(LATTICE, m)
     t = polarization_type(f)
     assert kernel_K_L(f).order() == determinant(m) == (t.d1 * t.d2) ** 2

@@ -14,7 +14,7 @@ from irrfib.errors import IncompatibleLattice, InvalidTwist
 from irrfib.lattice import Lattice, SublatticeEmbedding, TorsionPoint
 from irrfib.linalg import determinant, mat_mul, transpose
 from irrfib.polarization import (PolarizationType, kernel_K_L, phi_L_grid,
-                                 phi_two_torsion_data, polarization_type)
+                                 polarization_type)
 from irrfib.torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
                           SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, SpecialAbelianSurface,
@@ -22,9 +22,9 @@ from irrfib.torus import (REFERENCE_MODULI_ROWS, REFERENCE_VERDICT_COUNTS,
                           admissible_pairs, build_reference_surface,
                           character_name, classification_report,
                           classification_sweep, classify_pair, display_name,
-                          parse_character, reference_embedding,
-                          reference_form_b, reference_lattice_a,
-                          reference_lattice_b, rf_pair)
+                          parse_character, phi_two_torsion_data,
+                          reference_embedding, reference_form_b,
+                          reference_lattice_a, reference_lattice_b, rf_pair)
 from pointwise import (cases, fibre, fractions_of, half_periods, phi_L, psi,
                        torsion_points)
 
@@ -174,10 +174,10 @@ def test_translation_sets(surface):
 
 
 def test_returned_sets_are_fresh(surface):
-    kernel, image = phi_two_torsion_data(surface.form_A)
+    kernel, image = phi_two_torsion_data(surface)
     kernel.clear()
     image.add(_chi("chiA1") * _chi("chiA5"))
-    assert phi_two_torsion_data(surface.form_A) == (
+    assert phi_two_torsion_data(surface) == (
         set(kernel_K_L(surface.form_A).elements()),
         {_chi(name) for name in ("trivial", "chiA1", "chiA2*chiA5",
                                  "chiA3*chiA5")})
@@ -403,7 +403,7 @@ def test_the_squares_are_phis_image_on_two_torsion():
                 + [index_two_surface(a) for a in INDEX_TWO])
     for s in surfaces:
         squares = {Q for Q, _ in admissible_pairs(s)}
-        assert squares == phi_two_torsion_data(s.form_A)[1], s.embedding
+        assert squares == phi_two_torsion_data(s)[1], s.embedding
         assert len(squares) == 4
 
 
@@ -466,7 +466,7 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     assert list(phi_L_grid(f, 4).items()) \
         == [(key, tuple(ks)) for key, ks in grid.items()]
     two = [(x, phi_L(f, x)) for x in torsion_points(lat, 2)]
-    assert phi_two_torsion_data(f) == ({x for x, chi in two if chi.is_trivial},
+    assert phi_two_torsion_data(s) == ({x for x, chi in two if chi.is_trivial},
                                        {chi for _, chi in two})
     sweep = classification_sweep(s)
     assert list(sweep.rows) == [classify_pair(s, Q, Qhalf)
