@@ -41,12 +41,22 @@ def trivial_character(lattice):
     return Character(lattice, 1, (0,) * lattice.rank)
 
 
-def torsion_characters(lattice, n):
-    """All characters killed by n, in lexicographic value order."""
+def _grid(lattice, n):
+    """The numerators of every n-torsion character, in lexicographic order."""
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
-    return [Character(lattice, n, k)
-            for k in product(range(n), repeat=lattice.rank)]
+    return product(range(n), repeat=lattice.rank)
+
+
+def torsion_characters(lattice, n):
+    """All characters killed by n, in lexicographic value order."""
+    return [Character(lattice, n, k) for k in _grid(lattice, n)]
+
+
+def _pull_back(e, nums):
+    """Numerator j of the restriction: the integer combination of the
+    ambient numerators nums given by column j of the embedding matrix."""
+    return tuple([sum(map(mul, col, nums)) for col in zip(*e.matrix)])
 
 
 def restrict_character(chi, e):
@@ -57,14 +67,21 @@ def restrict_character(chi, e):
     """
     if chi.lattice != e.ambient:
         raise IncompatibleLattice("character does not live on the ambient lattice")
-    return Character(e.sub, chi.n, tuple(sum(map(mul, col, chi.nums))
-                                         for col in zip(*e.matrix)))
+    return Character(e.sub, chi.n, _pull_back(e, chi.nums))
+
+
+def _restrictions(e, n):
+    """The numerators of every n-torsion ambient character, each with its
+    restriction's numerators over n: restrict_character on bare
+    numerators, so only the characters a caller keeps are built."""
+    return [(k, tuple([x % n for x in _pull_back(e, k)]))
+            for k in _grid(e.ambient, n)]
 
 
 def kernel_of_restriction(e, n):
     """All n-torsion ambient characters restricting to the trivial character."""
-    return {chi for chi in torsion_characters(e.ambient, n)
-            if restrict_character(chi, e).is_trivial}
+    return {Character(e.ambient, n, k)
+            for k, restricted in _restrictions(e, n) if not any(restricted)}
 
 
 def two_torsion_character_tables(e):
@@ -75,7 +92,8 @@ def two_torsion_character_tables(e):
     """
     if sublattice_index(e) != 2:
         raise UnsupportedIndex("the table partition is defined for index 2")
-    extendable = {restrict_character(chi, e)
-                  for chi in torsion_characters(e.ambient, 2)}
-    new = {chi for chi in torsion_characters(e.sub, 2) if chi not in extendable}
+    image = {restricted for _, restricted in _restrictions(e, 2)}
+    extendable = {Character(e.sub, 2, k) for k in image}
+    new = {chi for chi in torsion_characters(e.sub, 2)
+           if chi.nums_over(2) not in image}
     return extendable, new

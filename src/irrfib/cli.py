@@ -524,9 +524,13 @@ def main(argv=None):
 
 
 def run():
-    """Entry of a command's process: main(), then gc.freeze(), so that the
-    collections at shutdown skip a heap the OS frees anyway. main(argv)
-    never freezes: in a long-lived process it would pin the heap."""
+    """Entry of a command's process: gc.disable(), main(), then gc.freeze().
+    A command keeps nearly all it allocates until it ends, so the cyclic
+    collections its allocations would trigger free next to nothing, and
+    those at shutdown skip a heap the OS frees anyway. main(argv) neither
+    disables nor freezes: in a long-lived process cycles would pile up and
+    the heap would be pinned."""
+    gc.disable()
     status = main()
     gc.freeze()
     return status

@@ -97,10 +97,10 @@ class OnGrid:
         if n < 1 or len(self.nums) != rank:
             raise ValueError("%s needs an order n >= 1 and %d numerators" % (
                 type(self).__name__, rank))
-        nums = tuple(k % n for k in self.nums)
+        nums = tuple([k % n for k in self.nums])
         g = gcd(n, *nums)
         if g > 1:
-            n, nums = n // g, tuple(k // g for k in nums)
+            n, nums = n // g, tuple([k // g for k in nums])
         self.__dict__.update(n=n, nums=nums)
 
     def texts(self):
@@ -112,7 +112,9 @@ class OnGrid:
 
     def nums_over(self, big):
         """The numerators over the denominator big, a multiple of n."""
-        return tuple(k * (big // self.n) for k in self.nums)
+        factor = big // self.n
+        return self.nums if factor == 1 else tuple([k * factor
+                                                    for k in self.nums])
 
     def order(self):
         return self.n

@@ -14,7 +14,7 @@ nonzero remainder smaller than the pivot. A remainder is always re-pivoted
 on, so |pivot| falls at least every second pass, and the loop ends.
 """
 
-from operator import index
+from operator import index, mul
 
 
 def identity_matrix(n):
@@ -28,11 +28,11 @@ def transpose(m):
 def mat_mul(a, b):
     if not a or not b:
         return []
-    n, k, p = len(a), len(b), len(b[0])
+    k = len(b)
     if any(len(row) != k for row in a):
         raise ValueError("inner dimensions differ")
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(p)]
-            for i in range(n)]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 def determinant(m):

@@ -7,12 +7,12 @@ computed as the quotient of the dual lattice of the form by the lattice.
 
 from itertools import product
 from math import gcd
-from operator import add, index
+from operator import index
 
 from .errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                      InvalidRank)
 from .lattice import Lattice, SublatticeEmbedding, quotient_group
-from .linalg import determinant, mat_mul, transpose
+from .linalg import mat_mul, transpose
 from .record import Record
 
 
@@ -75,11 +75,13 @@ def kernel_K_L(f):
     has matrix f^T in the basis dual to f, so the quotient machinery applies
     directly and the generators come back in lattice coordinates.
     """
-    if determinant(f.matrix) == 0:
-        raise DegenerateForm("form is degenerate")
     dual = Lattice(f.lattice.rank,
                    tuple(label + "*" for label in f.lattice.basis_labels))
-    e = SublatticeEmbedding(dual, f.lattice, tuple(zip(*f.matrix)))
+    try:
+        # the embedding's determinant check, det f^T = det f, is the one
+        e = SublatticeEmbedding(dual, f.lattice, tuple(zip(*f.matrix)))
+    except ValueError:  # f is square, so only its rank can be refused
+        raise DegenerateForm("form is degenerate") from None
     return quotient_group(e)
 
 
@@ -95,13 +97,17 @@ def phi_L_grid(f, n):
     """
     if n < 1:
         raise InvalidOrder("torsion order must be a positive integer")
-    rank = f.lattice.rank
-    # M*k for every k in lexicographic order, a column multiple at a time
-    sums = [(0,) * rank]
-    for column in zip(*f.matrix):
-        multiples = [tuple(v * c % n for c in column) for v in range(n)]
-        sums = [tuple(map(add, s, m)) for s in sums for m in multiples]
+    # row i of M dotted with every k in lexicographic order, one k_j at a
+    # time: a key is then a tuple that zip assembles, not one built per point
+    numerators = []
+    for row in f.matrix:
+        sums = [0]
+        for m in row:
+            multiples = [m * v for v in range(n)]
+            sums = [s + x for s in sums for x in multiples]
+        numerators.append([s % n for s in sums])
     fibres = {}
-    for k, key in zip(product(range(n), repeat=rank), sums):
-        fibres.setdefault(tuple([x % n for x in key]), []).append(k)
+    for k, key in zip(product(range(n), repeat=f.lattice.rank),
+                      zip(*numerators)):
+        fibres.setdefault(key, []).append(k)
     return {key: tuple(ks) for key, ks in fibres.items()}

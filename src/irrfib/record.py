@@ -6,9 +6,14 @@ subclass is created, and all subclasses share one constructor (which ends
 by calling the __post_init__ hook), equality and hashing over the fields,
 and repr. A record refuses assignment and deletion, and keeps its
 hash once computed: the generic methods are slower than generated ones, and
-the kept hash more than pays for that. dataclasses generates them instead,
-compiling code for every class and importing inspect, which was about half
-the cost of `import irrfib.cli`.
+the kept hash more than pays for that. Two shortcuts keep them cheap where
+the library spends them: a call that gives every field positionally, as
+the library's own calls do, stores the fields straight from the arguments
+(and still ends in __post_init__), and a record equals itself without a
+field comparison, which every lookup of a surface's weakly held tables
+makes. dataclasses generates the methods instead, compiling code for every
+class and importing inspect, which was about half the cost of
+`import irrfib.cli`.
 
 The JSON form of a value is written here once. encode() turns it into plain
 JSON types, rationals as "p/q" strings, and a record's to_json() is the dict
@@ -23,16 +28,22 @@ dicts with str keys, which is all report.canonical_json has to write.
 from operator import attrgetter
 
 
+# the values that encode to themselves; in a container, one is kept
+# without a call, as most items of a report are
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def encode(value):
     """Recursively convert to plain JSON types, rationals as strings."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
+        return {str(k): v if type(v) in _SCALARS else encode(v)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in _SCALARS else encode(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted((encode(v) for v in value), key=repr)
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
     if hasattr(value, "to_json"):
         return value.to_json()
     raise TypeError("cannot encode %r" % type(value))
@@ -55,6 +66,11 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
+        if not kwargs and len(args) == len(names):
+            # every field given in order, as the library builds records
+            self.__dict__.update(zip(names, args))
+            self.__post_init__()
+            return
         if len(args) > len(names) or (
                 kwargs and not kwargs.keys() <= set(names[len(args):])):
             raise TypeError("%s() got unexpected arguments"
@@ -82,6 +98,8 @@ class Record:
                                 % (name, type(self).__name__))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         key = self._key

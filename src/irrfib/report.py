@@ -84,7 +84,9 @@ class Check(Record):
         return encode(self.expected) == encode(self.actual)
 
     def to_json(self):
-        return {**super().to_json(), "pass": self.passed}
+        doc = super().to_json()
+        doc["pass"] = doc["expected"] == doc["actual"]  # self.passed
+        return doc
 
 
 class Report:

@@ -39,12 +39,18 @@ class SpecialAbelianSurface(Record):
         return _tables(self)[0]
 
 
+# one instance each: a record never changes, and the character-name tables
+# below key on them, so a lookup meets the very object it is asked for
+_LATTICE_B = Lattice(4, ("lambda1", "lambda2", "mu1", "mu2"))
+_LATTICE_A = Lattice(4, ("lambda1", "lambda1+lambda2", "mu1-mu2", "2mu2"))
+
+
 def reference_lattice_b():
-    return Lattice(4, ("lambda1", "lambda2", "mu1", "mu2"))
+    return _LATTICE_B
 
 
 def reference_lattice_a():
-    return Lattice(4, ("lambda1", "lambda1+lambda2", "mu1-mu2", "2mu2"))
+    return _LATTICE_A
 
 
 def reference_embedding():
@@ -115,15 +121,16 @@ def _check_pair(s, Q, Qhalf):
         raise InvalidTwist("Q must be in the image of phi on 2-torsion")
     # Qhalf^2 = Q: over Qhalf's order n, twice its numerators are Q's mod n
     n = Qhalf.n
-    if n % Q.n or any((2 * k - j) % n
-                      for k, j in zip(Qhalf.nums, Q.nums_over(n))):
+    if n % Q.n or tuple([2 * k % n for k in Qhalf.nums]) != Q.nums_over(n):
         raise InvalidTwist("Qhalf must be a square root of Q")
     if Q.is_trivial and Qhalf.is_trivial:
         raise InvalidTwist("the trivial pair is excluded")
 
 
 def _trivial_on(chi, gens):
-    return all(sum(map(mul, gen, chi.nums)) % chi.n == 0 for gen in gens)
+    n, (c0, c1, c2, c3) = chi.n, chi.nums
+    return all([(g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3) % n == 0
+                for g0, g1, g2, g3 in gens])
 
 
 # a verdict counts the factors over which the translated member through 0
@@ -138,7 +145,7 @@ def _closed_form(s, Qhalf):
     Qhalf is trivial on the periods of the subtorus over the first factor,
     and symmetrically.
     """
-    return _VERDICTS[sum(_trivial_on(Qhalf, gens) for gens in _tables(s)[2])]
+    return _VERDICTS[sum([_trivial_on(Qhalf, gens) for gens in _tables(s)[2]])]
 
 
 def _sides(s, ks):
@@ -146,15 +153,20 @@ def _sides(s, ks):
     component over the second factor (cases 1 and 2), and over the first
     (cases 3 and 4), at psi(x).
 
-    psi(x) has the numerators b = E*k mod 4 (E the embedding matrix) in the
-    ambient basis (lambda1, lambda2, mu1, mu2). Factor i has the periods
-    lambda_i = tau_i and mu_i = 1, so its coordinate is the pair
-    (b[i - 1], b[i + 1]); a side is hit when that is 0 or its half-period.
+    psi(x) has the numerators E*k mod 4 (E the embedding matrix) in the
+    ambient basis (lambda1, lambda2, mu1, mu2), one row of E each. Factor i
+    has the periods lambda_i = tau_i and mu_i = 1, so its coordinate is the
+    pair (lambda_i, mu_i); a side is hit when that is 0 or its half-period.
     """
-    halves, rows = _tables(s)[3], s.embedding.matrix
-    for k in ks:
-        b = [sum(map(mul, row, k)) % 4 for row in rows]
-        yield tuple((b[i], b[i + 2]) in ((0, 0), halves[i]) for i in (1, 0))
+    half1, half2 = _tables(s)[3]
+    first, second = ((0, 0), half1), ((0, 0), half2)
+    (l10, l11, l12, l13), (l20, l21, l22, l23), \
+        (m10, m11, m12, m13), (m20, m21, m22, m23) = s.embedding.matrix
+    for k0, k1, k2, k3 in ks:
+        yield (((l20 * k0 + l21 * k1 + l22 * k2 + l23 * k3) % 4,
+                (m20 * k0 + m21 * k1 + m22 * k2 + m23 * k3) % 4) in second,
+               ((l10 * k0 + l11 * k1 + l12 * k2 + l13 * k3) % 4,
+                (m10 * k0 + m11 * k1 + m12 * k2 + m13 * k3) % 4) in first)
 
 
 def _oracle(s, Qhalf):
@@ -166,12 +178,14 @@ def _oracle(s, Qhalf):
     return _VERDICTS[max(map(sum, _sides(s, fibre)), default=0)]
 
 
-def rf_pair(singularity):
-    """Atiyah ranks {r(f1), r(f2)} of the two induced fibrations."""
-    table = {SINGULARITY_NONE: (2, 2),
+_RF_PAIRS = {SINGULARITY_NONE: (2, 2),
              SINGULARITY_NODE: (1, 1),
              SINGULARITY_SMOOTH: (1, 2)}
-    return table[singularity]
+
+
+def rf_pair(singularity):
+    """Atiyah ranks {r(f1), r(f2)} of the two induced fibrations."""
+    return _RF_PAIRS[singularity]
 
 
 def phi_two_torsion_data(s):
@@ -187,10 +201,13 @@ def admissible_pairs(s):
     """(Qhalf^2, Qhalf) for the 63 nontrivial Qhalf realizable as phi_L(x)
     on 4-torsion, in value order: numerators over the one denominator 4 sort
     alike. A grid key is Qhalf's numerators over 4, so twice it is the
-    square's."""
+    square's, and that over 2 is the key mod 2: a key of the 2-torsion grid,
+    as Qhalf^2 = phi_L(2x). The 63 pairs share those 4 squares."""
     lat = s.embedding.sub
-    return [(Character(lat, 4, [2 * k for k in key]), Character(lat, 4, key))
-            for key in sorted(_tables(s)[1][4]) if any(key)]
+    grids = _tables(s)[1]
+    squares = {key: Character(lat, 2, key) for key in grids[2]}
+    return [(squares[tuple([k % 2 for k in key])], Character(lat, 4, key))
+            for key in sorted(grids[4]) if any(key)]
 
 
 # The paper's tables for the reference surface, checked by `irrfib appendix`
@@ -314,9 +331,8 @@ _TABLES = {reference_lattice_a(): (_A_TABLE, A_CHARACTER_NAMES),
 
 def character_name(chi):
     """Table name of a 2-torsion character on a reference lattice, if any."""
-    if chi.is_two_torsion and chi.lattice in _TABLES:
-        return _TABLES[chi.lattice][1].get(chi.nums)
-    return None
+    tables = _TABLES.get(chi.lattice) if chi.is_two_torsion else None
+    return tables and tables[1].get(chi.nums)
 
 
 def display_name(chi):

@@ -845,12 +845,16 @@ STATUS_ARGV = {
 
 @pytest.mark.parametrize("status", sorted(STATUS_ARGV))
 def test_run_is_main_then_one_freeze(capsys, monkeypatch, status):
-    # the recorder stands in for gc.freeze: this process is never frozen
-    freezes = []
-    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+    # recorders stand in for gc.disable and gc.freeze: this process keeps
+    # its collector on and is never frozen
+    calls, main = [], cli.main
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main",
+                        lambda: calls.append("main") or main())
     monkeypatch.setattr(sys, "argv", ["irrfib", *STATUS_ARGV[status]])
     assert cli.run() == status
-    assert len(freezes) == 1
+    assert calls == ["disable", "main", "freeze"]
     printed = capsys.readouterr()
     assert run(capsys, *STATUS_ARGV[status]) == (status, *printed)
 
@@ -861,6 +865,18 @@ def test_main_never_freezes(capsys):
         main(list(argv))
     capsys.readouterr()
     assert gc.get_freeze_count() == before
+
+
+def test_a_command_runs_no_cyclic_collection():
+    """Inside run(), with the collector off, a command's allocations
+    trigger no collection; the hook counts from after the import."""
+    code = ("import gc, io, sys, irrfib.cli; starts = []; "
+            "gc.callbacks.append(lambda phase, info: starts.append(phase)); "
+            "sys.argv = ['irrfib', 'appendix', '--json']; "
+            "out, sys.stdout = sys.stdout, io.StringIO(); "
+            "status = irrfib.cli.run(); sys.stdout = out; "
+            "print(status, starts.count('start'))")
+    assert _run(code) == "0 0\n"
 
 
 def test_the_console_script_enters_through_run():

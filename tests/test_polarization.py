@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import irrfib.lattice
+import irrfib.polarization
+from irrfib import linalg
 from irrfib.errors import (DegenerateForm, IncompatibleLattice, InvalidOrder,
                            InvalidRank)
 from irrfib.lattice import Lattice, TorsionPoint
+from irrfib.linalg import determinant
 from irrfib.polarization import (AlternatingForm, PolarizationType,
                                  kernel_K_L, phi_L_grid, polarization_type,
                                  restrict_form)
@@ -92,10 +96,28 @@ def test_polarization_type_rank_guard():
 def test_degenerate_form_rejected():
     lat = reference_lattice_a()
     zero = AlternatingForm(lat, tuple((0,) * 4 for _ in range(4)))
-    with pytest.raises(DegenerateForm):
-        polarization_type(zero)
-    with pytest.raises(DegenerateForm):
-        kernel_K_L(zero)
+    # nonzero, but Pf = 1*1 - 1*1 + 0 = 0
+    flat = AlternatingForm(lat, ((0, 1, 1, 0), (-1, 0, 0, 1),
+                                 (-1, 0, 0, 1), (0, -1, -1, 0)))
+    for f in (zero, flat):
+        with pytest.raises(DegenerateForm):
+            polarization_type(f)
+        with pytest.raises(DegenerateForm):
+            kernel_K_L(f)
+
+
+def test_kernel_runs_one_determinant(monkeypatch):
+    """K(L)'s degeneracy refusal is its embedding's determinant check."""
+    f, calls = _restricted_form(), []
+
+    def counted(m):
+        calls.append(m)
+        return determinant(m)
+
+    for module in (linalg, irrfib.lattice, irrfib.polarization):
+        monkeypatch.setattr(module, "determinant", counted, raising=False)
+    assert kernel_K_L(f).order() == 4
+    assert len(calls) == 1
 
 
 def test_phi_L_values():

@@ -24,7 +24,8 @@ from irrfib.bundles import (BundleDecomposition, EllipticPoint,
                             elliptic_origin, generic_point, xiao_structure)
 from irrfib.intersection import KernelCurve, pen6_lattice
 from irrfib.invariants import FibrationRecord, example_record, slope
-from irrfib.lattice import OnGrid
+from irrfib.characters import Character
+from irrfib.lattice import OnGrid, Rational
 from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.record import Record, encode
 from irrfib.report import Check, Report
@@ -67,6 +68,26 @@ def _rebuilt(record):
     return type(record)(*(getattr(record, n) for n in record._fields))
 
 
+def _unreduced(record):
+    """Field values that the class's __post_init__ must bring back to the
+    record's own: a torsion element over twice its order, a rational with
+    both terms doubled; any other record's own values."""
+    values = {name: getattr(record, name) for name in record._fields}
+    if isinstance(record, OnGrid):
+        values.update(n=2 * record.n, nums=tuple(2 * k for k in record.nums))
+    if isinstance(record, Rational):
+        values.update(numerator=2 * record.numerator,
+                      denominator=2 * record.denominator)
+    return values
+
+
+def _built_three_ways(cls, values):
+    """cls built from values positionally, by keyword, and mixed."""
+    first, *rest = values
+    return (cls(*values.values()), cls(**values),
+            cls(values[first], **{name: values[name] for name in rest}))
+
+
 def test_samples_cover_every_record_class():
     assert len(RECORD_CLASSES) == 22
     assert {type(r) for r in _samples()} == RECORD_CLASSES
@@ -77,6 +98,17 @@ def test_equal_fields_give_equal_records(record):
     twin = _rebuilt(record)
     assert twin is not record
     assert twin == record and not twin != record
+    # every way of calling the constructor normalises through __post_init__
+    for built in _built_three_ways(type(record), _unreduced(record)):
+        assert built == record
+    name, fields = type(record).__name__, record._fields
+    with pytest.raises(TypeError, match=r"^%s\(\) got unexpected arguments$"
+                       % name):
+        type(record)(*(getattr(record, n) for n in fields), None)
+    if fields[0] not in record._defaults:
+        with pytest.raises(TypeError, match=r"^%s\(\) is missing argument %r$"
+                           % (name, fields[0])):
+            type(record)()
     if not isinstance(record, UNHASHABLE):
         assert hash(twin) == hash(record)
     assert pickle.loads(pickle.dumps(record)) == record
@@ -152,6 +184,10 @@ def test_reports_are_mutable_and_unshared():
 
 
 def test_constructor_arguments():
+    lat = build_reference_surface().embedding.sub
+    for chi in _built_three_ways(Character, {"lattice": lat, "n": 4,
+                                             "nums": (2, 0, 4, 6)}):
+        assert (chi.n, chi.nums) == (2, (1, 0, 0, 1))
     assert FibrationRecord(1, 4) == FibrationRecord(gF=4, gC=1)
     assert FibrationRecord(1, 4).annotations == ()
     assert FibrationRecord(1, 4).r is None
