@@ -9,7 +9,7 @@ restriction are integer linear algebra mod n, and the +-1 display of
 from itertools import product
 from operator import mul
 
-from .errors import IncompatibleLattice, InvalidOrder, UnsupportedIndex
+from .errors import InvalidOrder, UnsupportedIndex
 from .lattice import Lattice, OnGrid, sublattice_index
 from .record import Record
 
@@ -53,28 +53,13 @@ def torsion_characters(lattice, n):
     return [Character(lattice, n, k) for k in _grid(lattice, n)]
 
 
-def _pull_back(e, nums):
-    """Numerator j of the restriction: the integer combination of the
-    ambient numerators nums given by column j of the embedding matrix."""
-    return tuple([sum(map(mul, col, nums)) for col in zip(*e.matrix)])
-
-
-def restrict_character(chi, e):
-    """Pull back along the embedding: the dual-isogeny direction.
-
-    The numerator on sub basis vector j is the integer combination of
-    ambient numerators given by column j of the embedding matrix, mod n.
-    """
-    if chi.lattice != e.ambient:
-        raise IncompatibleLattice("character does not live on the ambient lattice")
-    return Character(e.sub, chi.n, _pull_back(e, chi.nums))
-
-
 def _restrictions(e, n):
-    """The numerators of every n-torsion ambient character, each with its
-    restriction's numerators over n: restrict_character on bare
-    numerators, so only the characters a caller keeps are built."""
-    return [(k, tuple([x % n for x in _pull_back(e, k)]))
+    """The numerators k of every n-torsion ambient character, each with its
+    restriction's (the pull-back, the dual-isogeny direction): numerator j
+    is the combination of k given by column j of the embedding matrix, mod
+    n. Only the characters a caller keeps are built."""
+    columns = list(zip(*e.matrix))
+    return [(k, tuple([sum(map(mul, col, k)) % n for col in columns]))
             for k in _grid(e.ambient, n)]
 
 

@@ -273,8 +273,15 @@ def cmd_intersect(args):
 
 
 def _bundle_spec(args):
-    spec = {}
+    """The shape (g, r, p, torsion) from its flags, or from a --spec that
+    is the whole shape: a spec beside a shape flag, or with a key beyond
+    g, r, p and torsion, is a usage error."""
+    flags = {key: getattr(args, key) for key in ("g", "r", "p", "torsion")}
+    spec = {key: value for key, value in flags.items() if value is not None}
     if args.spec:
+        if spec:
+            raise UsageError("--spec is the whole shape: no --%s"
+                             % next(iter(spec)))
         try:
             spec = (_parse_json(args.spec, "--spec")
                     if args.spec.lstrip().startswith("{")
@@ -283,16 +290,18 @@ def _bundle_spec(args):
             raise UsageError("cannot load bundle spec: %s" % exc)
         if not isinstance(spec, dict):
             raise UsageError("a bundle spec is a JSON object")
-    g = spec.get("g", args.g)
-    r = spec.get("r", args.r)
+        unknown = sorted(spec.keys() - flags.keys())
+        if unknown:
+            raise UsageError("unknown bundle spec key: %r" % unknown[0])
+    g, r = spec.get("g"), spec.get("r")
     if g is None or r is None:
         raise UsageError("need --g and --r (or a --spec with g and r)")
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (g, r)):
         raise UsageError("g and r must be integers")
-    torsion = spec.get("torsion", args.torsion or [])
+    torsion = spec.get("torsion", [])
     if not isinstance(torsion, list):
         raise UsageError("torsion must be a list of points")
-    p = _parse_point(str(spec.get("p", args.p)))
+    p = _parse_point(str(spec.get("p", "generic")))
     return g, r, p, [_parse_point(str(t)) for t in torsion]
 
 
@@ -382,8 +391,7 @@ COMMANDS = {
         _arg("--spec", help="JSON {g, r, p, torsion[]} inline or path"),
         _arg("--g", type=int, help="fibre genus"),
         _arg("--r", type=int, help="rank of the ample part"),
-        _arg("--p", default="generic",
-             help="determinant point ('0', 'generic[:name]', 'a,b')"),
+        _arg("--p", help="determinant point ('0', 'generic[:name]', 'a,b')"),
         _arg("--torsion", action="append",
              help="torsion line-bundle point 'a,b' (repeatable)"),
         _arg("--q", help="twist point for the jump query"))),
@@ -510,7 +518,12 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 65
     try:
-        text = report if isinstance(report, str) else render(report, args.json)
+        if isinstance(report, str):
+            text, passed = report, True
+        else:  # encoded once: the text and the status are read off doc
+            doc = report.to_json()
+            text = render(doc, args.json)
+            passed = all(c["pass"] for c in doc["checks"])
     except ValueError as exc:  # an int too long for str() (4300 digits)
         print("error: ValueError: %s" % exc, file=sys.stderr)
         return 65
@@ -520,7 +533,7 @@ def main(argv=None):
         # the reader is gone, but the work was done and checked: keep its
         # status, and send stdout to devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if isinstance(report, str) or report.passed else 2
+    return 0 if passed else 2
 
 
 def run():

@@ -81,11 +81,11 @@ class Check(Record):
 
     @property
     def passed(self):
-        return encode(self.expected) == encode(self.actual)
+        return self.to_json()["pass"]
 
     def to_json(self):
         doc = super().to_json()
-        doc["pass"] = doc["expected"] == doc["actual"]  # self.passed
+        doc["pass"] = doc["expected"] == doc["actual"]
         return doc
 
 
@@ -97,33 +97,29 @@ class Report:
     def check(self, name, expected, actual):
         self.checks.append(Check(name, expected, actual))
 
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
     def to_json(self):
         return encode(vars(self))
 
 
-def _dumps(value):
-    return canonical_json(encode(value))
-
-
-def render(report, as_json):
+def render(doc, as_json):
+    """The text of doc, a report as Report.to_json() encodes it: the
+    document itself with --json, else one line per input, result and check."""
     if as_json:
-        return canonical_json(report.to_json(), indent=2)
-    lines = ["command: %s" % report.command]
-    for key in sorted(report.inputs):
-        lines.append("input %s = %s" % (key, _dumps(report.inputs[key])))
-    for key in sorted(report.results):
-        lines.append("%s = %s" % (key, _dumps(report.results[key])))
-    for c in report.checks:
-        if c.passed:
-            lines.append("ok   %s (%s)" % (c.name, _dumps(c.actual)))
+        return canonical_json(doc, indent=2)
+    lines = ["command: %s" % doc["command"]]
+    lines += ["input %s = %s" % (key, canonical_json(value))
+              for key, value in sorted(doc["inputs"].items())]
+    lines += ["%s = %s" % (key, canonical_json(value))
+              for key, value in sorted(doc["results"].items())]
+    checks = doc["checks"]
+    for c in checks:
+        name, actual = c["name"], canonical_json(c["actual"])
+        if c["pass"]:
+            lines.append("ok   %s (%s)" % (name, actual))
         else:
             lines.append("FAIL %s: expected %s, actual %s"
-                         % (c.name, _dumps(c.expected), _dumps(c.actual)))
-    if report.checks:
-        n_ok = sum(1 for c in report.checks if c.passed)
-        lines.append("checks: %d/%d passed" % (n_ok, len(report.checks)))
+                         % (name, canonical_json(c["expected"]), actual))
+    if checks:
+        n_ok = sum(c["pass"] for c in checks)
+        lines.append("checks: %d/%d passed" % (n_ok, len(checks)))
     return "\n".join(lines)

@@ -1,9 +1,9 @@
 """The tests' reference: torsion values in Fractions, one point at a time.
 
-The library holds torsion values as int numerators, and evaluates phi_L and
-the lemma's cases on a grid of them. Here each map is computed at one point
-from its definition, in Fractions, so a test can hold the library's grid to
-it. Nothing here checks its input.
+The library holds torsion values as int numerators, and evaluates phi_L,
+the lemma's cases and restriction on a grid of them. Here each map is
+computed at one point from its definition, in Fractions, so a test can hold
+the library's grid to it. Nothing here checks its input.
 """
 
 from fractions import Fraction
@@ -32,6 +32,14 @@ def torsion_points(lattice, n):
 def phi_L(f, x):
     """The character exp(2*pi*i*f(., x)): its values are M*x, M the form."""
     return Character.from_fractions(_times(f.matrix, x), lattice=f.lattice)
+
+
+def restrict_character(chi, e):
+    """The pull-back of the ambient character chi along the embedding e:
+    its value on sub basis vector j is column j of the embedding matrix
+    applied to chi's values."""
+    return Character.from_fractions(_times(zip(*e.matrix), chi),
+                                    lattice=e.sub)
 
 
 def psi(s, x):

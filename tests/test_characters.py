@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from irrfib.characters import (Character, kernel_of_restriction,
-                               restrict_character, torsion_characters,
-                               trivial_character,
+                               torsion_characters, trivial_character,
                                two_torsion_character_tables)
 from irrfib.errors import (IncompatibleLattice, InvalidOrder,
                            UnsupportedIndex)
@@ -13,7 +12,8 @@ from irrfib.lattice import Lattice, SublatticeEmbedding
 from irrfib.torus import (A_CHARACTER_NAMES, B_CHARACTER_NAMES,
                           reference_embedding, reference_lattice_a,
                           reference_lattice_b)
-from pointwise import fractions_of
+from pointwise import fractions_of, restrict_character
+from test_torus import INDEX_TWO, index_two_surface
 
 HALF = Fraction(1, 2)
 
@@ -59,8 +59,6 @@ def test_restriction_frozen_examples():
     assert a == b
     c = restrict_character(Character(amb, 2, (1, 0, 0, 0)), e)
     assert fractions_of(c) == (HALF, HALF, 0, 0)
-    with pytest.raises(IncompatibleLattice):
-        restrict_character(a, e)
 
 
 def test_restriction_is_a_homomorphism():
@@ -72,6 +70,23 @@ def test_restriction_is_a_homomorphism():
         y = rng.choice(chars)
         assert restrict_character(x * y, e) == \
             restrict_character(x, e) * restrict_character(y, e)
+
+
+@pytest.mark.parametrize("a", INDEX_TWO, ids=lambda a: "".join(map(str, a)))
+def test_restriction_tables_are_the_pull_back(a):
+    """On all 15 index-2 sublattices, the kernel of restriction on 2- and
+    4-torsion and the two tables are what the reference's pull-back gives,
+    character by character."""
+    e = index_two_surface(a).embedding
+    for n in (2, 4):
+        kernel = {chi for chi in torsion_characters(e.ambient, n)
+                  if restrict_character(chi, e).is_trivial}
+        assert kernel_of_restriction(e, n) == kernel
+        assert len(kernel) == 2  # the index
+    image = {restrict_character(chi, e)
+             for chi in torsion_characters(e.ambient, 2)}
+    assert two_torsion_character_tables(e) == (
+        image, set(torsion_characters(e.sub, 2)) - image)
 
 
 def test_kernel_of_restriction():

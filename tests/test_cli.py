@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from irrfib.cli import (COMMANDS, EXAMPLE_IDS, MAX_FILE_BYTES, UsageError,
                         main, parse_argv)
 from irrfib.errors import IrrfibError
 from irrfib.intersection import pen6_lattice, serrano_canonical_pen6
+from irrfib.report import Check
 from test_golden import CASES
 from test_record import _run, child_env
 
@@ -53,6 +55,45 @@ def test_appendix_corrupt_self_test(capsys):
     code, out, _ = run(capsys, "appendix", "--corrupt")
     assert code == 2
     assert "FAIL" in out
+    code, doc, _ = run_json(capsys, "appendix", "--corrupt")
+    assert code == 2
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        "new character table"]
+
+
+def test_a_failing_library_check_exits_2_in_both_modes(capsys, monkeypatch):
+    """The status is read off the encoded report, whichever view prints it."""
+    import irrfib.invariants
+    record = irrfib.invariants.example_record("pen-1")[0]
+    monkeypatch.setattr(irrfib.invariants, "example_record",
+                        lambda ex_id: (record, (Check("planted", 1, 2),)))
+    code, out, err = run(capsys, "example", "pen-1")
+    assert (code, err) == (2, "")
+    assert "FAIL planted: expected 1, actual 2" in out
+    code, doc, err = run_json(capsys, "example", "pen-1")
+    assert (code, err) == (2, "")
+    assert {"name": "planted", "expected": 1, "actual": 2,
+            "pass": False} in doc["checks"]
+
+
+def test_a_command_encodes_each_check_once(capsys, monkeypatch):
+    """main encodes the report once and reads the text and the status off
+    that document: no check is encoded again, nor asked for its verdict."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(self):
+            calls[name] += 1
+            return fn(self)
+        return wrapper
+
+    monkeypatch.setattr(Check, "to_json", counted("to_json", Check.to_json))
+    monkeypatch.setattr(Check, "passed",
+                        property(counted("passed", Check.passed.fget)))
+    for argv in (("appendix", "--json"), ("appendix",)):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert (calls["to_json"], calls["passed"]) == (13, 0), argv
 
 
 def test_a_broken_K_L_fails_the_two_torsion_kernel_check_too(capsys,
@@ -354,6 +395,17 @@ def test_bundle_errors(capsys, tmp_path):
         code, _, err = run(capsys, "bundle", "h0", "--spec", spec)
         assert code == 64, spec
         assert err.startswith("usage error: ") and err.count("\n") == 1, spec
+    # the spec is the whole shape: a key it does not know, or a shape flag
+    # beside it, is named in the usage error
+    spec = '{"g": 3, "r": 1, "P": "1/2,0", "torsion": ["1/2,1/2"]}'
+    code, _, err = run(capsys, "bundle", "h0", "--spec", spec)
+    assert (code, err) == (64, "usage error: unknown bundle spec key: 'P'\n")
+    spec = '{"g": 3, "r": 1, "torsion": ["1/3,0"]}'
+    for flag, value in (("--g", "3"), ("--r", "1"), ("--p", "generic"),
+                        ("--torsion", "1/3,0")):
+        code, _, err = run(capsys, "bundle", "h0", "--spec", spec, flag, value)
+        assert (code, err) == (
+            64, "usage error: --spec is the whole shape: no %s\n" % flag)
     path = tmp_path / "spec.json"
     for text in ('[3, 1]', '"g"', '7'):
         path.write_text(text)

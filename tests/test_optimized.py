@@ -87,6 +87,64 @@ def test_no_unused_imports_in_the_library():
     assert found == []
 
 
+# The public functions, methods and properties that no library code reads,
+# each kept for its reason; any other is a path that lost its last caller.
+UNREAD_PUBLIC = {
+    "characters.Character.pm_vector": "acceptance criterion 3 reads it",
+    "bundles.twist": "ROADMAP item 11 gives it its library caller",
+    "report.Check.passed": "the verdict of the checks that example_record "
+                           "and unbounded_family return",
+}
+
+
+def _public_defs(node, prefix):
+    """(qualified name, node) of each public function, method and property
+    defined at the top of a module or class body."""
+    for child in node.body:
+        if isinstance(child, ast.ClassDef):
+            yield from _public_defs(child, "%s.%s" % (prefix, child.name))
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not child.name.startswith("_"):
+            yield "%s.%s" % (prefix, child.name), child
+
+
+def _reads(node, local=frozenset()):
+    """(name, node) of each read under node: a name that is no local of an
+    enclosing function, an attribute, or a string."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+        local = local | {p.arg for p in params if p} | {
+            n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+            and node.id not in local:
+        yield node.id, node
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, node
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value, node
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, local)
+
+
+def test_every_public_name_is_read_in_the_library():
+    """A public function, method or property is read somewhere in the
+    library outside its own body, as a name, an attribute or a string (a
+    COMMANDS handler name), or UNREAD_PUBLIC lists it with its reason."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "irrfib").glob("*.py"))}
+    readers = {}  # name -> the ids of the nodes that read it
+    for tree in trees.values():
+        for name, node in _reads(tree):
+            readers.setdefault(name, set()).add(id(node))
+    unread = [
+        qualname for module, tree in trees.items()
+        for qualname, node in _public_defs(tree, module)
+        if readers.get(node.name, set()) <= set(map(id, ast.walk(node)))]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
+
+
 # One fresh process per golden: in process, every case shares one fibre
 # table, so a cache that leaked between commands would not show there.
 @pytest.mark.parametrize("golden", sorted(CASES))

@@ -35,17 +35,19 @@ def test_check_compares_encoded_values():
 
 def test_report_pass_fail_and_render():
     rep = Report("demo", inputs={"n": 1})
-    assert rep.passed  # vacuous
+    assert rep.to_json()["checks"] == []  # passes vacuously
     rep.results["value"] = Rational(1, 2)
     rep.check("good", 4, 4)
-    assert rep.passed
-    text = render(rep, as_json=False)
-    assert "command: demo" in text
-    assert "ok   good (4)" in text
-    assert "checks: 1/1 passed" in text
+    doc = rep.to_json()
+    assert [c["pass"] for c in doc["checks"]] == [True]
+    text = render(doc, as_json=False)
+    assert text.splitlines() == ["command: demo", "input n = 1",
+                                 'value = "1/2"', "ok   good (4)",
+                                 "checks: 1/1 passed"]
     rep.check("bad", 4, 5)
-    assert not rep.passed
-    text = render(rep, as_json=False)
+    doc = rep.to_json()
+    assert [c["pass"] for c in doc["checks"]] == [True, False]
+    text = render(doc, as_json=False)
     assert "FAIL bad: expected 4, actual 5" in text
     assert "checks: 1/2 passed" in text
 
@@ -54,8 +56,9 @@ def test_report_json_round_trip():
     rep = Report("demo", inputs={"n": Rational(3, 2)})
     rep.results["curve"] = KernelCurve(2, 1)
     rep.check("name", [1], [1])
-    out = render(rep, as_json=True)
+    out = render(rep.to_json(), as_json=True)
     doc = json.loads(out)
+    assert doc == rep.to_json()
     assert doc["command"] == "demo"
     assert doc["inputs"]["n"] == "3/2"
     assert doc["results"]["curve"] == [2, 1]
