@@ -274,8 +274,9 @@ def cmd_intersect(args):
 
 def _bundle_spec(args):
     """The shape (g, r, p, torsion) from its flags, or from a --spec that
-    is the whole shape: a spec beside a shape flag, or with a key beyond
-    g, r, p and torsion, is a usage error."""
+    is the whole shape: a spec beside a shape flag, with a key beyond g, r,
+    p and torsion, or with a point that is not a JSON string, is a usage
+    error."""
     flags = {key: getattr(args, key) for key in ("g", "r", "p", "torsion")}
     spec = {key: value for key, value in flags.items() if value is not None}
     if args.spec:
@@ -298,11 +299,13 @@ def _bundle_spec(args):
         raise UsageError("need --g and --r (or a --spec with g and r)")
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (g, r)):
         raise UsageError("g and r must be integers")
-    torsion = spec.get("torsion", [])
-    if not isinstance(torsion, list):
-        raise UsageError("torsion must be a list of points")
-    p = _parse_point(str(spec.get("p", "generic")))
-    return g, r, p, [_parse_point(str(t)) for t in torsion]
+    p, torsion = spec.get("p", "generic"), spec.get("torsion", [])
+    if not isinstance(p, str):
+        raise UsageError("p must be a point string")
+    if not (isinstance(torsion, list)
+            and all(isinstance(t, str) for t in torsion)):
+        raise UsageError("torsion must be a list of point strings")
+    return g, r, _parse_point(p), [_parse_point(t) for t in torsion]
 
 
 def cmd_bundle(args):

@@ -10,10 +10,10 @@ the kept hash more than pays for that. Two shortcuts keep them cheap where
 the library spends them: a call that gives every field positionally, as
 the library's own calls do, stores the fields straight from the arguments
 (and still ends in __post_init__), and a record equals itself without a
-field comparison, which every lookup of a surface's weakly held tables
-makes. dataclasses generates the methods instead, compiling code for every
-class and importing inspect, which was about half the cost of
-`import irrfib.cli`.
+field comparison, which the many comparisons of records that share one
+lattice make (a character's lattice against the surface's, say).
+dataclasses generates the methods instead, compiling code for every class
+and importing inspect, which was about half the cost of `import irrfib.cli`.
 
 The JSON form of a value is written here once. encode() turns it into plain
 JSON types, rationals as "p/q" strings, and a record's to_json() is the dict

@@ -8,7 +8,6 @@ through the origin, and a two-route verdict (closed form vs 4-torsion oracle).
 
 from itertools import product
 from operator import mul
-from weakref import WeakKeyDictionary
 
 from .characters import Character, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
@@ -26,17 +25,37 @@ SINGULARITY_NODE = "node"
 class SpecialAbelianSurface(Record):
     """An index-2 sublattice E of the product lattice, with the product form J
     restricted to it. Its type is (1,2): Pf(E^T J E) = det(E) Pf(J) = +-2
-    forces d1 d2 = 2."""
+    forces d1 d2 = 2.
+
+    What the classification reads off the surface is derived here, once,
+    and kept with it beside the one field: form_A, phi_L's fibre tables on
+    2- and 4-torsion (_grids, n -> phi_L_grid(form_A, n)), the periods of
+    the subtori over each factor (_periods) and each factor's half-period
+    (_halves). The subtorus over one factor is the kernel of the map to the
+    other, so its periods are the integer kernel of the other factor's rows
+    of the embedding, (lambda2, mu2) for the first. Only the closed form
+    reads them; the oracle reads the fibre tables and the half-periods.
+
+    The sublattice is {x : a.x even}, a the one nonzero vector mod 2 that is
+    even on every column of the embedding. Factor i's half-period, over 4
+    in its (lambda_i, mu_i), is (2 a_mu_i, 2 a_lambda_i); (0, 0) is none.
+    """
     embedding: SublatticeEmbedding
 
     def __post_init__(self):
         if sublattice_index(self.embedding) != 2:
             raise ValueError("embedding must have index 2")
-        self.form_A  # IncompatibleLattice unless E is into the product lattice
-
-    @property
-    def form_A(self):
-        return _tables(self)[0]
+        # IncompatibleLattice unless E is into the product lattice
+        form_A = restrict_form(reference_form_b(), self.embedding)
+        rows = self.embedding.matrix
+        a = next(a for a in product((0, 1), repeat=4) if any(a) and not any(
+            sum(map(mul, a, col)) % 2 for col in zip(*rows)))
+        self.__dict__.update(
+            form_A=form_A,
+            _grids={n: phi_L_grid(form_A, n) for n in (2, 4)},
+            _periods=tuple(tuple(map(tuple, integer_kernel_basis(rows[i::2])))
+                           for i in (1, 0)),
+            _halves=tuple((2 * a[i + 2], 2 * a[i]) for i in (0, 1)))
 
 
 # one instance each: a record never changes, and the character-name tables
@@ -74,41 +93,10 @@ def build_reference_surface():
     return SpecialAbelianSurface(reference_embedding())
 
 
-_SURFACE_TABLES = WeakKeyDictionary()
-
-
-def _tables(s):
-    """(form_A, {n: phi_L_grid(form_A, n) for n = 2, 4}, the periods of
-    the subtori over each factor, each factor's half-period): what the
-    classification reads off a surface, built once per surface and held no
-    longer than it. The subtorus over one factor is the kernel of the map to
-    the other, so its periods are the integer kernel of the other factor's
-    rows of the embedding, (lambda2, mu2) for the first. Only the closed
-    form reads them; the oracle reads the fibre tables and the half-periods.
-
-    The sublattice is {x : a.x even}, a the one nonzero vector mod 2 that is
-    even on every column of the embedding. Factor i's half-period, over 4
-    in its (lambda_i, mu_i), is (2 a_mu_i, 2 a_lambda_i); (0, 0) is none.
-    """
-    tables = _SURFACE_TABLES.get(s)
-    if tables is None:
-        form_A = restrict_form(reference_form_b(), s.embedding)
-        rows = s.embedding.matrix
-        periods = tuple(tuple(map(tuple, integer_kernel_basis(rows[i::2])))
-                        for i in (1, 0))
-        a = next(a for a in product((0, 1), repeat=4) if any(a) and not any(
-            sum(map(mul, a, col)) % 2 for col in zip(*rows)))
-        halves = tuple((2 * a[i + 2], 2 * a[i]) for i in (0, 1))
-        grids = {n: phi_L_grid(form_A, n) for n in (2, 4)}
-        tables = _SURFACE_TABLES[s] = form_A, grids, periods, halves
-    return tables
-
-
 def _fibre_numerators(s, chi, n):
     """The numerators over n of the n-torsion points x with phi_L(x) = chi,
     a character on the sublattice; empty when chi is not in the image."""
-    grid = _tables(s)[1][n]
-    return () if n % chi.n else grid.get(chi.nums_over(n), ())
+    return () if n % chi.n else s._grids[n].get(chi.nums_over(n), ())
 
 
 def _check_pair(s, Q, Qhalf):
@@ -145,7 +133,7 @@ def _closed_form(s, Qhalf):
     Qhalf is trivial on the periods of the subtorus over the first factor,
     and symmetrically.
     """
-    return _VERDICTS[sum([_trivial_on(Qhalf, gens) for gens in _tables(s)[2]])]
+    return _VERDICTS[sum([_trivial_on(Qhalf, gens) for gens in s._periods])]
 
 
 def _sides(s, ks):
@@ -158,7 +146,7 @@ def _sides(s, ks):
     has the periods lambda_i = tau_i and mu_i = 1, so its coordinate is the
     pair (lambda_i, mu_i); a side is hit when that is 0 or its half-period.
     """
-    half1, half2 = _tables(s)[3]
+    half1, half2 = s._halves
     first, second = ((0, 0), half1), ((0, 0), half2)
     (l10, l11, l12, l13), (l20, l21, l22, l23), \
         (m10, m11, m12, m13), (m20, m21, m22, m23) = s.embedding.matrix
@@ -192,7 +180,7 @@ def phi_two_torsion_data(s):
     """(kernel, image) of phi_L on the 2-torsion points: the surface's
     2-torsion grid's fibre over the trivial character, and its keys."""
     lat = s.embedding.sub
-    grid = _tables(s)[1][2]
+    grid = s._grids[2]
     return ({TorsionPoint(lat, 2, k) for k in grid[(0,) * lat.rank]},
             {Character(lat, 2, key) for key in grid})
 
@@ -204,10 +192,9 @@ def admissible_pairs(s):
     square's, and that over 2 is the key mod 2: a key of the 2-torsion grid,
     as Qhalf^2 = phi_L(2x). The 63 pairs share those 4 squares."""
     lat = s.embedding.sub
-    grids = _tables(s)[1]
-    squares = {key: Character(lat, 2, key) for key in grids[2]}
+    squares = {key: Character(lat, 2, key) for key in s._grids[2]}
     return [(squares[tuple([k % 2 for k in key])], Character(lat, 4, key))
-            for key in sorted(grids[4]) if any(key)]
+            for key in sorted(s._grids[4]) if any(key)]
 
 
 # The paper's tables for the reference surface, checked by `irrfib appendix`

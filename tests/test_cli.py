@@ -406,6 +406,15 @@ def test_bundle_errors(capsys, tmp_path):
         code, _, err = run(capsys, "bundle", "h0", "--spec", spec, flag, value)
         assert (code, err) == (
             64, "usage error: --spec is the whole shape: no %s\n" % flag)
+    # a point is a JSON string: any other value is named, never coerced
+    for key, value, message in (
+            ("p", 0, "p must be a point string"),
+            ("p", None, "p must be a point string"),
+            ("p", [1, 2], "p must be a point string"),
+            ("torsion", [0], "torsion must be a list of point strings")):
+        spec = json.dumps({"g": 3, "r": 1, "torsion": ["1/3,0"], key: value})
+        code, _, err = run(capsys, "bundle", "h0", "--spec", spec)
+        assert (code, err) == (64, "usage error: %s\n" % message), spec
     path = tmp_path / "spec.json"
     for text in ('[3, 1]', '"g"', '7'):
         path.write_text(text)

@@ -145,8 +145,54 @@ def test_every_public_name_is_read_in_the_library():
     assert sorted(unread) == sorted(UNREAD_PUBLIC)
 
 
-# One fresh process per golden: in process, every case shares one fibre
-# table, so a cache that leaked between commands would not show there.
+# the methods that change a list, dict or set in place
+_MUTATORS = frozenset(("add", "append", "clear", "discard", "extend",
+                       "insert", "pop", "popitem", "remove", "setdefault",
+                       "update"))
+
+
+def _module_level_writes(tree):
+    """(line, name) of each write by a function to a module-level name: a
+    store or deletion through its subscript, a call of one of its mutating
+    methods, or a `global` statement that lets the function rebind it."""
+    top = {name for node in tree.body for name in _defined_names(node)}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        shared = top - {node.arg for node in ast.walk(func.args)
+                        if isinstance(node, ast.arg)} - {
+            node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Load)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                yield from ((node.lineno, name) for name in node.names)
+                continue
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx,
+                                                                  ast.Load):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                yield node.lineno, target.id
+
+
+def test_the_library_keeps_no_module_level_cache():
+    """No function of the library writes to a module-level name: what it
+    derives is returned, or kept on the record it derives it for, so
+    nothing outlives the values it was computed from."""
+    found = sorted({
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted((SRC / "irrfib").glob("*.py"))
+        for line, name in _module_level_writes(ast.parse(path.read_text()))})
+    assert found == []
+
+
+# One fresh process per golden, as a command runs: state that one command
+# left behind for the next in the same process would not show in process.
 @pytest.mark.parametrize("golden", sorted(CASES))
 def test_optimized_run_reports_the_same_checks(golden):
     proc = subprocess.run(

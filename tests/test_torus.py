@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import weakref
 from collections import Counter
@@ -409,8 +410,8 @@ def test_the_squares_are_phis_image_on_two_torsion():
 
 def test_the_tables_do_not_keep_a_surface_alive():
     """A swept surface that the caller drops is freed, tables and all: the
-    per-surface tables hold their surfaces weakly. The seeds are outside
-    BASIS_SEEDS, so no equal surface of another test is in the tables."""
+    tables are attributes of the surface itself, and nothing outside it
+    holds them or it."""
     refs = []
     for seed in range(1000, 1003):
         s = moved_surface(seed)
@@ -423,16 +424,23 @@ def test_the_tables_do_not_keep_a_surface_alive():
 
 def test_the_oracle_never_reads_the_period_lattices(surface, sweep,
                                                     monkeypatch):
-    """With wrong period lattices in the surface's tables, every oracle
-    verdict of the sweep stands, and some closed-form verdict changes."""
-    form_A, grids, _, halves = irrfib.torus._tables(surface)
+    """With wrong period lattices on the surface, every oracle verdict of
+    the sweep stands, and some closed-form verdict changes."""
     unit = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    wrong = (unit[:2], unit[2:])
-    monkeypatch.setattr(irrfib.torus, "_tables",
-                        lambda s: (form_A, grids, wrong, halves))
+    monkeypatch.setitem(vars(surface), "_periods", (unit[:2], unit[2:]))
     rows = classification_sweep(surface).rows
     assert [row.oracle for row in rows] == [row.oracle for row in sweep.rows]
     assert [row.closed for row in rows] != [row.closed for row in sweep.rows]
+
+
+def test_the_derived_tables_never_travel(surface, sweep):
+    """A pickled surface carries its one field, not the tables derived from
+    it; loaded again, it derives them anew and sweeps row for row alike."""
+    data = pickle.dumps(surface)
+    assert b"_grids" not in data and b"_periods" not in data
+    loaded = pickle.loads(data)
+    assert loaded == surface and loaded._grids is not surface._grids
+    assert classification_sweep(loaded) == sweep
 
 
 # the sweep of the six index-2 surfaces where a is zero on one factor
