@@ -100,10 +100,6 @@ class BundleDecomposition(Record):
     def rank(self):
         return sum(b.rank for b in self.summands)
 
-    @property
-    def degree(self):
-        return sum(b.degree for b in self.summands)
-
 
 def h0(x):
     if isinstance(x, BundleDecomposition):

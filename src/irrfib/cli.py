@@ -2,7 +2,9 @@
 
 Every subcommand emits a Report: echoed inputs, results, and a list of
 named checks. Exit status: 0 all checks pass, 2 a check failed, 64 usage
-error, 65 domain error (the raising error class is printed).
+error, 65 domain error (the raising error class is printed) or a stdout
+that is closed or full. A reader that closes the pipe early, or a stderr
+that cannot take the error line, leaves the status as it was.
 
 The command line is the table COMMANDS, which parse_argv alone reads as
 argparse would, but refusing abbreviated flags and a bare "--".
@@ -12,6 +14,7 @@ A handler reads each library name from its module when it runs
 computes with: importing irrfib registers them without running them.
 """
 
+import errno
 import gc
 import os
 import sys
@@ -512,31 +515,33 @@ def _help(command):
 def main(argv=None):
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
-        # -h/--help gives the text to print, a command its report
-        report = args if isinstance(args, str) else args.handler(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 64
-    except IrrfibError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 65
-    try:
-        if isinstance(report, str):
-            text, passed = report, True
+        if isinstance(args, str):  # -h/--help gives the text to print
+            text, status = args, 0
         else:  # encoded once: the text and the status are read off doc
-            doc = report.to_json()
+            doc = args.handler(args).to_json()
             text = render(doc, args.json)
-            passed = all(c["pass"] for c in doc["checks"])
-    except ValueError as exc:  # an int too long for str() (4300 digits)
-        print("error: ValueError: %s" % exc, file=sys.stderr)
-        return 65
+            status = 0 if all(c["pass"] for c in doc["checks"]) else 2
+    except UsageError as exc:
+        text, status = "usage error: %s" % exc, 64
+    except (IrrfibError, ValueError) as exc:  # an int too long to print
+        text, status = "error: %s: %s" % (type(exc).__name__, exc), 65
+    return _write(text, status)
+
+
+def _write(text, status):
+    """Print text, to stdout for status 0 or 2, else to stderr, and return
+    the status, or 65 for a stdout that is closed or refuses the text."""
+    stream = sys.stdout if status < 64 else sys.stderr
     try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # the reader is gone, but the work was done and checked: keep its
-        # status, and send stdout to devnull so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if passed else 2
+        if stream is None:  # its descriptor was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        print(text, file=stream, flush=True)
+    except OSError as exc:  # devnull takes what the flush at exit writes
+        if stream is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if status < 64 and not isinstance(exc, BrokenPipeError):
+            return _write("error: OSError: %s" % exc, 65)
+    return status
 
 
 def run():

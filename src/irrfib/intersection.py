@@ -66,9 +66,6 @@ class DivisorClass(Record):
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, n):
-        return DivisorClass(self.lattice, tuple(n * c for c in self.coeffs))
-
     def to_json(self):
         return list(self.coeffs)
 

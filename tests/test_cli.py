@@ -895,6 +895,34 @@ def test_closed_stdout_keeps_the_exit_status(unbuffered):
         assert (proc.returncode, proc.stderr) == (status, b""), argv
 
 
+# A stdout that is full or closed cannot take the text: exit 65 and one error
+# line. A stderr that is full loses the error line and keeps the status; the
+# status is then the witness, as a traceback would exit 1 and a failed flush
+# at exit 120.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv, redirect, status", [
+    (("appendix", "--json"), ">/dev/full", 65), (("-h",), ">/dev/full", 65),
+    (("slope", "--k2", "x"), "2>/dev/full", 64),
+    (("slope", "--k2", "8", "--chi", "2", "--gc", "2", "--gf", "3"),
+     "2>/dev/full", 65),
+    (SLOPE, ">&-", 65)])
+def test_a_failed_write_keeps_the_exit_contract(unbuffered, argv, redirect,
+                                                status):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" ' + redirect, "sh",
+         sys.executable, "-m", "irrfib.cli", *argv],
+        env=child_env(PYTHONUNBUFFERED=unbuffered), capture_output=True,
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (status, b"")
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+    if redirect[0] == ">":  # stderr is ours to read
+        assert proc.stderr.startswith(b"error: OSError: ")
+        assert proc.stderr.count(b"\n") == 1
+
+
 # one argv for each exit status of the contract
 STATUS_ARGV = {
     0: ("bounds", "--k2", "4", "--chi", "1"),

@@ -78,3 +78,12 @@ def test_canonical_json_refuses_an_int_too_long_to_print():
             with pytest.raises(ValueError):
                 canonical_json(value, indent)
     assert canonical_json(10 ** 4299) == str(10 ** 4299)
+
+
+def test_canonical_json_refuses_what_encode_never_returns():
+    # encode writes sets and records as lists and dicts, and no report
+    # holds a float: canonical_json has no text for any of them
+    for value in (0.5, {1, 2}, KernelCurve(2, 1), [1, {"x": 0.5}]):
+        for indent in (None, 2):
+            with pytest.raises(TypeError):
+                canonical_json(value, indent)
