@@ -538,7 +538,8 @@ def _write(text, status):
         print(text, file=stream, flush=True)
     except OSError as exc:  # devnull takes what the flush at exit writes
         if stream is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
         if status < 64 and not isinstance(exc, BrokenPipeError):
             return _write("error: OSError: %s" % exc, 65)
     return status

@@ -29,10 +29,6 @@ class InvalidRank(IrrfibError):
     """Form or lattice rank unsupported by the operation (odd rank etc.)."""
 
 
-class UnsupportedIndex(IrrfibError):
-    """Embedding index other than the one the operation is defined for."""
-
-
 class NonPrimitive(IrrfibError):
     """Kernel-curve vector with gcd(p, q) != 1."""
 

@@ -1,15 +1,13 @@
 """The reference (1,2)-polarized surface and its origin-singularity calculus.
 
 A surface is an index-2 sublattice of a product lattice, polarized by the
-product principal form restricted to it. The classification is rational: the
-isogeny image of a torsion point, which translated reducible members pass
-through the origin, and a two-route verdict (closed form vs 4-torsion oracle).
+product principal form restricted to it; the surface alone refuses another
+index. The classification is rational: the isogeny image of a torsion
+point, which translated reducible members pass through the origin, and a
+two-route verdict (closed form vs 4-torsion oracle).
 """
 
-from itertools import product
-from operator import mul
-
-from .characters import Character, trivial_character
+from .characters import Character, restrictions, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
 from .lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
                       parse_rational, sublattice_index)
@@ -36,9 +34,10 @@ class SpecialAbelianSurface(Record):
     of the embedding, (lambda2, mu2) for the first. Only the closed form
     reads them; the oracle reads the fibre tables and the half-periods.
 
-    The sublattice is {x : a.x even}, a the one nonzero vector mod 2 that is
-    even on every column of the embedding. Factor i's half-period, over 4
-    in its (lambda_i, mu_i), is (2 a_mu_i, 2 a_lambda_i); (0, 0) is none.
+    The sublattice is {x : a.x even}, a the nontrivial element of the kernel
+    of restriction mod 2, read off characters.restrictions, the one
+    pull-back. Factor i's half-period, over 4 in its (lambda_i, mu_i), is
+    (2 a_mu_i, 2 a_lambda_i); (0, 0) is none.
     """
     embedding: SublatticeEmbedding
 
@@ -48,8 +47,8 @@ class SpecialAbelianSurface(Record):
         # IncompatibleLattice unless E is into the product lattice
         form_A = restrict_form(reference_form_b(), self.embedding)
         rows = self.embedding.matrix
-        a = next(a for a in product((0, 1), repeat=4) if any(a) and not any(
-            sum(map(mul, a, col)) % 2 for col in zip(*rows)))
+        a = next(k for k, restricted in restrictions(self.embedding, 2)
+                 if any(k) and not any(restricted))
         self.__dict__.update(
             form_A=form_A,
             _grids={n: phi_L_grid(form_A, n) for n in (2, 4)},

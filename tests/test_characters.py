@@ -6,9 +6,8 @@ import pytest
 from irrfib.characters import (Character, kernel_of_restriction,
                                torsion_characters, trivial_character,
                                two_torsion_character_tables)
-from irrfib.errors import (IncompatibleLattice, InvalidOrder,
-                           UnsupportedIndex)
-from irrfib.lattice import Lattice, SublatticeEmbedding
+from irrfib.errors import IncompatibleLattice, InvalidOrder
+from irrfib.lattice import Lattice, SublatticeEmbedding, sublattice_index
 from irrfib.torus import (A_CHARACTER_NAMES, B_CHARACTER_NAMES,
                           reference_embedding, reference_lattice_a,
                           reference_lattice_b)
@@ -83,10 +82,15 @@ def test_restriction_tables_are_the_pull_back(a):
                   if restrict_character(chi, e).is_trivial}
         assert kernel_of_restriction(e, n) == kernel
         assert len(kernel) == 2  # the index
+    assert two_torsion_character_tables(e) == _pulled_back_tables(e)
+
+
+def _pulled_back_tables(e):
+    """The reference's tables: the restrictions of the ambient 2-torsion
+    characters, and the sublattice's other 2-torsion characters."""
     image = {restrict_character(chi, e)
              for chi in torsion_characters(e.ambient, 2)}
-    assert two_torsion_character_tables(e) == (
-        image, set(torsion_characters(e.sub, 2)) - image)
+    return image, set(torsion_characters(e.sub, 2)) - image
 
 
 def test_kernel_of_restriction():
@@ -117,13 +121,22 @@ def test_two_torsion_tables_partition():
         {"eps%d" % k for k in range(1, 9)}
 
 
-def test_two_torsion_tables_reject_other_indexes():
-    amb = reference_lattice_b()
+@pytest.mark.parametrize("index, rows, extendable", [
+    (1, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 16),
+    (3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3)), 16),
+    (4, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 4),
+    (8, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, -7)), 8)],
+    ids=["index1", "index3", "index4", "index8"])
+def test_two_torsion_tables_at_other_indexes(index, rows, extendable):
+    """The tables are the image of restriction and the rest at any finite
+    index, not only at the surfaces' index 2; the last embedding is not
+    diagonal."""
     sub = Lattice(4, ("s1", "s2", "s3", "s4"))
-    e = SublatticeEmbedding(amb, sub, ((2, 0, 0, 0), (0, 2, 0, 0),
-                                       (0, 0, 1, 0), (0, 0, 0, 1)))
-    with pytest.raises(UnsupportedIndex):
-        two_torsion_character_tables(e)
+    e = SublatticeEmbedding(reference_lattice_b(), sub, rows)
+    assert sublattice_index(e) == index
+    tables = two_torsion_character_tables(e)
+    assert tables == _pulled_back_tables(e)
+    assert len(tables[0]) == extendable
 
 
 def test_b_character_names_cover_two_torsion():

@@ -923,6 +923,21 @@ def test_a_failed_write_keeps_the_exit_contract(unbuffered, argv, redirect,
         assert proc.stderr.count(b"\n") == 1
 
 
+def test_a_failed_write_in_process_leaks_no_descriptor(monkeypatch, capsys):
+    """main in a long-lived process: each stdout that refuses the report
+    ends in status 65, and the devnull opened for the flush at exit is
+    closed once it stands in for the stream."""
+    if not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")):
+        pytest.skip("this system has no /dev/full or /proc/self/fd")
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert cli.main(list(SLOPE)) == 65
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("error: OSError: ") == 5
+
+
 # one argv for each exit status of the contract
 STATUS_ARGV = {
     0: ("bounds", "--k2", "4", "--chi", "1"),

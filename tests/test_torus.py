@@ -461,11 +461,15 @@ def test_grid_oracle_matches_pointwise_on_every_index_two_sublattice(a):
     sweep gives the paper's table. The other six (a zero on one factor, so
     A is a product) are one orbit of the product automorphisms, as SL2(Z)
     is transitive on the nonzero vectors mod 2 and the swap exchanges the
-    factors, and they share one table, with no node."""
+    factors, and they share one table, with no node. The half-periods, which
+    the surface reads off the kernel of restriction mod 2, are the
+    reference's as numerators over 4; (0, 0) is none."""
     s = index_two_surface(a)
     f, lat = s.form_A, s.embedding.sub
     assert polarization_type(f) == PolarizationType(1, 2)
     assert all(sum(map(mul, a, col)) % 2 == 0 for col in zip(*s.embedding.matrix))
+    assert s._halves == tuple((0, 0) if h is None else (4 * h[0], 4 * h[1])
+                              for h in half_periods(s))
     grid = {}
     for x in torsion_points(lat, 4):
         k = x.nums_over(4)
