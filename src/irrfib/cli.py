@@ -4,7 +4,9 @@ Every subcommand emits a Report: echoed inputs, results, and a list of
 named checks. Exit status: 0 all checks pass, 2 a check failed, 64 usage
 error, 65 domain error (the raising error class is printed) or a stdout
 that is closed or full. A reader that closes the pipe early, or a stderr
-that cannot take the error line, leaves the status as it was.
+that cannot take the error line, leaves the status as it was. run(), the
+process entry, points a stream whose flush fails at /dev/null; main(argv)
+leaves a host's streams as it found them.
 
 The command line is the table COMMANDS, which parse_argv alone reads as
 argparse would, but refusing abbreviated flags and a bare "--".
@@ -536,10 +538,7 @@ def _write(text, status):
         if stream is None:  # its descriptor was closed when Python started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(text, file=stream, flush=True)
-    except OSError as exc:  # devnull takes what the flush at exit writes
-        if stream is not None:
-            with open(os.devnull, "wb") as null:
-                os.dup2(null.fileno(), stream.fileno())
+    except OSError as exc:
         if status < 64 and not isinstance(exc, BrokenPipeError):
             return _write("error: OSError: %s" % exc, 65)
     return status
@@ -551,10 +550,19 @@ def run():
     collections its allocations would trigger free next to nothing, and
     those at shutdown skip a heap the OS frees anyway. main(argv) neither
     disables nor freezes: in a long-lived process cycles would pile up and
-    the heap would be pinned."""
+    the heap would be pinned. A stream whose flush then fails is pointed
+    at devnull, which takes what the flush at exit writes; main(argv)
+    leaves a host's streams as it found them."""
     gc.disable()
     status = main()
     gc.freeze()
+    for stream in sys.stdout, sys.stderr:
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
     return status
 
 

@@ -2,10 +2,15 @@
 
 Slope, the isotriviality windows, the genus bound for a line-bundle ample
 part, Riemann-Hurwitz for double covers, the unbounded family generator,
-and fixed records for the known surfaces with p_g = q = 2. Where a record's
-rank admits an independent derivation (slope structure, nef violation),
-the constructor re-runs it instead of trusting the stored number, and
-returns the derivation's named checks beside the record.
+and fixed records for the known surfaces with p_g = q = 2. Each kind of
+record has one builder. _isotrivial_record stores the group, its order,
+the branch orders and both fibrations' ranks of the pen-* surfaces, each
+isotrivial over an elliptic curve; _albanese_cover stores the Albanese
+degree and the polarization of the non-isotrivial covers, their ranks
+open. Where a record's rank admits an independent derivation (slope
+structure, nef violation), the constructor re-runs it instead of trusting
+the stored number, and returns the derivation's named checks beside the
+record.
 """
 
 from . import bundles, intersection
@@ -195,97 +200,79 @@ def _pen6_ranks():
     return ranks, tuple(checks)
 
 
+def _isotrivial_record(ex_id, K2, group_name, group_order, ramification, gF,
+                       ranks, note, annotations=(), checks=()):
+    """A surface whose group acts on the fibre: both fibrations isotrivial
+    over an elliptic curve, of fibre genus gF, one for each rank."""
+    return ExampleSurface(
+        ex_id, SurfaceInvariants(2, 2, K2, 1), tuple(
+            FibrationRecord(1, gF, True, r, group_order=group_order,
+                            ramification=ramification, annotations=(note,))
+            for r in ranks),
+        group_name=group_name, curve_genera=(gF, gF),
+        annotations=annotations), checks
+
+
+def _albanese_cover(ex_id, K2, degree, gF, polarization, annotations,
+                    note="rank open", moduli_dims=None, ample_canonical=None):
+    """An Albanese cover of this degree of a polarized abelian surface:
+    both fibrations non-isotrivial over an elliptic curve, ranks unstored."""
+    fibration = FibrationRecord(1, gF, False, annotations=(note,))
+    return ExampleSurface(
+        ex_id, SurfaceInvariants(2, 2, K2, 1, degree, ample_canonical),
+        (fibration, fibration), polarization=polarization,
+        moduli_dims=moduli_dims, annotations=annotations)
+
+
 def example_record(ex_id):
     """The database record with this id, built alone, and the checks of its
     derivations: ranks are re-derived when possible."""
     if ex_id == "pen-1":
-        fibration = FibrationRecord(
-            1, 3, True, 1, group_order=4, ramification=(2, 2),
-            annotations=("abelian cover group: the pushforward splits into "
-                         "line bundles, so r = 1",))
-        return ExampleSurface(
-            id="pen-1",
-            invariants=SurfaceInvariants(2, 2, 8, 1),
-            curve_genera=(3, 3), group_name="Z/2 x Z/2",
-            fibrations=(fibration, fibration),
-            annotations=("stored rank: derivation needs the character "
-                         "theory of the cover, out of scope",)), ()
+        return _isotrivial_record(
+            "pen-1", 8, "Z/2 x Z/2", 4, (2, 2), 3, (1, 1),
+            "abelian cover group: the pushforward splits into line bundles, "
+            "so r = 1", ("stored rank: derivation needs the character "
+                         "theory of the cover, out of scope",))
     if ex_id == "pen-4":
-        fibration = FibrationRecord(1, 2, True, 1, group_order=2,
-                                    ramification=(2, 2),
-                                    annotations=("gF = 2 forces r = 1",))
-        return ExampleSurface(
-            id="pen-4",
-            invariants=SurfaceInvariants(2, 2, 4, 1),
-            curve_genera=(2, 2), group_name="Z/2",
-            fibrations=(fibration, fibration)), ()
+        return _isotrivial_record("pen-4", 4, "Z/2", 2, (2, 2), 2, (1, 1),
+                                  "gF = 2 forces r = 1")
     if ex_id == "pen-5":
-        r5, checks5 = _pen5_ranks()
-        return ExampleSurface(
-            id="pen-5",
-            invariants=SurfaceInvariants(2, 2, 4, 1),
-            curve_genera=(3, 3), group_name="Q8 or D8",
-            fibrations=tuple(
-                FibrationRecord(1, 3, True, r, group_order=8,
-                                ramification=(2,),
-                                annotations=("rank re-derived from the "
-                                             "slope-4 splitting",))
-                for r in r5)), checks5
+        ranks, checks = _pen5_ranks()
+        return _isotrivial_record(
+            "pen-5", 4, "Q8 or D8", 8, (2,), 3, ranks,
+            "rank re-derived from the slope-4 splitting", checks=checks)
     if ex_id == "pen-6":
-        r6, checks6 = _pen6_ranks()
-        return ExampleSurface(
-            id="pen-6",
-            invariants=SurfaceInvariants(2, 2, 5, 1),
-            curve_genera=(3, 3), group_name="S3",
-            fibrations=tuple(
-                FibrationRecord(1, 3, True, r, group_order=6,
-                                ramification=(3,),
-                                annotations=("rank re-derived from the nef "
-                                             "violation certificate",))
-                for r in r6)), checks6
+        ranks, checks = _pen6_ranks()
+        return _isotrivial_record(
+            "pen-6", 5, "S3", 6, (3,), 3, ranks,
+            "rank re-derived from the nef violation certificate",
+            checks=checks)
     if ex_id == "k26-d2":
-        fibration = FibrationRecord(1, 3, False, annotations=(
-            "rank of the ample part depends on the member: see the "
-            "origin-singularity classification",))
-        k26 = SurfaceInvariants(2, 2, 6, 1, albanese_degree=2,
-                                ample_canonical=True)
-        verdict, _ = isotriviality_obstruction(k26.K2, k26.chi,
-                                               k26.ample_canonical)
-        return ExampleSurface(
-            id="k26-d2",
-            invariants=k26,
-            polarization=(1, 2),
-            moduli_dims=(("Ia", 4), ("Ib", 4), ("II", 3)),
-            fibrations=(fibration, fibration),
-            annotations=(
+        k26 = _albanese_cover(
+            "k26-d2", 6, 2, 3, (1, 2), (
                 "double cover of a special (1,2)-polarized surface, "
                 "branch divisor with a point of multiplicity 4",
                 "the two fibre classes meet in 4 points",
                 "canonical class ample for the general member; the strict "
-                "numerical window then rules out isotriviality")), (
-            Check("isotriviality obstruction", NOT_ISOTRIVIAL, verdict),)
+                "numerical window then rules out isotriviality"),
+            "rank of the ample part depends on the member: see the "
+            "origin-singularity classification",
+            (("Ia", 4), ("Ib", 4), ("II", 3)), True)
+        inv = k26.invariants
+        verdict, _ = isotriviality_obstruction(inv.K2, inv.chi,
+                                               inv.ample_canonical)
+        return k26, (Check("isotriviality obstruction", NOT_ISOTRIVIAL,
+                           verdict),)
     if ex_id == "k5-3":
-        fibration = FibrationRecord(1, 3, False, annotations=("rank open",))
-        return ExampleSurface(
-            id="k5-3",
-            invariants=SurfaceInvariants(2, 2, 5, 1, albanese_degree=3),
-            polarization=(1, 2),
-            fibrations=(fibration, fibration),
-            annotations=(
-                "triple cover branched over a divisor with an ordinary "
-                "quadruple point; a degree-2 isogeny to a product "
-                "of elliptic curves gives the two fibrations",
-                "rank of the ample part not determined")), ()
+        return _albanese_cover("k5-3", 5, 3, 3, (1, 2), (
+            "triple cover branched over a divisor with an ordinary "
+            "quadruple point; a degree-2 isogeny to a product "
+            "of elliptic curves gives the two fibrations",
+            "rank of the ample part not determined")), ()
     if ex_id == "k6-4":
-        fibration = FibrationRecord(1, 4, False, annotations=("rank open",))
-        return ExampleSurface(
-            id="k6-4",
-            invariants=SurfaceInvariants(2, 2, 6, 1, albanese_degree=4),
-            polarization=(1, 3),
-            fibrations=(fibration, fibration),
-            annotations=(
-                "quadruple cover branched over a divisor with six ordinary "
-                "cusps; a degree-3 isogeny to a product of elliptic "
-                "curves gives the two fibrations",
-                "rank of the ample part not determined")), ()
+        return _albanese_cover("k6-4", 6, 4, 4, (1, 3), (
+            "quadruple cover branched over a divisor with six ordinary "
+            "cusps; a degree-3 isogeny to a product of elliptic "
+            "curves gives the two fibrations",
+            "rank of the ample part not determined")), ()
     raise ValueError("no example record %r" % ex_id)

@@ -923,17 +923,22 @@ def test_a_failed_write_keeps_the_exit_contract(unbuffered, argv, redirect,
         assert proc.stderr.count(b"\n") == 1
 
 
-def test_a_failed_write_in_process_leaks_no_descriptor(monkeypatch, capsys):
+def test_a_failed_write_in_process_leaves_the_stream_to_its_host(
+        monkeypatch, capsys):
     """main in a long-lived process: each stdout that refuses the report
-    ends in status 65, and the devnull opened for the flush at exit is
-    closed once it stands in for the stream."""
+    ends in status 65, and its descriptor still reads the file the host
+    opened, so the host's own flush at close fails as it would have."""
     if not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")):
         pytest.skip("this system has no /dev/full or /proc/self/fd")
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(5):
-        with open("/dev/full", "w") as full:
-            monkeypatch.setattr(sys, "stdout", full)
-            assert cli.main(list(SLOPE)) == 65
+        full = open("/dev/full", "w")
+        monkeypatch.setattr(sys, "stdout", full)
+        assert cli.main(list(SLOPE)) == 65
+        assert os.readlink("/proc/self/fd/%d" % full.fileno()) == "/dev/full"
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        with pytest.raises(OSError):
+            full.close()
     assert len(os.listdir("/proc/self/fd")) == before
     assert capsys.readouterr().err.count("error: OSError: ") == 5
 

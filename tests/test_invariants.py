@@ -139,6 +139,19 @@ def test_isotrivial_database():
     assert surfaces["pen-6"].fibrations[0].ramification == (3,)
 
 
+@pytest.mark.parametrize("sid", ["pen-1", "pen-4", "pen-5", "pen-6"])
+def test_isotrivial_genera_satisfy_riemann_hurwitz(sid):
+    # F -> F/G = C: 2gF - 2 = |G|(2gC - 2) + sum over branch points of
+    # |G| - |G|/m, each branch order m dividing |G|
+    s, _ = example_record(sid)
+    for f in s.fibrations:
+        order = f.group_order
+        assert all(order % m == 0 for m in f.ramification)
+        assert 2 * f.gF - 2 == order * (2 * f.gC - 2) + sum(
+            order - order // m for m in f.ramification)
+    assert s.curve_genera == tuple(f.gF for f in s.fibrations)
+
+
 def test_nonisotrivial_database():
     surfaces = {sid: example_record(sid)[0]
                 for sid in ("k26-d2", "k5-3", "k6-4")}

@@ -114,7 +114,7 @@ SHARED_NAME_READERS = {
     "intersection.IntersectionLattice.rank":
         "intersection.DivisorClass.__post_init__",
     "lattice.OnGrid.order": "lattice.FiniteAbelianGroup.__post_init__",
-    "lattice.OnGrid.scale": "lattice.TorsionPoint.__neg__",
+    "lattice.OnGrid.scale": "bundles.EllipticPoint.scale",
     "report.Report.to_json": "cli.main",
     **dict.fromkeys((
         "bundles.EllipticPoint.to_json", "intersection.DivisorClass.to_json",
