@@ -78,7 +78,7 @@ def cmd_appendix(args):
     s = torus.build_reference_surface()
     e = s.embedding
 
-    rep.check("sublattice index", 2, lattice.sublattice_index(e))
+    rep.check("sublattice index", 2, e.index)
     t = polarization.polarization_type(s.form_A)
     rep.check("polarization type", [1, 2], [t.d1, t.d2])
 
@@ -290,7 +290,7 @@ def _bundle_spec(args):
                              % next(iter(spec)))
         try:
             spec = (_parse_json(args.spec, "--spec")
-                    if args.spec.lstrip().startswith("{")
+                    if args.spec.lstrip().startswith(("{", "["))
                     else _read_json(args.spec))
         except (OSError, ValueError) as exc:
             raise UsageError("cannot load bundle spec: %s" % exc)

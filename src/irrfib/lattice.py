@@ -166,7 +166,8 @@ class TorsionPoint(OnGrid, Record):
 
 
 class SublatticeEmbedding(Record):
-    """A finite-index sublattice: the matrix is square and nonsingular."""
+    """A finite-index sublattice: the matrix is square and nonsingular, and
+    index is |ambient / sub| = |det|, from the determinant that checks it."""
     ambient: Lattice
     sub: Lattice
     matrix: tuple  # columns express sub basis vectors in ambient coordinates
@@ -179,13 +180,9 @@ class SublatticeEmbedding(Record):
             raise ValueError("matrix must be ambient.rank x sub.rank")
         if self.ambient.rank != self.sub.rank:
             raise DegenerateEmbedding("embedding is not square")
-        if determinant(self.matrix) == 0:
+        object.__setattr__(self, "index", abs(determinant(self.matrix)))
+        if self.index == 0:
             raise ValueError("matrix must have full rank")
-
-
-def sublattice_index(e):
-    """|ambient / sub| = |det| of the embedding matrix."""
-    return abs(determinant(e.matrix))
 
 
 class FiniteAbelianGroup(Record):

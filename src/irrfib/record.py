@@ -4,14 +4,14 @@ A Record subclass declares its fields as annotations, in order; a value in
 the class body is the field's default. The fields are read once, when the
 subclass is created, and all subclasses share one constructor (which ends
 by calling the __post_init__ hook), equality and hashing over the fields,
-and repr. A record refuses assignment and deletion, and keeps its
-hash once computed: the generic methods are slower than generated ones, and
-the kept hash more than pays for that. Two shortcuts keep them cheap where
-the library spends them: a call that gives every field positionally, as
-the library's own calls do, stores the fields straight from the arguments
-(and still ends in __post_init__), and a record equals itself without a
-field comparison, which the many comparisons of records that share one
-lattice make (a character's lattice against the surface's, say).
+and repr. A record refuses assignment and deletion: its state is the fields
+and what __post_init__ derives from them, set by the constructor alone. Two
+shortcuts keep the generic methods cheap where the library spends them: a
+call that gives every field positionally, as the library's own calls do,
+stores the fields straight from the arguments (and still ends in
+__post_init__), and a record equals itself without a field comparison,
+which the many comparisons of records that share one lattice make (a
+character's lattice against the surface's, say).
 dataclasses generates the methods instead, compiling code for every class
 and importing inspect, which was about half the cost of `import irrfib.cli`.
 
@@ -106,15 +106,11 @@ class Record:
         return key(self) == key(other)
 
     def __hash__(self):
-        # A frozen record never changes, and its hash walks every nested
-        # record and tuple, so the first result is kept with the record.
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = self.__dict__["_hash"] = hash(self._key(self))
-        return value
+        return hash(self._key(self))
 
     def __reduce__(self):
-        # rebuilt from the fields: a kept hash must not reach another process
+        # rebuilt from the fields, so a copy derives its own state again
+        # (a surface's tables, an embedding's index)
         return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def to_json(self):

@@ -9,8 +9,7 @@ two-route verdict (closed form vs 4-torsion oracle).
 
 from .characters import Character, restrictions, trivial_character
 from .errors import IncompatibleLattice, InvalidTwist
-from .lattice import (Lattice, SublatticeEmbedding, TorsionPoint,
-                      parse_rational, sublattice_index)
+from .lattice import Lattice, SublatticeEmbedding, TorsionPoint, parse_rational
 from .linalg import integer_kernel_basis
 from .polarization import AlternatingForm, phi_L_grid, restrict_form
 from .record import Record
@@ -42,7 +41,7 @@ class SpecialAbelianSurface(Record):
     embedding: SublatticeEmbedding
 
     def __post_init__(self):
-        if sublattice_index(self.embedding) != 2:
+        if self.embedding.index != 2:
             raise ValueError("embedding must have index 2")
         # IncompatibleLattice unless E is into the product lattice
         form_A = restrict_form(reference_form_b(), self.embedding)

@@ -22,7 +22,7 @@ from irrfib.intersection import (KernelCurve, derive_pen6_pairings, dot,
 from irrfib.invariants import (NOT_ISOTRIVIAL, example_record,
                                genus_bound_rank_one, isotriviality_obstruction,
                                slope, unbounded_family)
-from irrfib.lattice import Rational, sublattice_index
+from irrfib.lattice import Rational
 from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.torus import (SINGULARITY_NODE, SINGULARITY_NONE,
                           SINGULARITY_SMOOTH, build_reference_surface,
@@ -50,7 +50,7 @@ def criterion(n, label):
 @criterion(1, "restricted polarization has type (1,2) at index 2")
 def test_criterion_01_polarization_type():
     s = build_reference_surface()
-    assert sublattice_index(s.embedding) == 2
+    assert s.embedding.index == 2
     t = polarization_type(s.form_A)
     assert (t.d1, t.d2) == (1, 2)
 

@@ -8,15 +8,21 @@ its stated exit code and no traceback. The bounds these probes hold are
 cli.MAX_ORACLE_MODULUS (the kernel oracle tests at most 64^2 cells), the
 closed-form arithmetic of family-fn, bundle, slope and bounds in their
 integer flags, the fixed 4-torsion of the classification, and the 1 MiB
-read bound on a --spec or --fixture file.
+read bound on a --spec or --fixture file. Below the read bound, a spec's
+cost is linear in its points: an in-process test counts the records the
+command builds, compares and hashes, and the bytes it writes, with no
+timing.
 """
 
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from irrfib.cli import main
+from irrfib.record import Record
 from test_record import child_env
 
 pytest.importorskip("resource")  # RLIMIT_CPU is POSIX only
@@ -66,12 +72,16 @@ def test_a_probe_ends_in_bounded_time_with_its_exit_code(argv, status):
 MIB = 1 << 20  # the read bound on a --spec or --fixture file
 
 
+def _torsion_points(count):
+    """count distinct nontrivial torsion point texts, up to 16 bytes each."""
+    return ["%d/997,%d/991" % divmod(i, 991) for i in range(1, count + 1)]
+
+
 def _torsion_spec(count):
     """A bundle spec of count distinct torsion points, up to 18 bytes each.
     It has g - r - 1 = 2, so once read it is refused with exit 65, after
     every point in it is parsed."""
-    points = ", ".join('"%d/997,%d/991"' % divmod(i, 991)
-                       for i in range(1, count + 1))
+    points = ", ".join(map(json.dumps, _torsion_points(count)))
     return '{"g": 4, "r": 1, "p": "1/2,1/4", "torsion": [%s]}' % points
 
 
@@ -103,3 +113,33 @@ def test_a_file_probe_ends_in_bounded_time_with_its_exit_code(name,
     path = tmp_path / "input.json"
     path.write_text(text)
     _assert_ends_with((*argv, str(path)), status)
+
+
+def test_the_spec_path_grows_linearly_in_its_points(monkeypatch, capsys):
+    """Twice the torsion points cost at most about twice the work: record
+    constructions, equality tests and hashes, and output bytes. A check of
+    the points' distinctness by list scans would make the equality tests
+    grow with the square of the count."""
+    calls = Counter()
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+    names = ("__init__", "__eq__", "__hash__")
+    for name in names:
+        monkeypatch.setattr(Record, name, counted(name, getattr(Record, name)))
+    work = []
+    for count in (1000, 2000):
+        spec = json.dumps({"g": count + 2, "r": 1, "p": "0",
+                           "torsion": _torsion_points(count)})
+        calls.clear()
+        assert main(["bundle", "r-criterion", "--spec", spec, "--json"]) == 0
+        out = capsys.readouterr().out
+        work.append({"bytes": len(out.encode()),
+                     **{name: calls[name] for name in names}})
+    small, large = work
+    for key in small:
+        assert large[key] <= 2.05 * small[key], (key, small, large)

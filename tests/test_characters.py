@@ -7,7 +7,7 @@ from irrfib.characters import (Character, kernel_of_restriction,
                                torsion_characters, trivial_character,
                                two_torsion_character_tables)
 from irrfib.errors import IncompatibleLattice, InvalidOrder
-from irrfib.lattice import Lattice, SublatticeEmbedding, sublattice_index
+from irrfib.lattice import Lattice, SublatticeEmbedding
 from irrfib.torus import (A_CHARACTER_NAMES, B_CHARACTER_NAMES,
                           reference_embedding, reference_lattice_a,
                           reference_lattice_b)
@@ -133,7 +133,7 @@ def test_two_torsion_tables_at_other_indexes(index, rows, extendable):
     diagonal."""
     sub = Lattice(4, ("s1", "s2", "s3", "s4"))
     e = SublatticeEmbedding(reference_lattice_b(), sub, rows)
-    assert sublattice_index(e) == index
+    assert e.index == index
     tables = two_torsion_character_tables(e)
     assert tables == _pulled_back_tables(e)
     assert len(tables[0]) == extendable

@@ -430,6 +430,14 @@ def test_bundle_errors(capsys, tmp_path):
         assert "usage error" in err, argv
 
 
+@pytest.mark.parametrize("spec", ["[1]", " []", '[{"g": 3}]'])
+def test_an_inline_spec_that_is_an_array_is_read_as_json(capsys, spec):
+    """A --spec whose first non-blank character is { or [ is inline JSON,
+    never a path, so an array is refused as a spec, not as a missing file."""
+    assert run(capsys, "bundle", "h0", "--spec", spec) == (
+        64, "", "usage error: a bundle spec is a JSON object\n")
+
+
 @pytest.mark.parametrize("target, value, call, argv", [
     ("irrfib.bundles.h0_omega_twisted_minus_fibre", lambda *args: 0,
      lambda: ample_part_is_line(

@@ -10,7 +10,7 @@ from irrfib.characters import Character
 from irrfib.errors import DegenerateEmbedding, IncompatibleLattice
 from irrfib.lattice import (FiniteAbelianGroup, Lattice, Rational,
                             SublatticeEmbedding, TorsionPoint, parse_rational,
-                            quotient_group, sublattice_index)
+                            quotient_group)
 from irrfib.linalg import (determinant, diagonal, identity_matrix,
                            integer_kernel_basis, mat_mul, smith_normal_form,
                            transpose)
@@ -210,7 +210,7 @@ def test_torsion_point_arithmetic():
 
 def test_embedding_validation_and_index():
     e = reference_embedding()
-    assert sublattice_index(e) == 2
+    assert e.index == 2
     with pytest.raises(ValueError):
         SublatticeEmbedding(reference_lattice_b(), reference_lattice_a(),
                             ((1, 0, 0, 0), (0, 1, 0, 0),
@@ -224,7 +224,7 @@ def test_embedding_validation_and_index():
         SublatticeEmbedding(amb, sub, ((1.5,), (0,)))
 
 
-def test_sublattice_index_requires_square():
+def test_an_embedding_must_be_square():
     # an embedding has finite index: a rectangular one cannot be built
     amb = Lattice(3, ("a", "b", "c"))
     sub = Lattice(2, ("u", "v"))
@@ -282,7 +282,7 @@ def test_quotient_group_elements_lie_in_the_ambient_lattice():
                                 Lattice(n, tuple("s%d" % i for i in range(n))),
                                 m)
         g = quotient_group(e)
-        assert g.order() == sublattice_index(e), m
+        assert g.order() == e.index, m
         elems = g.elements()
         assert len(elems) == g.order(), m
         assert elems[0] == TorsionPoint(e.sub, 1, (0,) * n), m

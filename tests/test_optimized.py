@@ -234,6 +234,51 @@ def test_the_library_keeps_no_module_level_cache():
     assert found == []
 
 
+def _is_state(node):
+    """`<x>.__dict__` or `vars(<x>)`: an object's own attribute dict."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars")
+
+
+def _state_writes_after_construction(tree):
+    """(line, Class.method) of each write to an object's state by a method
+    other than __init__ or __post_init__, nested functions included: a
+    store or deletion through a subscript of its dict, a call of the dict's
+    update or setdefault, or a call of setattr or __setattr__."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for func in cls.body:
+            if not isinstance(func, ast.FunctionDef) or func.name in (
+                    "__init__", "__post_init__"):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Subscript)
+                        and not isinstance(node.ctx, ast.Load)
+                        and _is_state(node.value)
+                        or isinstance(node, ast.Call) and (
+                            isinstance(node.func, ast.Name)
+                            and node.func.id == "setattr"
+                            or isinstance(node.func, ast.Attribute) and (
+                                node.func.attr == "__setattr__"
+                                or node.func.attr in ("update", "setdefault")
+                                and _is_state(node.func.value)))):
+                    yield node.lineno, "%s.%s" % (cls.name, func.name)
+
+
+def test_no_record_keeps_state_after_its_constructor():
+    """A record's attributes are final once its constructor returns: only
+    __init__ and __post_init__ write them, so no method keeps a memo on
+    the record (a kept hash, say) that a copy or an equal record lacks."""
+    found = sorted(
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted((SRC / "irrfib").glob("*.py"))
+        for line, name in _state_writes_after_construction(
+            ast.parse(path.read_text())))
+    assert found == []
+
+
 # One fresh process per golden, as a command runs: state that one command
 # left behind for the next in the same process would not show in process.
 @pytest.mark.parametrize("golden", sorted(CASES))

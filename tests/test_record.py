@@ -25,7 +25,7 @@ from irrfib.bundles import (BundleDecomposition, EllipticPoint,
 from irrfib.intersection import KernelCurve, pen6_lattice
 from irrfib.invariants import FibrationRecord, example_record, slope
 from irrfib.characters import Character
-from irrfib.lattice import OnGrid, Rational
+from irrfib.lattice import OnGrid, Rational, SublatticeEmbedding
 from irrfib.polarization import kernel_K_L, polarization_type
 from irrfib.record import Record, encode
 from irrfib.report import Check, Report
@@ -41,8 +41,11 @@ RECORD_CLASSES = {
     if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record}
 
 UNHASHABLE = (Sweep,)  # a Sweep holds dicts
-# what a surface derives in its constructor and keeps beside its field
+# what a constructor derives and keeps beside the fields: a surface its
+# tables, an embedding its index; every other record keeps only its fields
 SURFACE_TABLES = {"form_A", "_grids", "_periods", "_halves"}
+DERIVED = {SpecialAbelianSurface: SURFACE_TABLES,
+           SublatticeEmbedding: {"index"}}
 
 
 def _samples():
@@ -115,12 +118,12 @@ def test_equal_fields_give_equal_records(record):
     if not isinstance(record, UNHASHABLE):
         assert hash(twin) == hash(record)
     assert pickle.loads(pickle.dumps(record)) == record
-    # a record stores exactly its declared fields, whatever has been read;
-    # a surface adds the tables its constructor derives, and no more
+    # a record stores exactly its declared fields and what its constructor
+    # derives, whatever has been read or hashed since
     for name in dir(record):
         getattr(record, name)
-    assert set(vars(record)) - {"_hash"} == set(record._fields) | (
-        SURFACE_TABLES if isinstance(record, SpecialAbelianSurface) else set())
+    assert set(vars(record)) == set(record._fields) | DERIVED.get(
+        type(record), set())
     if isinstance(record, OnGrid):
         assert b"fractions" not in pickle.dumps(record)
 
@@ -225,7 +228,7 @@ def test_import_pulls_in_no_dataclasses():
     assert _run(code) == "[]\n"
 
 
-def test_kept_hash_does_not_cross_processes():
+def test_a_pickled_record_hashes_by_its_fields_in_another_process():
     lattice = build_reference_surface().embedding.sub
     hash(lattice)  # string labels: the hash depends on the process's seed
     code = ("import pickle, sys; from irrfib.torus import reference_lattice_a; "
